@@ -27,7 +27,7 @@ from .experiments import (ExperimentReport, NetConfig,
                           abelian_invariance_check, bernoulli_edge_coupling,
                           format_csv, linear_growth_experiment,
                           nonamenable_pipeline, renormalization_experiment)
-from .rng import Stream
+from .rng import POISSON_LAM_MAX, Stream
 from .stats import from_binomial
 
 EXPERIMENTS = ("survival_sweep", "bernoulli_coupling", "abelian",
@@ -158,6 +158,11 @@ def validate(cfg: RunConfig) -> list[str]:
             vals = parse_grid(text)
             if any(v < 0 for v in vals):
                 problems.append(f"{name} values must be >= 0")
+            if name == "lambda" and any(v > POISSON_LAM_MAX for v in vals):
+                problems.append(
+                    f"lambda values must be <= {POISSON_LAM_MAX:g} (the "
+                    "Poisson inverse CDF of the particle counts underflows "
+                    "above that)")
         except ValueError as exc:
             problems.append(f"bad {name} grid: {exc}")
     if cfg.family not in ("lattice_box", "regular_tree", "ladder",

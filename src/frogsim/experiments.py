@@ -22,7 +22,7 @@ from .frogs import FrogParams, ParticleField, explore_cluster
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream
 from .stats import Estimate, from_binomial, from_samples
-from .walks import exit_probability_exact
+from .walks import exit_probability_exact, jump_sampler
 
 
 @dataclass
@@ -555,22 +555,18 @@ def escape_probability(g: Graph, A, horizon: int, replicas: int,
     A = sorted(set(int(a) for a in A))
     w = np.array([g.pi[a] for a in A])
     cum = np.cumsum(w / w.sum())
+    boundary = g.walk_tables()[2]
     hits = 0
     for r in range(replicas):
         st = Stream(seed, "escape", r)
         x = A[int(np.searchsorted(cum, st.uniform()))]
+        step = jump_sampler(g, st)
         cur = x
         returned = False
         for _ in range(horizon):
-            if g.is_boundary(cur):
+            if boundary[cur]:
                 break
-            row = g.out_neighbors(cur)
-            if g.weights is None:
-                cur = int(row[int(st.uniform() * row.size)])
-            else:
-                cw = g.row_cumweights(cur)
-                cur = int(row[np.searchsorted(cw, st.uniform() * cw[-1],
-                                              side="right")])
+            cur = step(cur)
             if cur in A:
                 returned = True
                 break

@@ -60,7 +60,14 @@ class GraphSpec:
 
 @dataclass
 class Graph:
-    """Finite weighted (di)graph with CSR adjacency and BFS-ordered ids."""
+    """Finite weighted (di)graph with CSR adjacency and BFS-ordered ids.
+
+    Derived structures are built lazily, on first use, and cached on the
+    graph: the sparse transition matrix and the plain-Python walk tables
+    that the per-jump sampling loop reads (see ``walk_tables``). Building
+    them inside the work phase keeps graph construction as cheap as the
+    arrays alone.
+    """
 
     vertex_count: int
     indptr: np.ndarray        # int64, len n+1
@@ -74,8 +81,8 @@ class Graph:
     boundary_mode: str = "absorbing"
     origin: int = 0
     coords: np.ndarray | None = None  # (n, d) lattice points, grid families only
-    _cumw: np.ndarray | None = field(default=None, repr=False)
     _transition: sp.csr_matrix | None = field(default=None, repr=False)
+    _walk: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.boundary_mask[self.origin]:
@@ -122,16 +129,30 @@ class Graph:
 
     # -- walk kernel ---------------------------------------------------
 
-    def row_cumweights(self, x: int) -> np.ndarray:
-        """Cumulative outgoing weights of x, for weighted neighbor sampling."""
-        if self._cumw is None:
-            w = self.weights if self.weights is not None else np.ones_like(
-                self.indices, dtype=np.float64)
-            cw = np.cumsum(w)
-            starts = cw[self.indptr[:-1] - 1]
-            starts[self.indptr[:-1] == 0] = 0.0
-            self._cumw = cw - np.repeat(starts, np.diff(self.indptr))
-        return self._cumw[self.indptr[x]:self.indptr[x + 1]]
+    def walk_tables(self) -> tuple:
+        """(rows, cumweights, boundary) as plain Python lists, cached.
+
+        rows[x] lists the out-neighbours of x, cumweights[x] the running
+        sums of their weights (None for the whole table when the graph is
+        unweighted) and boundary[x] is the frontier flag. Lists of Python
+        ints and floats spare the sampler a numpy scalar per jump; they
+        take about 150 bytes per vertex, some ten times the CSR arrays.
+        """
+        if self._walk is None:
+            ptr = self.indptr.tolist()
+            ids = self.indices.tolist()
+            rows = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
+            cums = None
+            if self.weights is not None:
+                # one running sum over all rows minus each row's offset: the
+                # sampled jumps depend on this rounding, so keep it as is
+                cw = np.cumsum(self.weights)
+                starts = cw[self.indptr[:-1] - 1]
+                starts[self.indptr[:-1] == 0] = 0.0
+                cw = (cw - np.repeat(starts, np.diff(self.indptr))).tolist()
+                cums = [cw[a:b] for a, b in zip(ptr, ptr[1:])]
+            self._walk = (rows, cums, self.boundary_mask.tolist())
+        return self._walk
 
     def transition_matrix(self) -> sp.csr_matrix:
         """Jump-chain kernel P(x,y) = w(x,y)/pi(x); boundary rows absorb."""

@@ -7,6 +7,13 @@ randomness regardless of worker count or scheduling, and a particle's
 trajectory depends only on (field seed, vertex, particle index). That last
 property is what makes the per-seed monotone couplings in the frog engine
 exact.
+
+``Stream.u64`` is the single source of stream bits. ``uniform`` and
+``exponential`` are fixed formulas on one draw, and the walk sampler in
+``walks`` binds ``u64`` and applies the same formulas inline, so every
+caller reads a stream in the same order and the couplings hold across
+them. ``derive_key`` hashes each distinct string label once per process
+and keeps the code in a module dict.
 """
 
 from __future__ import annotations
@@ -27,24 +34,39 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _encode_label(label) -> int:
-    if isinstance(label, bool):
-        return int(label)
-    if isinstance(label, int):
-        return label & _MASK
-    if isinstance(label, str):
-        # hashlib, not hash(): stable across processes and runs
-        return int.from_bytes(
-            hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "big"
-        )
-    raise TypeError(f"stream labels must be int or str, got {type(label)!r}")
+# blake2b codes of string labels: the labels in use are a few constants
+# ("traj", "eta", ...), hashed once per process instead of once per key
+_STR_CODES: dict[str, int] = {}
 
 
 def derive_key(seed: int, *labels) -> int:
-    """Fold (seed, labels...) into a 64-bit stream key."""
+    """Fold (seed, labels...) into a 64-bit stream key.
+
+    Label i (ints mod 2^64, strings by their blake2b code) is folded in as
+    h = splitmix64(h ^ splitmix64(code ^ (i + 1) * _GOLDEN)), written out.
+    """
     h = splitmix64(seed & _MASK)
-    for i, label in enumerate(labels):
-        h = splitmix64(h ^ splitmix64(_encode_label(label) ^ ((i + 1) * _GOLDEN)))
+    salt = 0
+    for label in labels:
+        salt += _GOLDEN
+        if isinstance(label, str):
+            code = _STR_CODES.get(label)
+            if code is None:
+                # hashlib, not hash(): stable across processes and runs
+                code = _STR_CODES[label] = int.from_bytes(hashlib.blake2b(
+                    label.encode("utf-8"), digest_size=8).digest(), "big")
+        elif isinstance(label, int):
+            code = label & _MASK
+        else:
+            raise TypeError(
+                f"stream labels must be int or str, got {type(label)!r}")
+        x = ((code ^ salt) + _GOLDEN) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = ((h ^ x ^ (x >> 31)) + _GOLDEN) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        h = x ^ (x >> 31)
     return h
 
 
@@ -105,6 +127,10 @@ class Stream:
             items[i], items[j] = items[j], items[i]
 
 
+# exp(-lam) stays a normal double up to here
+POISSON_LAM_MAX = 700.0
+
+
 def poisson_inverse_cdf(lam: float, u: float) -> int:
     """Smallest k with P(Poisson(lam) <= k) >= u.
 
@@ -116,8 +142,9 @@ def poisson_inverse_cdf(lam: float, u: float) -> int:
     """
     if lam == 0.0:
         return 0
-    if lam > 700.0:
-        raise ValueError("poisson_inverse_cdf unstable for lam > 700")
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(
+            f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
     u = min(u, 1.0 - 1e-12)
     p = math.exp(-lam)
     cdf = p

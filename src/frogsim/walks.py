@@ -12,13 +12,15 @@ leave that ball in K jumps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import log1p
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, GraphError, ball
-from .rng import Stream
+from .rng import _INV_2_53, Stream
 from .stats import Estimate, from_samples
 
 DEFAULT_TOL = 1e-10
@@ -72,12 +74,24 @@ def sample_jump_count(t: float, rng: Stream) -> int:
     return rng.poisson(t)
 
 
-def _step(g: Graph, x: int, u: float) -> int:
-    row = g.out_neighbors(x)
-    if g.weights is None:
-        return int(row[int(u * row.size)])
-    cw = g.row_cumweights(x)
-    return int(row[np.searchsorted(cw, u * cw[-1], side="right")])
+def jump_sampler(g: Graph, rng: Stream):
+    """step(x): the jump-chain successor of x, from one uniform of `rng`.
+
+    The uniform u picks neighbour floor(u * deg) on unweighted graphs and,
+    on weighted ones, the first whose running weight exceeds u times the
+    row total. The one step rule of every sampled walk.
+    """
+    rows, cums, _ = g.walk_tables()
+    u64 = rng.u64
+    if cums is None:
+        def step(x: int) -> int:
+            row = rows[x]
+            return row[int((u64() >> 11) * _INV_2_53 * len(row))]
+    else:
+        def step(x: int) -> int:
+            cw = cums[x]
+            return rows[x][bisect_right(cw, (u64() >> 11) * _INV_2_53 * cw[-1])]
+    return step
 
 
 def walk_positions(g: Graph, x: int, t: float, rng: Stream):
@@ -85,19 +99,25 @@ def walk_positions(g: Graph, x: int, t: float, rng: Stream):
 
     Returns (jumps list, absorbed flag). Jump times are partial sums of
     Exp(1) draws pulled one at a time, so a shorter horizon reads a prefix
-    of the same stream: the lifespan coupling is exact per key.
+    of the same stream: the lifespan coupling is exact per key. The draws
+    go straight to ``rng.u64`` with the formulas of ``Stream.exponential``
+    and ``Stream.uniform``, and neighbours and frontier flags come from
+    ``g.walk_tables()``, built on the graph's first walk and cached on it.
     """
+    boundary = g.walk_tables()[2]
     jumps: list[int] = []
-    if g.is_boundary(x):
+    if boundary[x]:
         return jumps, True
+    step = jump_sampler(g, rng)
+    u64 = rng.u64
     cur = x
-    elapsed = rng.exponential()
+    elapsed = -log1p(-((u64() >> 11) * _INV_2_53))
     while elapsed <= t:
-        cur = _step(g, cur, rng.uniform())
+        cur = step(cur)
         jumps.append(cur)
-        if g.is_boundary(cur):
+        if boundary[cur]:
             return jumps, True
-        elapsed += rng.exponential()
+        elapsed -= log1p(-((u64() >> 11) * _INV_2_53))
     return jumps, False
 
 
@@ -113,12 +133,14 @@ def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
 def discrete_walk(g: Graph, x: int, steps: int, rng: Stream) -> list[int]:
     """Jump-chain positions X(0..k), truncated at the first frontier hit
     (k = steps when the walk stays interior)."""
+    boundary = g.walk_tables()[2]
+    step = jump_sampler(g, rng)
     path = [x]
     cur = x
     for _ in range(steps):
-        if g.is_boundary(cur):
+        if boundary[cur]:
             break
-        cur = _step(g, cur, rng.uniform())
+        cur = step(cur)
         path.append(cur)
     return path
 

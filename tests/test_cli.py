@@ -53,6 +53,19 @@ def test_run_writes_artifacts(tmp_path):
     assert "results.csv" in (out / "plot.gp").read_text()
 
 
+def test_validate_rejects_lambda_beyond_poisson_range(tmp_path):
+    cfgp = write_config(tmp_path, depth=6, n=3, replicas=2, seed=1)
+    cfg = parse_config(str(cfgp), ["lambda=800"])
+    assert any("lambda values must be <= 700" in p for p in validate(cfg))
+    assert run(cfg) == 2
+    assert validate(parse_config(str(cfgp), ["lambda=700"])) == []
+    r = subprocess.run([sys.executable, "-m", "frogsim.cli", "run", str(cfgp),
+                        "lambda=1:800:100"], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert "lambda values must be <= 700" in r.stderr + r.stdout
+    assert "Traceback" not in r.stderr
+
+
 def test_run_validation_exit_code(tmp_path):
     cfg = parse_config(str(write_config(tmp_path)), ["replicas=0"])
     assert run(cfg) == 2

@@ -6,12 +6,14 @@ from scipy.linalg import expm
 from scipy.special import iv
 
 from frogsim import (GraphError, GraphSpec, SeriesToleranceError, Stream,
-                     ball, build_graph, exit_probability_exact,
+                     ball, build_graph, discrete_walk, exit_probability_exact,
                      heat_kernel_exact, heat_kernel_row,
                      hitting_probability_exact, range_statistics,
                      sample_jump_count, sample_trajectory,
                      self_intersection_bound, self_intersection_profile,
                      truncated_green)
+from frogsim.experiments import escape_probability
+from frogsim.walks import walk_positions
 
 
 # -- sampling ----------------------------------------------------------
@@ -282,3 +284,92 @@ def test_self_intersection_tree_bound(tree12):
     rho = 2 * math.sqrt(2) / 3
     est = self_intersection_profile(tree12, 0, 200.0, 20, 400, Stream(22))
     assert est.mean <= self_intersection_bound(200.0, 20, rho) + 3 * est.stderr
+
+
+# -- bit-identical sampling --------------------------------------------
+
+# Exact outputs recorded from the reference implementation: (jumps,
+# absorbed, stream state afterwards) for four walks from the origin, then
+# a 15-step discrete walk. The weighted digraph has non-dyadic weights and
+# a sink (vertex 4), so the cumulative-weight search and absorption are
+# both pinned; the bench references cover unweighted graphs only.
+WEIGHTED_DIGRAPH = """frogsim-graph v1 directed
+0 1 1.5
+0 2 0.25
+0 3 2.0
+1 0 1.0
+1 2 3.0
+1 4 0.6
+2 0 0.5
+2 1 0.7
+2 3 0.1
+3 0 1.0
+3 2 2.5
+3 4 0.4
+"""
+
+GOLDEN_WALKS = {
+    "z2": (12.0, [
+        ([2, 10, 20], True, 14106975560638721906),
+        ([4, 10, 4, 0, 1, 7, 15], True, 12785930626639778197),
+        ([2, 6, 14], True, 712443159847498968),
+        ([2, 8, 18], True, 2941558123090068132),
+    ], ([0, 2, 10, 22], 4454090107324014186)),
+    "tree": (6.0, [
+        ([2, 0, 1, 0, 1], False, 11287941002177256744),
+        ([3, 0, 2, 6, 2, 6], False, 6483475733755098219),
+        ([3, 9, 20, 9, 20], False, 7094685534063757917),
+        ([3, 0, 2, 0, 1, 4, 11, 25], True, 10293201746742259471),
+    ], ([0, 1, 4, 11, 25], 14762851282179855011)),
+    "weighted": (10.0, [
+        ([1, 2, 1, 4], True, 7452420019496555697),
+        ([3, 2, 1, 0, 2, 1, 4], True, 12771876137414862897),
+        ([3, 2, 1, 2, 1, 2, 0, 3, 2, 1, 2, 1, 0], False, 61452408277225642),
+        ([1, 2, 0, 1, 0, 3], False, 5709435474534736942),
+    ], ([0, 3, 2, 0, 1, 2, 3, 2, 1, 2, 1, 2, 1, 0, 3, 2],
+        7269628211827918528)),
+}
+
+
+def golden_graph(name, tmp_path):
+    if name == "z2":
+        return build_graph(GraphSpec("lattice_box", d=2, radius=3))
+    if name == "tree":
+        return build_graph(GraphSpec("regular_tree", degree=3, depth=4))
+    p = tmp_path / "weighted.txt"
+    p.write_text(WEIGHTED_DIGRAPH)
+    return build_graph(GraphSpec("weighted_file", path=str(p)))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WALKS))
+def test_walk_sampling_golden(name, tmp_path):
+    g = golden_graph(name, tmp_path)
+    t, walks, (path, path_state) = GOLDEN_WALKS[name]
+    for k, (jumps, absorbed, state) in enumerate(walks):
+        s = Stream(31, name, k)
+        assert walk_positions(g, 0, t, s) == (jumps, absorbed)
+        assert s._state == state
+    s = Stream(5, "dw", name)
+    assert discrete_walk(g, 0, 15, s) == path
+    assert s._state == path_state
+
+
+def test_walk_from_frontier_draws_nothing(tmp_path):
+    g = golden_graph("weighted", tmp_path)
+    s = Stream(3)
+    assert walk_positions(g, 4, 5.0, s) == ([], True)
+    assert s._state == Stream(3)._state
+
+
+# escape_probability(g, [0, 1], 20, 50, 9): same jump chain, other caller
+GOLDEN_ESCAPE = {
+    "z2": (0.3, 0.0648074069840786),
+    "tree": (0.32, 0.06596969000988256),
+    "weighted": (0.08, 0.03836665218650176),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ESCAPE))
+def test_escape_probability_golden(name, tmp_path):
+    est = escape_probability(golden_graph(name, tmp_path), [0, 1], 20, 50, 9)
+    assert (est.mean, est.stderr) == GOLDEN_ESCAPE[name]
