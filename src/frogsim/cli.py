@@ -16,6 +16,7 @@ exhaustion while estimating.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import sys
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
@@ -56,7 +57,7 @@ class RunConfig:
     max_particles: int = 2_000_000
     max_vertices: int = 20_000_000
     # experiment-specific knobs
-    t_list: str = "0.5:10:auto"   # nonamenable: comma list, e.g. 0.5,2,10
+    t_list: str = ""   # nonamenable: comma list, e.g. 0.5,2,10; "" means t
     a: int = 8
     net_extent: int = 2
     decay_density: float = 0.25
@@ -128,6 +129,27 @@ def parse_grid(text: str) -> list[float]:
     return [float(text)]
 
 
+def parse_t_list(text: str) -> list[float]:
+    """The comma list of lifespans; raises ValueError naming every entry
+    that is not a finite number >= 0. Empty text gives an empty list."""
+    if not text.strip():
+        return []
+    vals, bad = [], []
+    for entry in text.split(","):
+        try:
+            v = float(entry)
+        except ValueError:
+            v = math.nan
+        if math.isfinite(v) and v >= 0:
+            vals.append(v)
+        else:
+            bad.append(entry.strip())
+    if bad:
+        raise ValueError("entries must be finite numbers >= 0, got "
+                         + ", ".join(map(repr, bad)))
+    return vals
+
+
 def expected_truncation_radius(cfg: RunConfig) -> int | None:
     if cfg.family == "lattice_box":
         return cfg.radius
@@ -165,6 +187,10 @@ def validate(cfg: RunConfig) -> list[str]:
                     "above that)")
         except ValueError as exc:
             problems.append(f"bad {name} grid: {exc}")
+    try:
+        parse_t_list(cfg.t_list)
+    except ValueError as exc:
+        problems.append(f"bad t_list: {exc}")
     if cfg.family not in ("lattice_box", "regular_tree", "ladder",
                           "weighted_file"):
         problems.append(f"unknown graph family {cfg.family!r}")
@@ -304,8 +330,7 @@ def run(cfg: RunConfig) -> int:
                     cfg.seed, distances=(cfg.n // 4, cfg.n // 2, cfg.n))
             elif cfg.experiment == "nonamenable":
                 g = build_graph(cfg.graph_spec())
-                ts = [float(s) for s in cfg.t_list.split(",")] \
-                    if "," in cfg.t_list else [t]
+                ts = parse_t_list(cfg.t_list) or [t]
                 report = nonamenable_pipeline(g, lam, ts, cfg.replicas,
                                               cfg.seed, survival_radius=cfg.n)
             elif cfg.experiment == "renormalization":

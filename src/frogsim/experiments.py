@@ -22,7 +22,7 @@ from .frogs import FrogParams, ParticleField, explore_cluster
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream
 from .stats import Estimate, from_binomial, from_samples
-from .walks import exit_probability_exact, jump_sampler
+from .walks import exit_probability_exact, jump_picker
 
 
 @dataclass
@@ -556,17 +556,17 @@ def escape_probability(g: Graph, A, horizon: int, replicas: int,
     w = np.array([g.pi[a] for a in A])
     cum = np.cumsum(w / w.sum())
     boundary = g.walk_tables()[2]
+    pick = jump_picker(g)
     hits = 0
     for r in range(replicas):
         st = Stream(seed, "escape", r)
         x = A[int(np.searchsorted(cum, st.uniform()))]
-        step = jump_sampler(g, st)
         cur = x
         returned = False
         for _ in range(horizon):
             if boundary[cur]:
                 break
-            cur = step(cur)
+            cur = pick(cur, st.uniform())
             if cur in A:
                 returned = True
                 break

@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, ball, distance_to_complement
-from .rng import Stream, derive_key, poisson_inverse_cdf
+from .rng import _INV_2_53, Stream, derive_key, poisson_inverse_cdf
 from .stats import Estimate, from_samples
 from .walks import Trajectory, walk_positions
-
-_INV_2_53 = 1.0 / (1 << 53)
 
 
 @dataclass(frozen=True)

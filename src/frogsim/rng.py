@@ -8,12 +8,17 @@ trajectory depends only on (field seed, vertex, particle index). That last
 property is what makes the per-seed monotone couplings in the frog engine
 exact.
 
-``Stream.u64`` is the single source of stream bits. ``uniform`` and
-``exponential`` are fixed formulas on one draw, and the walk sampler in
-``walks`` binds ``u64`` and applies the same formulas inline, so every
-caller reads a stream in the same order and the couplings hold across
-them. ``derive_key`` hashes each distinct string label once per process
-and keeps the code in a module dict.
+Draw k of a stream (k = 1, 2, ...) is splitmix64's output mix of
+``key + k * _GOLDEN`` mod 2^64, a pure function of the key and k. Stream
+bits come from two implementations of that one sequence: ``Stream.u64``
+computes the next draw on Python ints, and ``Stream.peek_uniforms``
+computes the next n at once on ``uint64`` numpy arrays, which wrap mod 2^64
+exactly as ``& _MASK`` does. ``uniform`` and ``exponential`` are fixed
+formulas on one draw, the block returns the same uniforms, and
+``Stream.skip`` consumes the draws a block reader used, so every caller
+reads a stream in the same order and the couplings hold across them.
+``derive_key`` hashes each distinct string label once per process and
+keeps the code in a module dict.
 """
 
 from __future__ import annotations
@@ -21,16 +26,26 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64's two output multipliers
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / (1 << 53)
+# the same constants as uint64 array operands; arithmetic stays on arrays,
+# where it wraps silently (numpy warns on uint64 *scalar* overflow)
+_NP_GOLDEN = np.uint64(_GOLDEN)
+_NP_MIX1 = np.uint64(_MIX1)
+_NP_MIX2 = np.uint64(_MIX2)
 
 
 def splitmix64(x: int) -> int:
     """One splitmix64 scramble of ``x`` (stateless)."""
     x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
     return x ^ (x >> 31)
 
 
@@ -61,11 +76,11 @@ def derive_key(seed: int, *labels) -> int:
             raise TypeError(
                 f"stream labels must be int or str, got {type(label)!r}")
         x = ((code ^ salt) + _GOLDEN) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+        x = ((x ^ (x >> 27)) * _MIX2) & _MASK
         x = ((h ^ x ^ (x >> 31)) + _GOLDEN) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+        x = ((x ^ (x >> 27)) * _MIX2) & _MASK
         h = x ^ (x >> 31)
     return h
 
@@ -89,9 +104,28 @@ class Stream:
     def u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
         x = self._state
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+        x = ((x ^ (x >> 27)) * _MIX2) & _MASK
         return x ^ (x >> 31)
+
+    def peek_uniforms(self, n: int) -> list[float]:
+        """The next n uniforms, equal to n successive ``uniform()`` calls,
+        computed on numpy arrays. The stream does not advance: ``skip``
+        consumes however many of them the caller used."""
+        x = np.arange(1, n + 1, dtype=np.uint64)
+        x *= _NP_GOLDEN
+        x += np.uint64(self._state)
+        x ^= x >> 30
+        x *= _NP_MIX1
+        x ^= x >> 27
+        x *= _NP_MIX2
+        x ^= x >> 31
+        x >>= 11
+        return (x.astype(np.float64) * _INV_2_53).tolist()
+
+    def skip(self, k: int) -> None:
+        """Consume k draws, as k ``u64()`` calls would."""
+        self._state = (self._state + k * _GOLDEN) & _MASK
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""

@@ -129,3 +129,21 @@ def test_cli_other_experiments_run(tmp_path):
                                "replicas=40", "seed=4",
                                f"out={tmp_path/'ab'}"])
     assert run(cfg2) == 0
+
+
+@pytest.mark.parametrize("t_list,bad", [("1,abc", ["'abc'"]),
+                                        ("-1,2", ["'-1'"]),
+                                        ("nan,1,inf,x", ["'nan'", "'inf'",
+                                                         "'x'"])])
+def test_bad_t_list_exits_2(tmp_path, t_list, bad):
+    args = ["experiment=nonamenable", "family=regular_tree", "depth=6", "n=3",
+            "replicas=2", "seed=1", f"t_list={t_list}",
+            f"out={tmp_path / 'out'}"]
+    problems = validate(parse_config(None, args))
+    assert len(problems) == 1 and "t_list" in problems[0]
+    assert all(b in problems[0] for b in bad)
+    r = subprocess.run([sys.executable, "-m", "frogsim.cli", "run", *args],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert "t_list" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frogsim.rng import Stream, derive_key, poisson_inverse_cdf
+from frogsim.rng import _GOLDEN, Stream, derive_key, poisson_inverse_cdf
 
 
 def test_same_key_replays_identical_sequence():
@@ -94,3 +94,32 @@ def test_derive_key_golden(seed, labels, key):
 def test_derive_key_rejects_other_label_types():
     with pytest.raises(TypeError):
         derive_key(1, 1.5)
+
+
+def stream_at(state: int) -> Stream:
+    s = Stream(0)
+    s._state = state
+    return s
+
+
+# random states, plus states from which draw k (k <= 5) lands exactly on
+# 2^64: the counter key + k * _GOLDEN wraps to 0
+@example(state=2**64 - 1, n=8, k=3)
+@example(state=2**64 - 2 * _GOLDEN % 2**64, n=4, k=2)
+@given(st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                 st.integers(min_value=1, max_value=5).map(
+                     lambda k: 2**64 - k * _GOLDEN % 2**64)),
+       st.integers(min_value=0, max_value=70),
+       st.integers(min_value=0, max_value=70))
+@settings(max_examples=200, deadline=None)
+def test_peek_uniforms_match_successive_draws(state, n, k):
+    s = stream_at(state)
+    block = s.peek_uniforms(n)
+    assert s._state == state  # a peek consumes nothing
+    assert block == [s.uniform() for _ in range(n)]
+    skipped, drawn = stream_at(state), stream_at(state)
+    skipped.skip(k)
+    for _ in range(k):
+        drawn.u64()
+    assert skipped._state == drawn._state
+

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import iv
 
@@ -12,6 +15,7 @@ from frogsim import (GraphError, GraphSpec, SeriesToleranceError, Stream,
                      sample_jump_count, sample_trajectory,
                      self_intersection_bound, self_intersection_profile,
                      truncated_green)
+from frogsim import walks
 from frogsim.experiments import escape_probability
 from frogsim.walks import walk_positions
 
@@ -373,3 +377,101 @@ GOLDEN_ESCAPE = {
 def test_escape_probability_golden(name, tmp_path):
     est = escape_probability(golden_graph(name, tmp_path), [0, 1], 20, 50, 9)
     assert (est.mean, est.stderr) == GOLDEN_ESCAPE[name]
+
+
+# Long walks read their uniforms in numpy blocks (walks._walk_blocked).
+# Recorded on the per-draw implementation before the block path existed:
+# (jump count, last vertex, sha256 prefix of repr(jumps), absorbed, stream
+# state afterwards) for walks from the origin of the renormalization box.
+# At t = 2500 a walk needs more draws than one block holds, so it refills.
+GOLDEN_LONG_Z2 = {
+    ("renorm", 64.0): [
+        (78, 139, "a2d4cc9285bb1be3", False, 921268868960641550),
+        (63, 313, "095625c59a3bd64b", False, 8853649962741521659),
+        (59, 14, "bb083749148f7a16", False, 3039376356514663885),
+        (59, 109, "8527e547fb422e8e", False, 5460498188812295969),
+    ],
+    ("renorm-long", 2500.0): [
+        (1274, 2560, "769469cc93034cc6", True, 11063919112552373105),
+        (1270, 2576, "19b726494d2f4f89", True, 8680812244786513069),
+        (548, 2584, "eec6806d6dfad48c", True, 15473159657809138343),
+    ],
+}
+
+
+def jumps_digest(jumps):
+    return hashlib.sha256(repr(jumps).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LONG_Z2))
+def test_long_walk_golden_z2(case):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=36))
+    label, t = case
+    for k, (count, last, digest, absorbed, state) in enumerate(
+            GOLDEN_LONG_Z2[case]):
+        s = Stream(31, label, k)
+        jumps, hit = walk_positions(g, 0, t, s)
+        assert (len(jumps), jumps[-1], jumps_digest(jumps), hit) == \
+            (count, last, digest, absorbed)
+        assert s._state == state
+
+
+# Weighted digraph walks from vertex 2 at t = 40 and from 0 at t = 8 (the
+# first horizon on the block path), recorded like GOLDEN_LONG_Z2. The sink
+# absorbs every walk long before a block of the natural size runs out, so
+# the test also shrinks the block cap to force refills mid-walk.
+GOLDEN_LONG_WEIGHTED = {
+    ("weighted-long", 2, 40.0): [
+        ([1, 4], True, 14604107877053826621),
+        ([0, 3, 0, 1, 2, 3, 2, 1, 2, 0, 3, 4], True, 12737964433841918114),
+        ([0, 1, 2, 0, 3, 2, 1, 4], True, 16101474870163041850),
+        ([1, 0, 1, 2, 1, 2, 3, 2, 1, 2, 1, 2, 1, 4], True,
+         11574786581226965161),
+        ([1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 2, 1, 0, 1, 2, 1, 0, 1, 2, 0, 3, 2,
+          0, 3, 2, 0, 3, 2, 0, 3, 4], True, 5671028305773289011),
+        ([0, 1, 0, 3, 0, 1, 2, 0, 3, 0, 1, 2, 1, 2, 1, 4], True,
+         1200212065000183461),
+    ],
+    ("weighted-8", 0, 8.0): [
+        ([3, 2, 0, 3, 2], False, 4418218651140727617),
+        ([3, 0, 1, 2, 0, 1, 2, 1], False, 13906753214159292415),
+        ([3, 2, 0, 1, 2, 1], False, 3854597822483625286),
+        ([3, 2, 0, 2, 0, 2, 1, 2], False, 8115374471522390646),
+        ([3, 2, 1, 0, 1, 0, 1, 4], True, 8515702264471914910),
+        ([1, 2, 1, 0, 3], False, 13070294016832439294),
+    ],
+}
+
+
+@pytest.mark.parametrize("block_max", [walks._BLOCK_MAX, 5, 2])
+@pytest.mark.parametrize("case", sorted(GOLDEN_LONG_WEIGHTED))
+def test_long_walk_golden_weighted(case, block_max, tmp_path, monkeypatch):
+    monkeypatch.setattr(walks, "_BLOCK_MAX", block_max)
+    g = golden_graph("weighted", tmp_path)
+    label, x, t = case
+    for k, (jumps, absorbed, state) in enumerate(GOLDEN_LONG_WEIGHTED[case]):
+        s = Stream(31, label, k)
+        assert walk_positions(g, x, t, s) == (jumps, absorbed)
+        assert s._state == state
+
+
+@pytest.fixture(scope="module")
+def walk_graphs(tmp_path_factory):
+    return {name: golden_graph(name, tmp_path_factory.mktemp(name))
+            for name in ("z2", "tree", "weighted")}
+
+
+@given(st.sampled_from(["z2", "tree", "weighted"]),
+       st.floats(min_value=0.0, max_value=3 * walks._BLOCK_HORIZON),
+       st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=2, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_block_and_drawwise_walks_agree(walk_graphs, name, t, key, n):
+    g = walk_graphs[name]
+    pick, boundary = walks.jump_picker(g), g.walk_tables()[2]
+    a, b, c = Stream(key), Stream(key), Stream(key)
+    expected = walks._walk_drawwise(pick, boundary, 0, t, a)
+    assert walks._walk_blocked(pick, boundary, 0, t, b, n) == expected
+    assert b._state == a._state
+    assert walk_positions(g, 0, t, c) == expected
+    assert c._state == a._state
