@@ -30,6 +30,7 @@ from .experiments import (ExperimentReport, NetConfig,
                           nonamenable_pipeline, renormalization_experiment)
 from .rng import POISSON_LAM_MAX, Stream
 from .stats import from_binomial
+from .walks import SERIES_T_MAX
 
 EXPERIMENTS = ("survival_sweep", "bernoulli_coupling", "abelian",
                "linear_growth", "nonamenable", "renormalization")
@@ -160,6 +161,10 @@ def expected_truncation_radius(cfg: RunConfig) -> int | None:
     return None
 
 
+_T_LIMIT = (f"must be <= {SERIES_T_MAX:g} (the exact walk series "
+            "underflows above that)")
+
+
 def validate(cfg: RunConfig) -> list[str]:
     """All violations, never just the first."""
     problems = []
@@ -185,10 +190,13 @@ def validate(cfg: RunConfig) -> list[str]:
                     f"lambda values must be <= {POISSON_LAM_MAX:g} (the "
                     "Poisson inverse CDF of the particle counts underflows "
                     "above that)")
+            if name == "t" and any(v > SERIES_T_MAX for v in vals):
+                problems.append(f"t values {_T_LIMIT}")
         except ValueError as exc:
             problems.append(f"bad {name} grid: {exc}")
     try:
-        parse_t_list(cfg.t_list)
+        if any(v > SERIES_T_MAX for v in parse_t_list(cfg.t_list)):
+            problems.append(f"t_list entries {_T_LIMIT}")
     except ValueError as exc:
         problems.append(f"bad t_list: {exc}")
     if cfg.family not in ("lattice_box", "regular_tree", "ladder",
@@ -327,12 +335,16 @@ def run(cfg: RunConfig) -> int:
             elif cfg.experiment == "linear_growth":
                 report = linear_growth_experiment(
                     cfg.width, cfg.length, FrogParams(lam, t), cfg.replicas,
-                    cfg.seed, distances=(cfg.n // 4, cfg.n // 2, cfg.n))
+                    cfg.seed, distances=(cfg.n // 4, cfg.n // 2, cfg.n),
+                    particle_budget=cfg.max_particles)
+                censored = report.inputs["censored"]
             elif cfg.experiment == "nonamenable":
                 g = build_graph(cfg.graph_spec())
                 ts = parse_t_list(cfg.t_list) or [t]
-                report = nonamenable_pipeline(g, lam, ts, cfg.replicas,
-                                              cfg.seed, survival_radius=cfg.n)
+                report = nonamenable_pipeline(
+                    g, lam, ts, cfg.replicas, cfg.seed, survival_radius=cfg.n,
+                    particle_budget=cfg.max_particles)
+                censored = report.inputs["censored"]
             elif cfg.experiment == "renormalization":
                 net = NetConfig(a=cfg.a, net_extent=cfg.net_extent)
                 report = renormalization_experiment(

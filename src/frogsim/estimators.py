@@ -20,9 +20,9 @@ from .graphs import Graph, GraphError, ball
 from .frogs import (FrogParams, ParticleField, exit_conditional_jumps,
                     explore_cluster, restricted_activation, _stay_closure,
                     _check_window)
-from .rng import Stream
+from .rng import Stream, derive_keys
 from .stats import Estimate, from_binomial, from_samples
-from .walks import exit_probability_exact, walk_positions
+from .walks import exit_probability_exact, walk_batch
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +564,10 @@ class GoodSetReport:
 def good_set_G_A(g: Graph, A, t: float, alpha: float, replicas: int,
                  seed: int, *, rho: float, K: float) -> GoodSetReport:
     """Estimate G_A = {x in A : P_x(|R(t) minus A| > alpha t) >= (1-rho)/4K}
-    and compare |G_A|/|A| with (1-rho)/2K."""
+    and compare |G_A|/|A| with (1-rho)/2K.
+
+    Walk r from x uses ``Stream(seed, "GA", x, r)``; each x's replicas run
+    as one ``walk_batch``."""
     A = set(int(a) for a in A)
     if not A:
         raise GraphError("A must be non-empty")
@@ -574,12 +577,10 @@ def good_set_G_A(g: Graph, A, t: float, alpha: float, replicas: int,
     members = set()
     probs = {}
     for x in sorted(A):
-        hits = 0
-        for r in range(replicas):
-            jumps, _ = walk_positions(g, x, t, Stream(seed, "GA", x, r))
-            outside = {v for v in jumps if v not in A}
-            if len(outside) > alpha * t:
-                hits += 1
+        positions, jumps, _ = walk_batch(
+            g, x, t, derive_keys(seed, "GA", x, count=replicas))
+        hits = sum(len(set(row[:n]) - A) > alpha * t
+                   for row, n in zip(positions.tolist(), jumps.tolist()))
         p = hits / replicas
         probs[x] = p
         if p >= thresh:

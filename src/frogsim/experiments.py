@@ -518,14 +518,20 @@ def annulus_blocking_probability(g: Graph, inner: int, outer: int,
 def linear_growth_experiment(width: int, length: int, params: FrogParams,
                              replicas: int, seed: int,
                              *, distances=(50, 100, 200),
-                             blocking_inner: int = 50) -> ExperimentReport:
+                             blocking_inner: int = 50,
+                             particle_budget: int = 2_000_000
+                             ) -> ExperimentReport:
     """Survival decay along a ladder, the quasi-1d stand-in for linear
-    growth, plus the exact blocking probability of an annulus."""
+    growth, plus the exact blocking probability of an annulus. Replicas
+    that exhaust `particle_budget` are counted in inputs["censored"]."""
     g = build_graph(GraphSpec("ladder", width=width, length=length))
     ests = {}
+    censored = 0
     for n in distances:
-        sv = survival_probability(g, params, n, replicas, seed)
+        sv = survival_probability(g, params, n, replicas, seed,
+                                  particle_budget=particle_budget)
         ests[n] = sv.estimate
+        censored += sv.censored
     outer = blocking_inner + max(4, int(math.ceil(2 * params.t)) + 2)
     blocking = annulus_blocking_probability(g, blocking_inner, outer, params)
     means = [ests[n].mean for n in sorted(ests)]
@@ -539,7 +545,8 @@ def linear_growth_experiment(width: int, length: int, params: FrogParams,
     return ExperimentReport(
         "linear_growth",
         {"graph": g.family, "lambda": params.lam, "t": params.t,
-         "n": max(distances), "blocking_annulus": (blocking_inner, outer)},
+         "n": max(distances), "blocking_annulus": (blocking_inner, outer),
+         "censored": censored},
         metrics, checks, seed)
 
 
@@ -579,11 +586,13 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
                          spectral_nmax: int | None = None,
                          escape_radius: int = 3,
                          escape_horizon: int = 150,
-                         amenable_cutoff: float = 0.995) -> ExperimentReport:
+                         amenable_cutoff: float = 0.995,
+                         particle_budget: int = 2_000_000) -> ExperimentReport:
     """Estimate the spectral radius and stationary control, evaluate the
     sufficient-lifespan bound, then bracket the empirical critical lifespan
     by survival measurements over t_list (hi = smallest tested lifespan with
-    confidently positive survival)."""
+    confidently positive survival). Survival replicas that exhaust
+    `particle_budget` are counted in inputs["censored"]."""
     if g.directed:
         raise GraphError("pipeline needs an undirected reversible network")
     if spectral_nmax is None:
@@ -599,11 +608,14 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
     if survival_radius is None:
         survival_radius = min(g.max_radius, 16)
     surv = {}
+    censored = 0
     for i, t in enumerate(t_list):
         sv = survival_probability(g, FrogParams(lam, float(t)),
                                   survival_radius, replicas,
-                                  Stream(seed, "t", i).key)
+                                  Stream(seed, "t", i).key,
+                                  particle_budget=particle_budget)
         surv[float(t)] = sv.estimate
+        censored += sv.censored
     confident = [t for t, e in surv.items()
                  if e.mean > 0.0 and e.mean - 3.0 * e.stderr > 0.0]
     bracket_hi = min(confident) if confident else math.inf
@@ -629,5 +641,5 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
     return ExperimentReport(
         "nonamenable",
         {"graph": g.family, "lambda": lam, "t": max(t_list),
-         "n": survival_radius},
+         "n": survival_radius, "censored": censored},
         metrics, checks, seed)

@@ -20,10 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph, GraphError, ball, distance_to_complement
-from .rng import _INV_2_53, Stream, derive_key, poisson_inverse_cdf
+from .rng import (_INV_2_53, Stream, derive_key, derive_keys,
+                  poisson_inverse_cdf)
 from .stats import Estimate, from_samples
-from .walks import Trajectory, walk_positions
+from .walks import Trajectory, walk_batch, walk_positions
 
 
 @dataclass(frozen=True)
@@ -382,6 +385,8 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
 
     Also evaluates the geometric cap Delta^{D_x} (t + D_x), where D_x is the
     directed distance from x to S^c and Delta the maximum out-degree.
+    Replica r walks on ``rng.child("exitcond", r)``; the replicas run as one
+    ``walk_batch``.
     """
     S = _check_window(g, S)
     if x not in S:
@@ -392,10 +397,12 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
         raise GraphError("x cannot reach the complement of S")
     delta = g.max_interior_degree()
     bound = (delta ** d_x) * (t + d_x)
-    counts = []
-    for rep in range(replicas):
-        jumps, _ = walk_positions(g, x, t, rng.child("exitcond", rep))
-        if any(v not in S for v in jumps):
-            counts.append(len(jumps))
+    positions, jumps, _ = walk_batch(
+        g, x, t, derive_keys(rng.key, "exitcond", count=replicas))
+    # outside[v] for v = -1, the padding, is False
+    outside = np.ones(g.vertex_count + 1, dtype=bool)
+    outside[list(S)] = False
+    outside[-1] = False
+    counts = jumps[outside[positions].any(axis=1)].tolist()
     est = from_samples(counts, rng.key) if counts else None
     return ExitJumpStats(est, bound, len(counts), len(counts) / replicas)

@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import deque
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -63,8 +66,9 @@ class Graph:
     """Finite weighted (di)graph with CSR adjacency and BFS-ordered ids.
 
     Derived structures are built lazily, on first use, and cached on the
-    graph: the sparse transition matrix and the plain-Python walk tables
-    that the per-jump sampling loop reads (see ``walk_tables``). Building
+    graph: the sparse transition matrix, the plain-Python walk tables that
+    the per-jump sampling loop reads (see ``walk_tables``) and their numpy
+    counterparts for batched walks (see ``walk_arrays``). Building
     them inside the work phase keeps graph construction as cheap as the
     arrays alone.
     """
@@ -83,6 +87,7 @@ class Graph:
     coords: np.ndarray | None = None  # (n, d) lattice points, grid families only
     _transition: sp.csr_matrix | None = field(default=None, repr=False)
     _walk: tuple | None = field(default=None, repr=False)
+    _walk_np: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.boundary_mask[self.origin]:
@@ -144,18 +149,39 @@ class Graph:
             rows = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
             cums = None
             if self.weights is not None:
-                # one running sum over all rows minus each row's offset: the
-                # sampled jumps depend on this rounding, so keep it as is
-                cw = np.cumsum(self.weights)
-                starts = cw[self.indptr[:-1] - 1]
-                starts[self.indptr[:-1] == 0] = 0.0
-                cw = (cw - np.repeat(starts, np.diff(self.indptr))).tolist()
+                cw = self._row_cumweights().tolist()
                 cums = [cw[a:b] for a, b in zip(ptr, ptr[1:])]
             self._walk = (rows, cums, self.boundary_mask.tolist())
         return self._walk
 
+    def walk_arrays(self) -> tuple:
+        """(degree, cumweights) as flat numpy arrays, cached.
+
+        degree[x] is the out-degree as float64 (None when the graph is
+        weighted) and cumweights the per-row running weight sums aligned
+        with ``indices`` (None when it is unweighted): the same values as
+        ``walk_tables``, for samplers that pick many jumps at once.
+        """
+        if self._walk_np is None:
+            if self.weights is None:
+                self._walk_np = (np.diff(self.indptr).astype(np.float64), None)
+            else:
+                self._walk_np = (None, self._row_cumweights())
+        return self._walk_np
+
+    def _row_cumweights(self) -> np.ndarray:
+        """Running weight sums within each row, aligned with ``indices``."""
+        # one running sum over all rows minus each row's offset: the sampled
+        # jumps depend on this rounding, so keep it as is
+        cw = np.cumsum(self.weights)
+        starts = cw[self.indptr[:-1] - 1]
+        starts[self.indptr[:-1] == 0] = 0.0
+        return cw - np.repeat(starts, np.diff(self.indptr))
+
     def transition_matrix(self) -> sp.csr_matrix:
         """Jump-chain kernel P(x,y) = w(x,y)/pi(x); boundary rows absorb."""
+        import scipy.sparse as sp  # lazily: sampling-only runs never need it
+
         if self._transition is None:
             n = self.vertex_count
             w = (self.weights if self.weights is not None

@@ -16,7 +16,11 @@ computes the next n at once on ``uint64`` numpy arrays, which wrap mod 2^64
 exactly as ``& _MASK`` does. ``uniform`` and ``exponential`` are fixed
 formulas on one draw, the block returns the same uniforms, and
 ``Stream.skip`` consumes the draws a block reader used, so every caller
-reads a stream in the same order and the couplings hold across them.
+reads a stream in the same order and the couplings hold across them. The
+third implementation is ``uniforms_at``, which computes draw k of many
+streams at once from their keys; with ``derive_keys`` (the keys of
+``count`` sibling streams, folded on arrays) it lets a batch sampler
+advance thousands of independent streams in lockstep.
 ``derive_key`` hashes each distinct string label once per process and
 keeps the code in a module dict.
 """
@@ -85,6 +89,47 @@ def derive_key(seed: int, *labels) -> int:
     return h
 
 
+def derive_keys(seed: int, *labels, count: int) -> np.ndarray:
+    """``[derive_key(seed, *labels, r) for r in range(count)]`` as uint64.
+
+    The constant prefix is folded once by ``derive_key``; the last fold,
+    of the int label r, runs on arrays.
+    """
+    h = np.uint64(derive_key(seed, *labels))
+    salt = np.uint64((len(labels) + 1) * _GOLDEN & _MASK)
+    x = np.arange(count, dtype=np.uint64)
+    x ^= salt
+    x += _NP_GOLDEN
+    _np_mix(x)
+    x ^= h
+    x += _NP_GOLDEN
+    _np_mix(x)
+    return x
+
+
+def uniforms_at(keys: np.ndarray, k: int) -> np.ndarray:
+    """Uniform draw k of the streams with these keys: what the k-th
+    ``uniform()`` call of a ``Stream`` with each key returns."""
+    return _np_uniforms(keys + np.uint64(k * _GOLDEN & _MASK))
+
+
+def _np_mix(x: np.ndarray) -> None:
+    """splitmix64's output mix, in place on a uint64 array."""
+    x ^= x >> 30
+    x *= _NP_MIX1
+    x ^= x >> 27
+    x *= _NP_MIX2
+    x ^= x >> 31
+
+
+def _np_uniforms(x: np.ndarray) -> np.ndarray:
+    """The uniforms of the draws at counters x (key + k * _GOLDEN);
+    overwrites x."""
+    _np_mix(x)
+    x >>= 11
+    return x.astype(np.float64) * _INV_2_53
+
+
 class Stream:
     """Counter-based pseudo-random stream (splitmix64 core).
 
@@ -115,13 +160,7 @@ class Stream:
         x = np.arange(1, n + 1, dtype=np.uint64)
         x *= _NP_GOLDEN
         x += np.uint64(self._state)
-        x ^= x >> 30
-        x *= _NP_MIX1
-        x ^= x >> 27
-        x *= _NP_MIX2
-        x ^= x >> 31
-        x >>= 11
-        return (x.astype(np.float64) * _INV_2_53).tolist()
+        return _np_uniforms(x).tolist()
 
     def skip(self, k: int) -> None:
         """Consume k draws, as k ``u64()`` calls would."""

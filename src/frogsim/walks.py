@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from math import log1p
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph, GraphError, ball
-from .rng import _INV_2_53, Stream
+from .rng import _INV_2_53, Stream, derive_keys, uniforms_at
 from .stats import Estimate, from_samples
 
 DEFAULT_TOL = 1e-10
+# longest horizon of the exact series: exp(-t) stays a normal double
+SERIES_T_MAX = 700.0
 
 
 class SeriesToleranceError(RuntimeError):
@@ -93,11 +94,13 @@ def jump_picker(g: Graph):
     return pick
 
 
-# Walks with a shorter horizon draw one u64() at a time. A numpy block
-# costs about 15 us whatever its size and then saves about 1 us per jump,
-# and the two loops timed equal per walk near t = 8 (Z^2 box, 2-vCPU x86-64
-# host, Python 3.11, numpy 2.4). phi_window_z2, sweep_tree12 and
-# exit_conditional_jumps walk at t = 1, renorm_z2 at t = 64.
+# Single walks with a shorter horizon draw one u64() at a time. A numpy
+# block costs about 15 us whatever its size and then saves about 1 us per
+# jump, and the two loops timed equal per walk near t = 8 (Z^2 box, 2-vCPU
+# x86-64 host, Python 3.11, numpy 2.4). The particle walks of
+# phi_window_z2 and sweep_tree12 run at t = 1, those of renorm_z2 at
+# t = 64; loops over many independent walks from one vertex use
+# walk_batch instead.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048
@@ -171,6 +174,70 @@ def _walk_blocked(pick, boundary, x: int, t: float, rng: Stream, n: int):
     return jumps, False
 
 
+def walk_batch(g: Graph, x: int, t: float, keys: np.ndarray):
+    """One walk from x up to time t per stream key, sampled in lockstep.
+
+    Returns (positions, counts, absorbed): positions[i, :counts[i]] are the
+    jumps of walk i, padded with -1 to the longest walk, and absorbed[i]
+    says whether it stopped at the frontier. Walk i equals
+    ``walk_positions(g, x, t, s)`` for a fresh ``Stream`` s with key
+    ``keys[i]``: jump j reads draw 2j of every stream and the holding time
+    after it draw 2j + 1, so all streams draw the same counter at once
+    (``rng.uniforms_at``). Exponentials are ``-log1p(-u)`` on Python
+    floats, the unweighted pick is ``floor(u * deg)`` and the weighted one
+    a vectorized ``bisect_right`` on the cached row cumulative weights.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    boundary = g.boundary_mask
+    if boundary[x]:
+        return (np.empty((keys.size, 0), dtype=np.int64),
+                np.zeros(keys.size, dtype=np.int64), np.ones(keys.size, bool))
+    deg, cw = g.walk_arrays()
+    indptr, indices = g.indptr, g.indices
+    if cw is not None:
+        rounds = g.max_interior_degree().bit_length()
+    absorbed = np.zeros(keys.size, dtype=bool)
+    live = np.arange(keys.size)          # walks still running
+    cur = np.full(keys.size, x)
+    elapsed = _log1p_neg(uniforms_at(keys, 1))
+    steps = []                           # (live, cur) after each jump
+    k = 1                                # draws each live walk has read
+    while True:
+        keep = elapsed <= t
+        live, cur, elapsed = live[keep], cur[keep], elapsed[keep]
+        if live.size == 0:
+            break
+        u = uniforms_at(keys[live], k + 1)
+        if cw is None:
+            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.int64)]
+        else:
+            lo, hi = indptr[cur], indptr[cur + 1]
+            thr = u * cw[hi - 1]
+            for _ in range(rounds):      # bisect_right within each row
+                mid = (lo + hi) >> 1
+                left = thr < cw[np.minimum(mid, cw.size - 1)]
+                searching = lo < hi
+                hi = np.where(searching & left, mid, hi)
+                lo = np.where(searching & ~left, mid + 1, lo)
+            cur = indices[lo]
+        steps.append((live, cur))
+        hit = boundary[cur]
+        absorbed[live[hit]] = True
+        live, cur, elapsed = live[~hit], cur[~hit], elapsed[~hit]
+        elapsed = elapsed + _log1p_neg(uniforms_at(keys[live], k + 2))
+        k += 2
+    positions = np.full((keys.size, len(steps)), -1, dtype=np.int64)
+    for j, (rows, where) in enumerate(steps):
+        positions[rows, j] = where
+    return positions, (positions >= 0).sum(axis=1), absorbed
+
+
+def _log1p_neg(u: np.ndarray) -> np.ndarray:
+    """-log1p(-u) elementwise with math.log1p, the exponential of
+    ``Stream.exponential`` (np.log1p may differ in the last ulp)."""
+    return -np.array(list(map(log1p, (-u).tolist())), dtype=np.float64)
+
+
 def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
     if not (0 <= x < g.vertex_count):
         raise GraphError(f"invalid vertex {x}")
@@ -204,8 +271,9 @@ def _poisson_weights(t: float, tol: float, max_terms: int | None):
     """Poisson(t) pmf sequence long enough that the remaining tail < tol."""
     if max_terms is None:
         max_terms = max_terms_for(t)
-    if t > 700.0:
-        raise SeriesToleranceError("uniformization underflows for t > 700")
+    if t > SERIES_T_MAX:
+        raise SeriesToleranceError(
+            f"uniformization underflows for t > {SERIES_T_MAX:g}")
     pmf = [math.exp(-t)]
     cum = pmf[0]
     k = 0
@@ -223,6 +291,8 @@ def _local_kernel(g: Graph, center: int, k_terms: int, kill: set[int]):
     """CSR jump kernel on ball(center, k_terms), columns into `kill` removed,
     frontier vertices absorbing. Returns (local ids array, kernel, local
     index of center)."""
+    import scipy.sparse as sp  # lazily: sampling-only runs never need it
+
     dom = sorted(ball(g, center, k_terms) - set(kill))
     local = {v: i for i, v in enumerate(dom)}
     n = len(dom)
@@ -256,6 +326,8 @@ def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
     rows are not renormalized); survival in S is the Poisson-weighted sum of
     its powers applied to the all-ones vector.
     """
+    import scipy.sparse as sp  # lazily: sampling-only runs never need it
+
     S = sorted(set(int(v) for v in S))
     if not S:
         raise GraphError("S must be non-empty")
@@ -400,8 +472,9 @@ def truncated_green(g: Graph, x: int, y: int, t: float,
         _budgeted_row(g, x, t, tol, max_terms, max_leakage)
     if max_terms is None:
         max_terms = max_terms_for(t)
-    if t > 700.0:
-        raise SeriesToleranceError("uniformization underflows for t > 700")
+    if t > SERIES_T_MAX:
+        raise SeriesToleranceError(
+            f"uniformization underflows for t > {SERIES_T_MAX:g}")
     # gamma tail weights g_k = P(Po(t) >= k+1), until sum_{k>K} g_k < tol
     pmf = math.exp(-t)
     cdf = pmf
@@ -447,16 +520,20 @@ class RangeStats:
 
 def range_statistics(g: Graph, x: int, t: float, replicas: int, rng: Stream,
                      B=None, H=(), alphas=()) -> RangeStats:
-    """Sample |R(t)|, its restriction to B minus H, and P(|R| <= alpha t)."""
+    """Sample |R(t)|, its restriction to B minus H, and P(|R| <= alpha t).
+
+    Replica r walks on ``rng.child("range", r)``; the replicas run as one
+    ``walk_batch``."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     target = None if B is None else (set(B) - set(H))
     sizes = []
     restricted = []
     tails = {a: 0 for a in alphas}
-    for r in range(replicas):
-        jumps, _ = walk_positions(g, x, t, rng.child("range", r))
-        R = set(jumps)
+    positions, jumps, _ = walk_batch(
+        g, x, t, derive_keys(rng.key, "range", count=replicas))
+    for row, n in zip(positions.tolist(), jumps.tolist()):
+        R = set(row[:n])
         R.add(x)
         sizes.append(len(R))
         restricted.append(len(R & target) if target is not None

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -147,3 +148,40 @@ def test_bad_t_list_exits_2(tmp_path, t_list, bad):
     assert r.returncode == 2
     assert "t_list" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["experiment=linear_growth", "t=800"], "t values must be <= 700"),
+    (["experiment=survival_sweep", "t=1:701:100"], "t values must be <= 700"),
+    (["experiment=nonamenable", "t_list=1,701"],
+     "t_list entries must be <= 700"),
+])
+def test_horizon_beyond_series_range_exits_2(tmp_path, args, problem):
+    args = [*args, "family=regular_tree", "depth=6", "n=3", "replicas=2",
+            "seed=1", f"out={tmp_path / 'out'}"]
+    assert any(problem in p for p in validate(parse_config(None, args)))
+    r = subprocess.run([sys.executable, "-m", "frogsim.cli", "run", *args],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert problem in r.stderr
+    assert "Traceback" not in r.stderr
+    assert validate(parse_config(None, [*args, "t=700", "t_list=700"])) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["experiment=linear_growth", "width=2", "length=120", "n=100"],
+    ["experiment=nonamenable", "family=regular_tree", "depth=6", "n=3",
+     "t_list=1,3"],
+])
+def test_particle_budget_reaches_survival_experiments(tmp_path, args, capsys):
+    base = [*args, "lambda=3.0", "t=2.0", "replicas=6", "seed=3"]
+    cfg = parse_config(None, [*base, "max_particles=1",
+                              f"out={tmp_path / 'tight'}"])
+    assert run(cfg) == 3
+    assert "budget exhaustion" in capsys.readouterr().err
+    report = json.loads(Path(cfg.out, "report.json").read_text())
+    assert report["inputs"]["censored"] > 0
+    loose = parse_config(None, [*base, f"out={tmp_path / 'loose'}"])
+    assert run(loose) == 0
+    report = json.loads(Path(loose.out, "report.json").read_text())
+    assert report["inputs"]["censored"] == 0

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,3 +267,13 @@ def test_spec_validation():
     with pytest.raises(GraphError):
         build_graph(GraphSpec("lattice_box", d=2, radius=3,
                               boundary_mode="reflecting"))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # sampling-only runs never build a sparse matrix, so they should not pay
+    # for importing scipy.sparse
+    code = "import sys, frogsim; print('scipy.sparse' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

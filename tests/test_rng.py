@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frogsim.rng import _GOLDEN, Stream, derive_key, poisson_inverse_cdf
+from frogsim.rng import (_GOLDEN, Stream, derive_key, derive_keys,
+                         poisson_inverse_cdf)
 
 
 def test_same_key_replays_identical_sequence():
@@ -123,3 +124,18 @@ def test_peek_uniforms_match_successive_draws(state, n, k):
         drawn.u64()
     assert skipped._state == drawn._state
 
+
+
+@example(seed=-1, labels=[], count=3)
+@example(seed=2**70 + 5, labels=["traj", 2**64 + 1], count=5)
+@given(st.integers(min_value=-2**80, max_value=2**80),
+       st.lists(st.one_of(st.text(max_size=4),
+                          st.integers(min_value=-2**70, max_value=2**70)),
+                max_size=4),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_derive_keys_match_derive_key(seed, labels, count):
+    keys = derive_keys(seed, *labels, count=count)
+    assert keys.dtype == "uint64"
+    assert keys.tolist() == [derive_key(seed, *labels, r)
+                             for r in range(count)]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import iv
@@ -15,9 +15,10 @@ from frogsim import (GraphError, GraphSpec, SeriesToleranceError, Stream,
                      sample_jump_count, sample_trajectory,
                      self_intersection_bound, self_intersection_profile,
                      truncated_green)
-from frogsim import walks
+from frogsim import exit_conditional_jumps, good_set_G_A, walks
 from frogsim.experiments import escape_probability
-from frogsim.walks import walk_positions
+from frogsim.rng import derive_keys
+from frogsim.walks import walk_batch, walk_positions
 
 
 # -- sampling ----------------------------------------------------------
@@ -475,3 +476,147 @@ def test_block_and_drawwise_walks_agree(walk_graphs, name, t, key, n):
     assert b._state == a._state
     assert walk_positions(g, 0, t, c) == expected
     assert c._state == a._state
+
+
+
+# -- batched walks -----------------------------------------------------
+
+
+def stream_with_key(key):
+    s = Stream(0)
+    s.key = s._state = key
+    return s
+
+
+@example(name="z2", x=0, t=64.0, key=2**64 - 1)
+@example(name="tree", x=1, t=100.0, key=7)
+@example(name="weighted", x=2, t=70.0, key=5)
+@example(name="weighted", x=4, t=5.0, key=3)   # frontier start
+@given(st.sampled_from(["z2", "tree", "weighted"]),
+       st.integers(min_value=0, max_value=4),
+       st.floats(min_value=0.0, max_value=24.0),
+       st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_walk_batch_matches_walk_positions(walk_graphs, name, x, t, key):
+    g = walk_graphs[name]
+    keys = derive_keys(key, "batch", count=30)
+    positions, counts, absorbed = walk_batch(g, x, t, keys)
+    assert positions.shape[0] == counts.size == absorbed.size == keys.size
+    for row, n, hit, k in zip(positions.tolist(), counts.tolist(),
+                              absorbed.tolist(), keys.tolist()):
+        assert (row[:n], hit) == walk_positions(g, x, t, stream_with_key(k))
+        assert row[n:] == [-1] * (len(row) - n)
+
+
+def test_walk_batch_frontier_start(walk_graphs):
+    # vertex 24 lies on the frontier of the radius-3 box
+    positions, counts, absorbed = walk_batch(walk_graphs["z2"], 24, 3.0,
+                                             derive_keys(1, count=5))
+    assert positions.shape == (5, 0)
+    assert counts.tolist() == [0] * 5 and absorbed.all()
+
+
+# Outputs of the three per-replica walk loops that run as one walk_batch,
+# recorded on the per-walk implementation before the batch path existed.
+# Z^2 box of radius 20, regular tree of depth 8, the weighted digraph.
+GOLDEN_EXIT_JUMPS = {
+    # (graph, x, t, window radius or None for {0,1,2,3}, replicas, seed
+    # labels): ((mean, stderr, accepted) or None, bound, accepted, rate)
+    ("z2", 0, 1.0, 3, 300, (41, "ec", 0)):
+        ((4.0, 0.0, 1), 1280.0, 1, 0.0033333333333333335),
+    ("z2", 1, 1.0, 3, 300, (41, "ec", 1)):
+        ((3.0, 0.0, 7), 256.0, 7, 0.023333333333333334),
+    ("z2", 2, 1.0, 3, 300, (41, "ec", 2)):
+        ((3.25, 0.25, 4), 256.0, 4, 0.013333333333333334),
+    ("z2", 24, 1.0, 3, 300, (41, "ec", 24)):
+        ((1.5602836879432624, 0.06779849332161422, 141), 8.0, 141, 0.47),
+    ("z2", 0, 12.0, 3, 200, (42,)):
+        ((12.576642335766424, 0.297896343384056, 137), 4096.0, 137, 0.685),
+    ("tree", 0, 2.0, 3, 300, (43,)):
+        ((4.733333333333333, 0.28396288601667763, 15), 486.0, 15, 0.05),
+    ("tree", 5, 0.0, 3, 10, (44,)): (None, 18.0, 0, 0.0),
+    ("weighted", 2, 3.0, None, 300, (45,)):
+        ((2.8125, 0.17061026611322605, 32), 45.0, 32, 0.10666666666666667),
+    ("weighted", 0, 10.0, None, 200, (46,)):
+        ((5.833333333333333, 0.4078062239666241, 78), 108.0, 78, 0.39),
+}
+
+GOLDEN_RANGE = {
+    # (graph, x, t, replicas, seed, B, H, alphas):
+    # (restricted mean, stderr), (range mean, stderr), {alpha: tail}
+    ("z2", 0, 2.0, 300, 51, "ball2", (1, 2), ()):
+        ((2.02, 0.04860139787227688), (2.6966666666666668,
+                                       0.061873091485867886), {}),
+    ("z2", 5, 20.0, 100, 52, None, (), (0.3, 0.5)):
+        ((13.04, 0.3887093380598794), (13.04, 0.3887093380598794),
+         {0.3: (0.02, 0.014), 0.5: (0.29, 0.045376205218153706)}),
+    ("tree", 0, 6.0, 200, 53, None, (0,), (0.5,)):
+        ((4.285, 0.1137257346143249), (5.285, 0.1137257346143249),
+         {0.5: (0.125, 0.023385358667337135)}),
+    ("weighted", 0, 5.0, 200, 54, (0, 1, 4), (), ()):
+        ((1.95, 0.04056758118517887), (3.425, 0.05133274053911678), {}),
+    ("weighted", 4, 5.0, 20, 55, None, (), ()): ((1.0, 0.0), (1.0, 0.0), {}),
+}
+
+GOLDEN_GOOD_SET = {
+    # (graph, A, t, alpha, replicas, seed, rho): (members, fraction, probs)
+    ("tree", "ball2", 6.0, 0.2, 40, 61, 0.9):
+        (set(range(10)), 1.0, [0.525, 0.525, 0.55, 0.725, 0.725, 0.675, 0.7,
+                               0.675, 0.675, 0.725]),
+    ("z2", "ball2", 1.0, 0.5, 50, 62, 0.5):
+        (set(range(4, 13)), 0.6923076923076923,
+         [0.04, 0.08, 0.12, 0.1, 0.14, 0.48, 0.4, 0.26, 0.56, 0.4, 0.32,
+          0.36, 0.6]),
+    ("z2", (0, 1), 20.0, 0.6, 30, 63, 0.5):
+        ({0, 1}, 1.0, [0.43333333333333335, 0.3333333333333333]),
+    ("z2", (0, 1, 2), 70.0, 0.4, 20, 65, 0.5):
+        ({0, 1, 2}, 1.0, [0.8, 0.85, 0.95]),
+    ("weighted", (0, 1), 4.0, 0.25, 60, 64, 0.5):
+        ({0, 1}, 1.0, [0.6166666666666667, 0.5333333333333333]),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_batch_graphs(z2_box20, tree8, tmp_path_factory):
+    return {"z2": z2_box20, "tree": tree8,
+            "weighted": golden_graph("weighted", tmp_path_factory.mktemp("w"))}
+
+
+def vertex_set(g, spec):
+    return ball(g, 0, 2) if spec == "ball2" else set(spec)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXIT_JUMPS, key=repr))
+def test_exit_conditional_jumps_golden(golden_batch_graphs, case):
+    name, x, t, radius, replicas, labels = case
+    g = golden_batch_graphs[name]
+    S = {0, 1, 2, 3} if radius is None else ball(g, 0, radius)
+    stats = exit_conditional_jumps(g, S, x, t, replicas, Stream(*labels))
+    e = stats.estimate
+    est = None if e is None else (e.mean, e.stderr, e.replicas)
+    assert (est, stats.bound, stats.accepted, stats.exit_rate) == \
+        GOLDEN_EXIT_JUMPS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RANGE, key=repr))
+def test_range_statistics_golden(golden_batch_graphs, case):
+    name, x, t, replicas, seed, B, H, alphas = case
+    g = golden_batch_graphs[name]
+    rs = range_statistics(g, x, t, replicas, Stream(seed),
+                          B=None if B is None else vertex_set(g, B), H=H,
+                          alphas=alphas)
+    got = ((rs.restricted.mean, rs.restricted.stderr),
+           (rs.range_size.mean, rs.range_size.stderr),
+           {a: (e.mean, e.stderr) for a, e in rs.small_range_tail.items()})
+    assert got == GOLDEN_RANGE[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_GOOD_SET, key=repr))
+def test_good_set_G_A_golden(golden_batch_graphs, case):
+    name, A, t, alpha, replicas, seed, rho = case
+    g = golden_batch_graphs[name]
+    rep = good_set_G_A(g, vertex_set(g, A), t, alpha, replicas, seed,
+                       rho=rho, K=1.0)
+    members, fraction, probs = GOLDEN_GOOD_SET[case]
+    assert (rep.members, rep.fraction) == (members, fraction)
+    assert [p for _, p in sorted(rep.escape_probs.items())] == probs
