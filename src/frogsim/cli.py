@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 from .graphs import GraphError, GraphSpec, build_graph
-from .frogs import FrogParams, ParticleField, explore_cluster
+from .estimators import replica_survival
+from .frogs import FrogParams
 from .experiments import (ExperimentReport, NetConfig,
                           abelian_invariance_check, bernoulli_edge_coupling,
                           format_csv, linear_growth_experiment,
@@ -47,7 +48,6 @@ class RunConfig:
     width: int = 2
     length: int = 240
     path: str = ""
-    boundary_mode: str = "absorbing"
     lam: str = "1.0"          # value or lo:hi:step grid
     t: str = "1.0"            # value or lo:hi:step grid
     n: int = 10
@@ -67,8 +67,7 @@ class RunConfig:
         return GraphSpec(self.family, d=self.d, radius=self.radius,
                          degree=self.degree, depth=self.depth,
                          width=self.width, length=self.length,
-                         path=self.path, boundary_mode=self.boundary_mode,
-                         max_vertices=self.max_vertices)
+                         path=self.path, max_vertices=self.max_vertices)
 
 
 _KEY_ALIASES = {"lambda": "lam"}
@@ -222,8 +221,8 @@ def validate(cfg: RunConfig) -> list[str]:
 _WORKER_STATE: dict = {}
 
 
-def _sweep_worker_init(spec_kwargs):
-    _WORKER_STATE["graph"] = build_graph(GraphSpec(**spec_kwargs))
+def _sweep_worker_init(spec: GraphSpec):
+    _WORKER_STATE["graph"] = build_graph(spec)
 
 
 def _sweep_worker(task):
@@ -231,39 +230,24 @@ def _sweep_worker(task):
     field keyed only by (seed, replica) so grid points ride the coupling."""
     (seed, replica, lam_grid, t_grid, n, budget) = task
     g = _WORKER_STATE["graph"]
-    out = []
-    censored = 0
-    for lam in lam_grid:
-        for t in t_grid:
-            fld = ParticleField(g, Stream(seed, "survival", replica).key)
-            if n == 0:
-                cl = explore_cluster(g, FrogParams(lam, t), fld,
-                                     vertex_budget=2, particle_budget=budget)
-                out.append(1 if len(cl.activated) > 1 else 0)
-                continue
-            cl = explore_cluster(g, FrogParams(lam, t), fld, radius=n,
-                                 schedule="lifo", particle_budget=budget)
-            out.append(1 if cl.stop_reason == "radius_reached" else 0)
-            censored += cl.stop_reason == "particle_budget"
-    return replica, out, censored
+    outcomes = [replica_survival(g, FrogParams(lam, t), n, seed, replica,
+                                 particle_budget=budget)
+                for lam in lam_grid for t in t_grid]
+    return replica, [int(o is True) for o in outcomes], outcomes.count(None)
 
 
 def _run_survival_sweep(cfg: RunConfig):
     lam_grid = parse_grid(cfg.lam)
     t_grid = parse_grid(cfg.t)
-    spec_kwargs = dict(family=cfg.family, d=cfg.d, radius=cfg.radius,
-                       degree=cfg.degree, depth=cfg.depth, width=cfg.width,
-                       length=cfg.length, path=cfg.path,
-                       boundary_mode=cfg.boundary_mode,
-                       max_vertices=cfg.max_vertices)
+    spec = cfg.graph_spec()
     tasks = [(cfg.seed, r, lam_grid, t_grid, cfg.n, cfg.max_particles)
              for r in range(cfg.replicas)]
     if cfg.workers > 1:
         with mp.Pool(cfg.workers, initializer=_sweep_worker_init,
-                     initargs=(spec_kwargs,)) as pool:
+                     initargs=(spec,)) as pool:
             results = pool.map(_sweep_worker, tasks, chunksize=16)
     else:
-        _sweep_worker_init(spec_kwargs)
+        _sweep_worker_init(spec)
         results = [_sweep_worker(t) for t in tasks]
     results.sort(key=lambda item: item[0])
     npoints = len(lam_grid) * len(t_grid)
@@ -276,7 +260,7 @@ def _run_survival_sweep(cfg: RunConfig):
     rows = []
     metrics = {}
     i = 0
-    graph_name = GraphSpec(**spec_kwargs).describe()
+    graph_name = spec.describe()
     for lam in lam_grid:
         for t in t_grid:
             est = from_binomial(hits[i], cfg.replicas, cfg.seed)

@@ -36,11 +36,33 @@ class SurvivalEstimate:
     censored: int  # replicas that hit the particle budget before deciding
 
 
+def replica_survival(g: Graph, params: FrogParams, n: int, seed: int,
+                     replica: int, *, particle_budget: int) -> bool | None:
+    """One replica of the survival event on the field keyed by
+    (seed, "survival", replica): True if the cluster reaches distance >= n
+    from the origin (for n = 0: activates a second vertex), False if it dies
+    out first, None (censored) if the particle budget runs out first, even
+    when the origin's own particles exceed it."""
+    fld = ParticleField(g, Stream(seed, "survival", replica).key)
+    if n == 0:
+        cl = explore_cluster(g, params, fld, vertex_budget=2,
+                             particle_budget=particle_budget)
+        if len(cl.activated) > 1:
+            return True
+    else:
+        cl = explore_cluster(g, params, fld, radius=n, schedule="lifo",
+                             particle_budget=particle_budget)
+        if cl.stop_reason == "radius_reached":
+            return True
+    return None if cl.stop_reason == "particle_budget" else False
+
+
 def survival_probability(g: Graph, params: FrogParams, n: int, replicas: int,
-                         seed: int, *, particle_budget: int = 2_000_000,
-                         schedule: str = "lifo") -> SurvivalEstimate:
+                         seed: int, *, particle_budget: int = 2_000_000
+                         ) -> SurvivalEstimate:
     """Fraction of replicas whose cluster reaches distance >= n from the
-    origin (for n = 0: whose cluster is not just the origin).
+    origin (for n = 0: whose cluster is not just the origin); censored
+    replicas (see ``replica_survival``) count as misses and are reported.
 
     Fields are keyed by (seed, replica) only, so sweeps over lambda or t at
     the same seed ride the monotone coupling: estimates are non-decreasing
@@ -48,22 +70,11 @@ def survival_probability(g: Graph, params: FrogParams, n: int, replicas: int,
     """
     if n > g.max_radius:
         raise GraphError(f"survival radius {n} exceeds truncation radius")
-    hits = 0
-    censored = 0
-    for r in range(replicas):
-        fld = ParticleField(g, Stream(seed, "survival", r).key)
-        if n == 0:
-            cl = explore_cluster(g, params, fld, vertex_budget=2,
+    outcomes = [replica_survival(g, params, n, seed, r,
                                  particle_budget=particle_budget)
-            hits += len(cl.activated) > 1
-            continue
-        cl = explore_cluster(g, params, fld, radius=n, schedule=schedule,
-                             particle_budget=particle_budget)
-        if cl.stop_reason == "radius_reached":
-            hits += 1
-        elif cl.stop_reason == "particle_budget":
-            censored += 1
-    return SurvivalEstimate(from_binomial(hits, replicas, seed), censored)
+                for r in range(replicas)]
+    return SurvivalEstimate(from_binomial(outcomes.count(True), replicas, seed),
+                            outcomes.count(None))
 
 
 @dataclass
@@ -269,22 +280,6 @@ class PhiReport:
     phi_tilde_hat: Estimate
     constants: SharpnessConstants
     subcritical: bool  # phi_hat + 3 se below the threshold c
-
-    @property
-    def C_const(self) -> float:
-        return self.constants.C
-
-    @property
-    def c_const(self) -> float:
-        return self.constants.c
-
-    @property
-    def K_const(self) -> float:
-        return self.constants.K
-
-    @property
-    def delta_const(self) -> float:
-        return self.constants.delta
 
 
 def phi_report(g: Graph, S, params: FrogParams, replicas: int, seed: int,

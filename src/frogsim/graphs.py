@@ -31,10 +31,7 @@ class GraphSpec:
     """Declarative description of a graph family instance.
 
     family is one of lattice_box, regular_tree, ladder, weighted_file.
-    boundary_mode 'absorbing' makes frontier vertices sinks for the walk;
-    'open-killing' additionally documents that frontier vertices are always
-    treated as outside any restricted window S. Dynamics are identical up to
-    the first boundary hit.
+    Frontier vertices are sinks for the walk.
     """
 
     family: str
@@ -45,7 +42,6 @@ class GraphSpec:
     width: int = 0
     length: int = 0
     path: str = ""
-    boundary_mode: str = "absorbing"
     max_vertices: int = 20_000_000
 
     def describe(self) -> str:
@@ -82,7 +78,6 @@ class Graph:
     boundary_mask: np.ndarray  # bool, truncation frontier (walk sinks)
     dist: np.ndarray          # int32, graph distance from origin (-1 unreachable)
     family: str = "custom"
-    boundary_mode: str = "absorbing"
     origin: int = 0
     coords: np.ndarray | None = None  # (n, d) lattice points, grid families only
     _transition: sp.csr_matrix | None = field(default=None, repr=False)
@@ -285,8 +280,7 @@ def _points_to_graph(points: np.ndarray, origin_row: int, spec: GraphSpec,
     dist = np.abs(pts).sum(axis=1).astype(np.int32)
     pi = np.diff(indptr).astype(np.float64)
     return Graph(n, indptr, indices, None, pi, False, boundary,
-                 dist, family=spec.describe(), boundary_mode=spec.boundary_mode,
-                 coords=pts)
+                 dist, family=spec.describe(), coords=pts)
 
 
 def _build_lattice_box(spec: GraphSpec) -> Graph:
@@ -351,7 +345,7 @@ def _build_regular_tree(spec: GraphSpec) -> Graph:
     boundary = dist == depth
     pi = np.diff(indptr).astype(np.float64)
     return Graph(n, indptr, indices, None, pi, False, boundary, dist,
-                 family=spec.describe(), boundary_mode=spec.boundary_mode)
+                 family=spec.describe())
 
 
 def _parse_weighted_file(spec: GraphSpec) -> Graph:
@@ -440,14 +434,12 @@ def _parse_weighted_file(spec: GraphSpec) -> Graph:
     boundary = np.zeros(n, dtype=bool)
     boundary[sinks] = True
     g = Graph(n, indptr, indices, wfin, pi, directed, boundary, dist,
-              family=spec.describe(), boundary_mode=spec.boundary_mode)
+              family=spec.describe())
     _validate(g)
     return g
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    if spec.boundary_mode not in ("absorbing", "open-killing"):
-        raise GraphError(f"unknown boundary_mode {spec.boundary_mode!r}")
     if spec.family == "lattice_box":
         return _build_lattice_box(spec)
     if spec.family == "regular_tree":

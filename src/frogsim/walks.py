@@ -3,10 +3,12 @@
 Walks jump at rate 1: holding times are Exp(1) and the number of jumps by
 time t is Poisson(t). Exact quantities (exit probabilities, heat kernels,
 Green functions) are computed by uniformization: Poisson(t)-weighted powers
-of the discrete jump chain, truncated with a certified tail bound. All
-series run on the ball of radius K around the start, where K is the number
-of retained terms, so they are exact for the truncated graph: a walk cannot
-leave that ball in K jumps.
+of the discrete jump chain, truncated with a certified tail bound. Every
+series runs on a slice ``P[dom][:, dom]`` of the cached
+``g.transition_matrix()``: dom is the window S for exit probabilities and,
+for the others, the ball of radius K around the start, where K is the
+number of retained terms, so they are exact for the truncated graph: a walk
+cannot leave that ball in K jumps.
 """
 
 from __future__ import annotations
@@ -267,13 +269,18 @@ def discrete_walk(g: Graph, x: int, steps: int, rng: Stream) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _poisson_weights(t: float, tol: float, max_terms: int | None):
-    """Poisson(t) pmf sequence long enough that the remaining tail < tol."""
-    if max_terms is None:
-        max_terms = max_terms_for(t)
+def _series_terms(t: float, max_terms: int | None) -> int:
+    """The term budget of a series at horizon t (``max_terms_for(t)`` by
+    default); raises SeriesToleranceError beyond SERIES_T_MAX."""
     if t > SERIES_T_MAX:
         raise SeriesToleranceError(
             f"uniformization underflows for t > {SERIES_T_MAX:g}")
+    return max_terms_for(t) if max_terms is None else max_terms
+
+
+def _poisson_weights(t: float, tol: float, max_terms: int | None):
+    """Poisson(t) pmf sequence long enough that the remaining tail < tol."""
+    max_terms = _series_terms(t, max_terms)
     pmf = [math.exp(-t)]
     cum = pmf[0]
     k = 0
@@ -287,35 +294,71 @@ def _poisson_weights(t: float, tol: float, max_terms: int | None):
     return np.array(pmf), 1.0 - cum
 
 
-def _local_kernel(g: Graph, center: int, k_terms: int, kill: set[int]):
-    """CSR jump kernel on ball(center, k_terms), columns into `kill` removed,
-    frontier vertices absorbing. Returns (local ids array, kernel, local
-    index of center)."""
-    import scipy.sparse as sp  # lazily: sampling-only runs never need it
+def _gamma_tail_weights(t: float, tol: float, max_terms: int | None):
+    """g_k = P(Poisson(t) >= k+1), until sum_{k>K} g_k < tol."""
+    # the pmf here rounds as pmf * (t / k), not as in _poisson_weights, so
+    # the Green function cannot reuse those weights without changing values
+    max_terms = _series_terms(t, max_terms)
+    pmf = math.exp(-t)
+    cdf = pmf
+    gk = [1.0 - cdf]
+    consumed = gk[0]
+    k = 0
+    while t - consumed >= tol:
+        k += 1
+        if k > max_terms:
+            raise SeriesToleranceError(
+                f"gamma-tail remainder still {t - consumed:.3e} after "
+                f"{max_terms} terms")
+        pmf *= t / k
+        cdf += pmf
+        gk.append(1.0 - cdf)
+        consumed += gk[-1]
+    return np.array(gk)
 
-    dom = sorted(ball(g, center, k_terms) - set(kill))
-    local = {v: i for i, v in enumerate(dom)}
-    n = len(dom)
-    rows, cols, vals = [], [], []
-    for i, v in enumerate(dom):
-        if g.is_boundary(v):
-            rows.append(i)
-            cols.append(i)
-            vals.append(1.0)
-            continue
-        nbrs = g.out_neighbors(v)
-        if g.weights is None:
-            wrow = np.full(nbrs.size, 1.0 / g.pi[v])
-        else:
-            wrow = g.weights[g.indptr[v]:g.indptr[v + 1]] / g.pi[v]
-        for u, w in zip(nbrs, wrow):
-            j = local.get(int(u))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(w))
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return np.array(dom), kernel, local[center]
+
+def _kernel_slice(g: Graph, dom: np.ndarray):
+    """The killed jump kernel on the sorted vertex ids `dom`: the slice
+    ``P[dom][:, dom]`` of ``g.transition_matrix()``, so mass leaving dom is
+    killed and frontier rows absorb, as in P. Column indices are sorted, so
+    every product sums each row in vertex order. Columns are picked from the
+    row slice only, so the cost is O(|dom| + its rows' entries), not O(n)."""
+    import scipy.sparse as sp
+
+    R = g.transition_matrix()[dom]
+    col = np.searchsorted(dom, R.indices)
+    keep = dom[np.minimum(col, dom.size - 1)] == R.indices
+    rows = np.repeat(np.arange(dom.size), np.diff(R.indptr))[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dom.size))))
+    Q = sp.csr_matrix((R.data[keep], col[keep], indptr),
+                      shape=(dom.size, dom.size))
+    Q.sort_indices()
+    return Q
+
+
+def _local_kernel(g: Graph, center: int, k_terms: int, kill: set[int]):
+    """Killed jump kernel on ball(center, k_terms) minus `kill`. Returns
+    (sorted ids array, kernel, local index of center)."""
+    dom = np.array(sorted(ball(g, center, k_terms) - set(kill)))
+    return dom, _kernel_slice(g, dom), int(np.searchsorted(dom, center))
+
+
+def _weighted_powers(weights: np.ndarray, M, v: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] M^k v, accumulated in order k = 0, 1, ..."""
+    acc = weights[0] * v
+    for w in weights[1:]:
+        v = M @ v
+        acc += w * v
+    return acc
+
+
+def _row_series(g: Graph, x: int, weights: np.ndarray):
+    """(dom, sum_k weights[k] Q^k(x, .)) for the kernel Q on
+    ball(x, len(weights)), as distributions over the sorted ids dom."""
+    dom, Q, ix = _local_kernel(g, x, weights.size, kill=set())
+    u = np.zeros(len(dom))
+    u[ix] = 1.0
+    return dom, _weighted_powers(weights, Q.T.tocsr(), u)
 
 
 def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
@@ -326,8 +369,6 @@ def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
     rows are not renormalized); survival in S is the Poisson-weighted sum of
     its powers applied to the all-ones vector.
     """
-    import scipy.sparse as sp  # lazily: sampling-only runs never need it
-
     S = sorted(set(int(v) for v in S))
     if not S:
         raise GraphError("S must be non-empty")
@@ -339,27 +380,8 @@ def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
         if g.is_boundary(v):
             raise GraphError("S must lie in the interior (frontier is killing)")
     pmf, tail = _poisson_weights(t, tol, max_terms)
-    local = {v: i for i, v in enumerate(S)}
-    n = len(S)
-    rows, cols, vals = [], [], []
-    for i, v in enumerate(S):
-        nbrs = g.out_neighbors(v)
-        if g.weights is None:
-            wrow = np.full(nbrs.size, 1.0 / g.pi[v])
-        else:
-            wrow = g.weights[g.indptr[v]:g.indptr[v + 1]] / g.pi[v]
-        for u, w in zip(nbrs, wrow):
-            j = local.get(int(u))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(w))
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    v = np.ones(n)
-    surv = pmf[0] * v
-    for k in range(1, pmf.size):
-        v = Q @ v
-        surv += pmf[k] * v
+    surv = _weighted_powers(pmf, _kernel_slice(g, np.array(S)),
+                            np.ones(len(S)))
     exit_prob = np.clip(1.0 - surv, 0.0, 1.0)
     return KilledWalkTable(tuple(S), t, {v: float(p) for v, p in zip(S, exit_prob)},
                            tail)
@@ -381,11 +403,7 @@ def hitting_probability_exact(g: Graph, x: int, y: int, t: float,
         return 0.0
     pmf, tail = _poisson_weights(t, tol, max_terms)
     dom, Q, ix = _local_kernel(g, x, pmf.size, kill={y})
-    v = np.ones(len(dom))
-    surv = pmf[0]
-    for k in range(1, pmf.size):
-        v = Q @ v
-        surv += pmf[k] * v[ix]
+    surv = _weighted_powers(pmf, Q, np.ones(len(dom)))[ix]
     if max_leakage is not None:
         _budgeted_row(g, x, t, tol, max_terms, max_leakage)
     return float(min(max(1.0 - surv, 0.0), 1.0 + tail))
@@ -413,14 +431,7 @@ class HeatKernelRow:
 def heat_kernel_row(g: Graph, x: int, t: float, tol: float = DEFAULT_TOL,
                     max_terms: int | None = None) -> HeatKernelRow:
     pmf, tail = _poisson_weights(t, tol, max_terms)
-    dom, Q, ix = _local_kernel(g, x, pmf.size, kill=set())
-    u = np.zeros(len(dom))
-    u[ix] = 1.0
-    acc = pmf[0] * u
-    QT = Q.T.tocsr()
-    for k in range(1, pmf.size):
-        u = QT @ u
-        acc += pmf[k] * u
+    dom, acc = _row_series(g, x, pmf)
     leak = float(acc[g.boundary_mask[dom]].sum())
     return HeatKernelRow(x, t, dom, acc, leak, tail)
 
@@ -470,40 +481,9 @@ def truncated_green(g: Graph, x: int, y: int, t: float,
         return 0.0
     if max_leakage is not None:
         _budgeted_row(g, x, t, tol, max_terms, max_leakage)
-    if max_terms is None:
-        max_terms = max_terms_for(t)
-    if t > SERIES_T_MAX:
-        raise SeriesToleranceError(
-            f"uniformization underflows for t > {SERIES_T_MAX:g}")
-    # gamma tail weights g_k = P(Po(t) >= k+1), until sum_{k>K} g_k < tol
-    pmf = math.exp(-t)
-    cdf = pmf
-    gk = [1.0 - cdf]
-    consumed = gk[0]
-    k = 0
-    while t - consumed >= tol:
-        k += 1
-        if k > max_terms:
-            raise SeriesToleranceError(
-                f"gamma-tail remainder still {t - consumed:.3e} after {max_terms} terms")
-        pmf *= t / k
-        cdf += pmf
-        gk.append(1.0 - cdf)
-        consumed += gk[-1]
-    weights = np.array(gk)
-    dom, Q, ix = _local_kernel(g, x, weights.size, kill=set())
+    dom, green = _row_series(g, x, _gamma_tail_weights(t, tol, max_terms))
     iy = np.flatnonzero(dom == y)
-    if iy.size == 0:
-        return 0.0
-    iy = int(iy[0])
-    u = np.zeros(len(dom))
-    u[ix] = 1.0
-    total = weights[0] * u[iy]
-    QT = Q.T.tocsr()
-    for k in range(1, weights.size):
-        u = QT @ u
-        total += weights[k] * u[iy]
-    return float(total)
+    return float(green[iy[0]]) if iy.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,21 @@ def test_budget_exhaustion_exit_code(tmp_path):
     assert run(cfg) == 3
 
 
+def test_radius_zero_budget_at_origin_is_censored(tmp_path, capsys):
+    # n = 0, budget 1: 41 of the 50 origins alone exceed the budget; those
+    # replicas are censored (exit 3), not counted as extinct
+    cfg = parse_config(None, [
+        "experiment=survival_sweep", "family=regular_tree", "depth=6",
+        "lambda=3", "t=1", "n=0", "replicas=50", "seed=1",
+        "max_particles=1", f"out={tmp_path / 'out'}"])
+    assert run(cfg) == 3
+    assert "41 replicas censored" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["inputs"]["censored"] == 41
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    assert rows[1].split(",")[8] == "0.14"
+
+
 def test_cli_determinism_across_workers(tmp_path):
     cfgp = write_config(tmp_path, **{"lambda": "0.5:2.0:0.5",
                                      "replicas": 120})

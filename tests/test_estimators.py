@@ -9,6 +9,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, Stream, ball,
                      russo_inequality_check, sharpness_constants,
                      spectral_radius_estimate, survival_probability,
                      tilde_critical_scan)
+from frogsim.estimators import replica_survival
 
 
 # -- survival ------------------------------------------------------------
@@ -47,6 +48,19 @@ def test_survival_monotone_per_seed_in_lambda(tree12):
     lo = survival_probability(tree12, FrogParams(1.5, 1.0), 8, 400, 5)
     hi = survival_probability(tree12, FrogParams(2.5, 1.0), 8, 400, 5)
     assert hi.estimate.mean >= lo.estimate.mean
+
+
+def test_survival_radius_zero_censors_budget_at_origin():
+    # budget 1 at lambda = 3: most origins alone hold more particles than
+    # the budget. Such a replica is undecided (censored), not extinct; a
+    # budget stop after a second vertex is activated (replica 0) is a hit.
+    g = build_graph(GraphSpec("regular_tree", degree=3, depth=6))
+    params = FrogParams(3.0, 1.0)
+    assert replica_survival(g, params, 0, 1, 0, particle_budget=1) is True
+    assert replica_survival(g, params, 0, 1, 1, particle_budget=1) is None
+    sv = survival_probability(g, params, 0, 50, 1, particle_budget=1)
+    assert sv.censored == 41
+    assert sv.estimate.mean == 7 / 50
 
 
 def test_survival_radius_beyond_truncation_rejected(tree8):
@@ -112,8 +126,8 @@ def test_phi_tilde_below_constant_times_phi(tree8):
         rep = phi_report(tree8, ball(tree8, 0, 1), FrogParams(lam, t),
                          1000, 15)
         lhs = rep.phi_tilde_hat.mean + 3 * rep.phi_tilde_hat.stderr
-        rhs_low = rep.C_const * max(rep.phi_hat.mean - 3 * rep.phi_hat.stderr,
-                                    0.0)
+        rhs_low = rep.constants.C * max(
+            rep.phi_hat.mean - 3 * rep.phi_hat.stderr, 0.0)
         assert lhs < rhs_low
 
 

@@ -264,9 +264,6 @@ def test_spec_validation():
         build_graph(GraphSpec("lattice_box", d=0, radius=3))
     with pytest.raises(GraphError):
         build_graph(GraphSpec("no_such_family"))
-    with pytest.raises(GraphError):
-        build_graph(GraphSpec("lattice_box", d=2, radius=3,
-                              boundary_mode="reflecting"))
 
 
 def test_import_leaves_scipy_sparse_unloaded():

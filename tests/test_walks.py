@@ -620,3 +620,246 @@ def test_good_set_G_A_golden(golden_batch_graphs, case):
     members, fraction, probs = GOLDEN_GOOD_SET[case]
     assert (rep.members, rep.fraction) == (members, fraction)
     assert [p for _, p in sorted(rep.escape_probs.items())] == probs
+
+
+# -- exact series golden values ------------------------------------------
+
+# A closed undirected weighted graph: no frontier, so transition_matrix()
+# keeps the unsorted column order of its CSR arrays, and a kernel slice
+# that kept that order would sum some rows in a different order.
+CLOSED_GRAPH = """frogsim-graph v1 undirected
+0 5 1.5
+0 1 0.25
+1 4 2.0
+4 2 0.7
+2 3 1.1
+3 5 0.3
+5 1 3.0
+2 0 0.9
+6 3 0.45
+6 4 1.2
+"""
+
+# Recorded from the reference implementation (one CSR kernel built per
+# call in a Python loop): per (graph, t), the pair (x, y), float.hex of
+# every exit_probability_exact entry on the window (sorted vertex order)
+# and its truncation error, hitting_probability_exact(x, y) and (y, x),
+# truncated_green(x, y), and for heat_kernel_row(x) the sha256 prefix of
+# repr(support), its length, the sha256 prefix of mass.tobytes(), the
+# frontier leakage and the truncation error.
+GOLDEN_SERIES = {
+    ('z2', 0.5): (
+        5, 0,
+        ['0x1.9f4ef98288180p-8', '0x1.46d6ab081b020p-5',
+         '0x1.46d6ab081b020p-5', '0x1.46d6ab081b020p-5',
+         '0x1.46d6ab081b020p-5', '0x1.2fce874f0c774p-2',
+         '0x1.9966dc58175ecp-3', '0x1.9966dc58175ecp-3',
+         '0x1.2fce874f0c774p-2', '0x1.2fce874f0c774p-2',
+         '0x1.9966dc58175ecp-3', '0x1.9966dc58175ecp-3',
+         '0x1.2fce874f0c774p-2'],
+        '0x1.105b000000000p-37',
+        '0x1.76e37fd3ef280p-8', '0x1.76e37ffcdc000p-8',
+        '0x1.dd1fd00b5d5cdp-11',
+        ('d0e794e10cc33c03', 61, '411953c4d57c41fe',
+         '0x1.bd81f4c5f35dep-9', '0x1.105b000000000p-37')),
+    ('z2', 2.0): (
+        5, 0,
+        ['0x1.3d8f1b14a5c48p-3', '0x1.308d3dde8d4d8p-2',
+         '0x1.308d3dde8d4d8p-2', '0x1.308d3dde8d4d8p-2',
+         '0x1.308d3dde8d4d8p-2', '0x1.5fe0f1c60bd6ep-1',
+         '0x1.050c8e1b15b50p-1', '0x1.050c8e1b15b50p-1',
+         '0x1.5fe0f1c60bd6ep-1', '0x1.5fe0f1c60bd6ep-1',
+         '0x1.050c8e1b15b50p-1', '0x1.050c8e1b15b50p-1',
+         '0x1.5fe0f1c60bd6ep-1'],
+        '0x1.ed1cc00000000p-35',
+        '0x1.6be40b1cdd1b0p-5', '0x1.6be58b7467010p-5',
+        '0x1.8543ecfb554f6p-6',
+        ('d0e794e10cc33c03', 61, '6205317a4828df47',
+         '0x1.5a1f7ed0b33c7p-4', '0x1.ed1cc00000000p-35')),
+    ('z2', 8.0): (
+        5, 0,
+        ['0x1.9458b1936b65ap-1', '0x1.af28e854f8ce3p-1',
+         '0x1.af28e854f8ce3p-1', '0x1.af28e854f8ce3p-1',
+         '0x1.af28e854f8ce3p-1', '0x1.e4f5323354c13p-1',
+         '0x1.ca165ca8b1a2ap-1', '0x1.ca165ca8b1a2ap-1',
+         '0x1.e4f5323354c13p-1', '0x1.e4f5323354c13p-1',
+         '0x1.ca165ca8b1a2ap-1', '0x1.ca165ca8b1a2ap-1',
+         '0x1.e4f5323354c13p-1'],
+        '0x1.18ed400000000p-35',
+        '0x1.3e76958e64a24p-3', '0x1.4081806ff0154p-3',
+        '0x1.78d1c64f25845p-3',
+        ('d0e794e10cc33c03', 61, '686f96e66ddd899d',
+         '0x1.03362a10d4b78p-1', '0x1.18ed400000000p-35')),
+    ('z2', 20.0): (
+        5, 0,
+        ['0x1.faa233a2347bcp-1', '0x1.fbf9a6af5363ep-1',
+         '0x1.fbf9a6af5363ep-1', '0x1.fbf9a6af5363ep-1',
+         '0x1.fbf9a6af5363ep-1', '0x1.fea88cdb45ba3p-1',
+         '0x1.fd5119c83ffabp-1', '0x1.fd5119c83ffabp-1',
+         '0x1.fea88cdb45ba3p-1', '0x1.fea88cdb45ba3p-1',
+         '0x1.fd5119c83ffabp-1', '0x1.fd5119c83ffabp-1',
+         '0x1.fea88cdb45ba3p-1'],
+        '0x1.8e17800000000p-34',
+        '0x1.c1796d8efacd0p-3', '0x1.d8d5567358158p-3',
+        '0x1.6c2509473341ep-2',
+        ('d0e794e10cc33c03', 61, '33e11819e39cace4',
+         '0x1.b0cac8a60c6d8p-1', '0x1.8e17800000000p-34')),
+    ('tree', 0.5): (
+        4, 0,
+        ['0x1.a5dd9b57dbe80p-8', '0x1.4bfb555579580p-5',
+         '0x1.4bfb555579580p-5', '0x1.4bfb555579580p-5',
+         '0x1.0ece3d1b28a48p-2', '0x1.0ece3d1b28a48p-2',
+         '0x1.0ece3d1b28a48p-2', '0x1.0ece3d1b28a48p-2',
+         '0x1.0ece3d1b28a48p-2', '0x1.0ece3d1b28a48p-2'],
+        '0x1.105b000000000p-37',
+        '0x1.4b451d03c4140p-7', '0x1.4b451d2da2c00p-7',
+        '0x1.a6fcd72d0d8fbp-10',
+        ('315ef8624ff9014f', 94, 'ed781fcdde6a7e3e',
+         '0x1.199e45cfe821fp-8', '0x1.105b000000000p-37')),
+    ('tree', 2.0): (
+        4, 0,
+        ['0x1.423bbaef73f68p-3', '0x1.34df57ed66d2ap-2',
+         '0x1.34df57ed66d2ap-2', '0x1.34df57ed66d2ap-2',
+         '0x1.41fddddf4afa8p-1', '0x1.41fddddf4afa8p-1',
+         '0x1.41fddddf4afa8p-1', '0x1.41fddddf4afa8p-1',
+         '0x1.41fddddf4afa8p-1', '0x1.41fddddf4afa8p-1'],
+        '0x1.ed1cc00000000p-35',
+        '0x1.2d2ae14e63578p-4', '0x1.2d2c627bad238p-4',
+        '0x1.4e0faac4bc579p-5',
+        ('315ef8624ff9014f', 94, 'a018ec33ecced1c3',
+         '0x1.b5ad5218dbdd0p-4', '0x1.ed1cc00000000p-35')),
+    ('tree', 8.0): (
+        4, 0,
+        ['0x1.97431c908ebd7p-1', '0x1.b1d4ac4f76f22p-1',
+         '0x1.b1d4ac4f76f22p-1', '0x1.b1d4ac4f76f22p-1',
+         '0x1.dcf90eaed4d44p-1', '0x1.dcf90eaed4d44p-1',
+         '0x1.dcf90eaed4d44p-1', '0x1.dcf90eaed4d44p-1',
+         '0x1.dcf90eaed4d44p-1', '0x1.dcf90eaed4d44p-1'],
+        '0x1.18ed400000000p-35',
+        '0x1.89bf065a2c9dcp-3', '0x1.8cfe3bbe2f69cp-3',
+        '0x1.09922df861c5bp-2',
+        ('315ef8624ff9014f', 94, '84ebc62d3fa9d16e',
+         '0x1.3f5d05f96035ap-1', '0x1.18ed400000000p-35')),
+    ('tree', 20.0): (
+        4, 0,
+        ['0x1.fb0fc4b6c3060p-1', '0x1.fc51b27efcb2ep-1',
+         '0x1.fc51b27efcb2ep-1', '0x1.fc51b27efcb2ep-1',
+         '0x1.fe5a96dbc8a87p-1', '0x1.fe5a96dbc8a87p-1',
+         '0x1.fe5a96dbc8a87p-1', '0x1.fe5a96dbc8a87p-1',
+         '0x1.fe5a96dbc8a87p-1', '0x1.fe5a96dbc8a87p-1'],
+        '0x1.8e17800000000p-34',
+        '0x1.ca7ee9563d590p-3', '0x1.e13c778cfadb8p-3',
+        '0x1.a03d7fc04285fp-2',
+        ('315ef8624ff9014f', 94, 'eead94a250d3a85d',
+         '0x1.deed9eae5cb32p-1', '0x1.8e17800000000p-34')),
+    ('weighted', 0.5): (
+        2, 0,
+        ['0x1.42c6e0f225e40p-7', '0x1.ada56ec6beb50p-5',
+         '0x1.faa6375250700p-8', '0x1.54330023bb4f0p-5'],
+        '0x1.105b000000000p-37',
+        '0x1.53f57dc8b5040p-3', '0x1.4bfec5c78a9e8p-4',
+        '0x1.303325ac4d2dfp-5',
+        ('86c1b3261036a829', 5, 'a2c2b8183c3877fb',
+         '0x1.faa63749cd93dp-8', '0x1.105b000000000p-37')),
+    ('weighted', 2.0): (
+        2, 0,
+        ['0x1.4089bd5d993d8p-4', '0x1.27092db958144p-3',
+         '0x1.1e15538639d50p-4', '0x1.f029d3c5f4d48p-4'],
+        '0x1.ed1cc00000000p-35',
+        '0x1.e6940b65b40cap-2', '0x1.c304cbdf21174p-2',
+        '0x1.49e8b1a2f077cp-2',
+        ('86c1b3261036a829', 5, '4c00bb301e1301de',
+         '0x1.1e1553825f9a6p-4', '0x1.ed1cc00000000p-35')),
+    ('weighted', 8.0): (
+        2, 0,
+        ['0x1.5200638fe3558p-2', '0x1.851d14b1ca488p-2',
+         '0x1.4b02d8b22a6b8p-2', '0x1.710332ea24794p-2'],
+        '0x1.18ed400000000p-35',
+        '0x1.a713ef5e8e502p-1', '0x1.afe6b70f99337p-1',
+        '0x1.748253514febep+0',
+        ('86c1b3261036a829', 5, '316da831abdb6a7c',
+         '0x1.4b02d8b19df52p-2', '0x1.18ed400000000p-35')),
+    ('weighted', 20.0): (
+        2, 0,
+        ['0x1.4aefe7581dbf8p-1', '0x1.586e4188ac753p-1',
+         '0x1.49182c1f5bfcap-1', '0x1.531f4c54091aep-1'],
+        '0x1.8e17800000000p-34',
+        '0x1.bd02963f3628ep-1', '0x1.b97e71ff94e4ap-1',
+        '0x1.7115019f9ed59p+1',
+        ('86c1b3261036a829', 5, '9e03426f7a461c96',
+         '0x1.49182c1e94f0ep-1', '0x1.8e17800000000p-34')),
+    ('closed', 0.5): (
+        3, 0,
+        ['0x1.d701954bf17acp-3', '0x1.eab7882c74c9cp-3',
+         '0x1.4e6cf73e6a9f0p-5', '0x1.4e86a51931790p-3',
+         '0x1.32d9736c7b220p-3'],
+        '0x1.105b000000000p-37',
+        '0x1.053446270b54cp-3', '0x1.d4e132ba76ee4p-3',
+        '0x1.db55fe5fef0a6p-6',
+        ('068ff0cf40cd49ec', 7, 'cec382719945598f',
+         '0x0.0p+0', '0x1.105b000000000p-37')),
+    ('closed', 2.0): (
+        3, 0,
+        ['0x1.2afd41c2fbfe9p-1', '0x1.41a1fe9b08c1ep-1',
+         '0x1.48948a55523aep-2', '0x1.cbaded38bc7c4p-2',
+         '0x1.0224bfc3b42c4p-1'],
+        '0x1.ed1cc00000000p-35',
+        '0x1.5a567f6f68ab6p-2', '0x1.1e60a18817848p-1',
+        '0x1.dc865965686eap-3',
+        ('068ff0cf40cd49ec', 7, 'df06e82083e555e0',
+         '0x0.0p+0', '0x1.ed1cc00000000p-35')),
+    ('closed', 8.0): (
+        3, 0,
+        ['0x1.e1e91bcb9fd3cp-1', '0x1.ec4684bf41cccp-1',
+         '0x1.c952963eb5aa3p-1', '0x1.d07f52a727738p-1',
+         '0x1.e1de6a6182e4cp-1'],
+        '0x1.18ed400000000p-35',
+        '0x1.5ad99e8ecc930p-1', '0x1.bb819e76f1d6ep-1',
+        '0x1.fdb77b096270cp-1',
+        ('068ff0cf40cd49ec', 7, 'f6502da8d9445725',
+         '0x0.0p+0', '0x1.18ed400000000p-35')),
+    ('closed', 20.0): (
+        3, 0,
+        ['0x1.ff612faf515e0p-1', '0x1.ffa0515aedf82p-1',
+         '0x1.fedeacf2821d9p-1', '0x1.ff01650745323p-1',
+         '0x1.ff6a5f2fa397ep-1'],
+        '0x1.8e17800000000p-34',
+        '0x1.d32bce00c7312p-1', '0x1.f7459d608c8b0p-1',
+        '0x1.3275e46f52aa2p+1',
+        ('068ff0cf40cd49ec', 7, 'e1a1aa411acb18d7',
+         '0x0.0p+0', '0x1.8e17800000000p-34')),
+}
+
+@pytest.fixture(scope="module")
+def series_graphs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("series")
+    (d / "closed.txt").write_text(CLOSED_GRAPH)
+    return {"z2": build_graph(GraphSpec("lattice_box", d=2, radius=5)),
+            "tree": build_graph(GraphSpec("regular_tree", degree=3, depth=5)),
+            "weighted": golden_graph("weighted", d),
+            "closed": build_graph(GraphSpec("weighted_file",
+                                            path=str(d / "closed.txt")))}
+
+
+def short_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SERIES))
+def test_series_golden(series_graphs, case):
+    name, t = case
+    g = series_graphs[name]
+    x, y, exits, trunc, hit, hit_rev, green, heat = GOLDEN_SERIES[case]
+    S = {"weighted": {0, 1, 2, 3}, "closed": {0, 1, 2, 4, 5}}.get(
+        name, ball(g, g.origin, 2))
+    table = exit_probability_exact(g, S, t)
+    assert list(table.exit_prob) == sorted(S)
+    assert [p.hex() for p in table.exit_prob.values()] == exits
+    assert table.truncation_error.hex() == trunc
+    assert hitting_probability_exact(g, x, y, t).hex() == hit
+    assert hitting_probability_exact(g, y, x, t).hex() == hit_rev
+    assert truncated_green(g, x, y, t).hex() == green
+    row = heat_kernel_row(g, x, t)
+    assert (short_digest(repr(row.support.tolist()).encode()),
+            len(row.support), short_digest(row.mass.tobytes()),
+            row.boundary_leakage.hex(), row.truncation_error.hex()) == heat
