@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import os
 import sys
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
@@ -160,6 +161,10 @@ def expected_truncation_radius(cfg: RunConfig) -> int | None:
     return None
 
 
+# Pool processes allowed per CPU: a few more workers than CPUs cost only
+# memory, but an unbounded count would start any number of processes.
+_WORKERS_PER_CPU = 4
+
 _T_LIMIT = (f"must be <= {SERIES_T_MAX:g} (the exact walk series "
             "underflows above that)")
 
@@ -175,8 +180,12 @@ def validate(cfg: RunConfig) -> list[str]:
         problems.append("replicas must be >= 1")
     if cfg.seed is None:
         problems.append("seed is required (no wall-clock default)")
+    most_workers = _WORKERS_PER_CPU * (os.cpu_count() or 1)
     if cfg.workers < 1:
         problems.append("workers must be >= 1")
+    elif cfg.workers > most_workers:
+        problems.append(f"workers must be <= {most_workers} "
+                        f"({_WORKERS_PER_CPU} per CPU); got {cfg.workers}")
     if cfg.max_particles <= 0 or cfg.max_vertices <= 0:
         problems.append("budgets must be positive")
     for name, text in (("lambda", cfg.lam), ("t", cfg.t)):

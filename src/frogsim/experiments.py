@@ -18,9 +18,10 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import FrogParams, ParticleField, explore_cluster
+from .frogs import (FrogParams, ParticleField, _arrow_adjacency, _arrow_reach,
+                    explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
-from .rng import Stream
+from .rng import Stream, derive_keys
 from .stats import Estimate, from_binomial, from_samples
 from .walks import exit_probability_exact, jump_picker
 
@@ -277,33 +278,6 @@ class _CoordIndex:
         return v
 
 
-def _arrow_adjacency(g: Graph, B: set[int], field: ParticleField,
-                     params: FrogParams) -> dict[int, set[int]]:
-    """Arrows x -> (range of x's particles) within B, one shared field."""
-    arrows = {}
-    for x in B:
-        _, trajs = field.particles(x, params)
-        s: set[int] = set()
-        for tr in trajs:
-            s |= (tr.visited & B)
-        s.discard(x)
-        arrows[x] = s
-    return arrows
-
-
-def _closure(arrows: dict[int, set[int]], start: int,
-             stop_size: float = math.inf) -> set[int]:
-    reached = {start}
-    stack = [start]
-    while stack and len(reached) < stop_size:
-        u = stack.pop()
-        for w in arrows[u]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return reached
-
-
 def _cascade_covers(g: Graph, window: set[int], seeds, params: FrogParams,
                     field: ParticleField, targets: set[int]) -> bool:
     """Frog cascade restricted to `window`: only window vertices wake their
@@ -334,11 +308,11 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, lam: float,
     half = FrogParams(lam / 2.0, t)
     v = idx.vid(site)
     B = ball(g, v, net.a // 3)
-    arrows = _arrow_adjacency(g, B, phase1, half)
+    arrows = next(_arrow_adjacency(g, B, [phase1], half))
     quota = len(B) / 4.0
     goods = []
     for x in sorted(B):
-        reached = _closure(arrows, x)
+        reached = _arrow_reach(arrows, x)
         if len(reached) >= quota:
             goods.append((len(reached), x, reached))
     if not goods:
@@ -368,22 +342,33 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     nested = {k: order[:k] for k in sizes}
     params = FrogParams(density, float(a * a))
     quota = len(B) / 4.0
+    need = math.ceil(quota)
     fails = {k: 0 for k in sizes}
-    for rep in range(replicas):
-        fld = ParticleField(g, Stream(seed, "decay", rep).key)
-        arrows = _arrow_adjacency(g, B, fld, params)
+    # replica r's field has the seed Stream(seed, "decay", r).key
+    fields = (ParticleField(g, s)
+              for s in derive_keys(seed, "decay", count=replicas).tolist())
+    for arrows in _arrow_adjacency(g, B, fields, params):
         good_found: set[int] = set()
         for k in sorted(sizes):
             ok = any(x in good_found for x in nested[k])
             if not ok:
                 for x in nested[k]:
-                    if len(_closure(arrows, x)) >= quota:
+                    if len(_arrow_reach(arrows, x, need)) >= quota:
                         good_found.add(x)
                         ok = True
                         break
             if not ok:
                 fails[k] += 1
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
+
+
+def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
+                 lam: float, seed: int, rep: int) -> dict:
+    """Openness of every net site in replica rep. The replica's two fields
+    (and the trajectories they cache) are released on return."""
+    phase1 = ParticleField(g, Stream(seed, "phase1", rep).key)
+    phase2 = ParticleField(g, Stream(seed, "phase2", rep).key)
+    return {s: block_open(g, idx, net, s, lam, phase1, phase2) for s in sites}
 
 
 def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
@@ -406,11 +391,8 @@ def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
     open_counts = {s: 0 for s in sites}
     cluster_fracs = []
     for rep in range(replicas):
-        phase1 = ParticleField(g, Stream(seed, "phase1", rep).key)
-        phase2 = ParticleField(g, Stream(seed, "phase2", rep).key)
-        state = {}
+        state = _site_states(g, idx, net, sites, lam, seed, rep)
         for s in sites:
-            state[s] = block_open(g, idx, net, s, lam, phase1, phase2)
             open_counts[s] += state[s]
         per_rep_fraction.append(sum(state.values()) / len(sites))
         # renormalized site-percolation cluster of the center site
@@ -592,7 +574,9 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
     sufficient-lifespan bound, then bracket the empirical critical lifespan
     by survival measurements over t_list (hi = smallest tested lifespan with
     confidently positive survival). Survival replicas that exhaust
-    `particle_budget` are counted in inputs["censored"]."""
+    `particle_budget` are counted in inputs["censored"]; the spectral
+    estimate's frontier mass and truncation warning are recorded as
+    inputs["spectral_leakage"] and inputs["spectral_truncation_warning"]."""
     if g.directed:
         raise GraphError("pipeline needs an undirected reversible network")
     if spectral_nmax is None:
@@ -641,5 +625,7 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
     return ExperimentReport(
         "nonamenable",
         {"graph": g.family, "lambda": lam, "t": max(t_list),
-         "n": survival_radius, "censored": censored},
+         "n": survival_radius, "censored": censored,
+         "spectral_leakage": spec_est.leakage,
+         "spectral_truncation_warning": bool(spec_est.truncation_warning)},
         metrics, checks, seed)

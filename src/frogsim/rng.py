@@ -27,6 +27,7 @@ keeps the code in a module dict.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -58,6 +59,20 @@ def splitmix64(x: int) -> int:
 _STR_CODES: dict[str, int] = {}
 
 
+def _label_code(label) -> int:
+    """The 64-bit code ``derive_key`` folds for one int or str label."""
+    if isinstance(label, str):
+        code = _STR_CODES.get(label)
+        if code is None:
+            # hashlib, not hash(): stable across processes and runs
+            code = _STR_CODES[label] = int.from_bytes(hashlib.blake2b(
+                label.encode("utf-8"), digest_size=8).digest(), "big")
+        return code
+    if isinstance(label, int):
+        return label & _MASK
+    raise TypeError(f"stream labels must be int or str, got {type(label)!r}")
+
+
 def derive_key(seed: int, *labels) -> int:
     """Fold (seed, labels...) into a 64-bit stream key.
 
@@ -68,17 +83,12 @@ def derive_key(seed: int, *labels) -> int:
     salt = 0
     for label in labels:
         salt += _GOLDEN
-        if isinstance(label, str):
-            code = _STR_CODES.get(label)
-            if code is None:
-                # hashlib, not hash(): stable across processes and runs
-                code = _STR_CODES[label] = int.from_bytes(hashlib.blake2b(
-                    label.encode("utf-8"), digest_size=8).digest(), "big")
-        elif isinstance(label, int):
+        if isinstance(label, int):
             code = label & _MASK
         else:
-            raise TypeError(
-                f"stream labels must be int or str, got {type(label)!r}")
+            code = _STR_CODES.get(label)
+            if code is None:  # a new string, or not a label
+                code = _label_code(label)
         x = ((code ^ salt) + _GOLDEN) & _MASK
         x = ((x ^ (x >> 30)) * _MIX1) & _MASK
         x = ((x ^ (x >> 27)) * _MIX2) & _MASK
@@ -89,22 +99,49 @@ def derive_key(seed: int, *labels) -> int:
     return h
 
 
-def derive_keys(seed: int, *labels, count: int) -> np.ndarray:
-    """``[derive_key(seed, *labels, r) for r in range(count)]`` as uint64.
+def derive_keys(seed, *labels, count: int | None = None) -> np.ndarray:
+    """``derive_key`` elementwise, as a uint64 array of at least one
+    dimension.
 
-    The constant prefix is folded once by ``derive_key``; the last fold,
-    of the int label r, runs on arrays.
+    The seed and any int label may be an integer numpy array (values are
+    taken mod 2^64, so negative int64 entries wrap as in ``derive_key``);
+    the arrays broadcast together and element i folds the seed and labels
+    at i.
+    ``count=n`` appends the label ``arange(n)``, so
+    ``derive_keys(seed, *labels, count=n)[r] == derive_key(seed, *labels, r)``.
+    The scalar prefix before the first array is folded once by
+    ``derive_key``; the rest runs on arrays.
     """
-    h = np.uint64(derive_key(seed, *labels))
-    salt = np.uint64((len(labels) + 1) * _GOLDEN & _MASK)
-    x = np.arange(count, dtype=np.uint64)
-    x ^= salt
-    x += _NP_GOLDEN
-    _np_mix(x)
-    x ^= h
-    x += _NP_GOLDEN
-    _np_mix(x)
-    return x
+    if count is not None:
+        labels = (*labels, np.arange(count, dtype=np.uint64))
+    if isinstance(seed, np.ndarray):
+        h = _as_u64(seed) + _NP_GOLDEN
+        _np_mix(h)
+        first = 0
+    else:
+        first = next((i for i, label in enumerate(labels)
+                      if isinstance(label, np.ndarray)), len(labels))
+        h = np.atleast_1d(np.uint64(derive_key(seed, *labels[:first])))
+    for i in range(first, len(labels)):
+        salt = (i + 1) * _GOLDEN & _MASK
+        label = labels[i]
+        if isinstance(label, np.ndarray):
+            x = _as_u64(label) ^ np.uint64(salt)
+            x += _NP_GOLDEN
+            _np_mix(x)
+        else:
+            x = np.uint64(splitmix64(_label_code(label) ^ salt))
+        h = h ^ x
+        h += _NP_GOLDEN
+        _np_mix(h)
+    return h
+
+
+def _as_u64(a: np.ndarray) -> np.ndarray:
+    """A new uint64 copy (>= 1-d) of an integer array, values mod 2^64."""
+    if a.dtype.kind not in "iub":
+        raise TypeError(f"stream labels must be integers, got {a.dtype}")
+    return np.array(a, dtype=np.uint64, ndmin=1)
 
 
 def uniforms_at(keys: np.ndarray, k: int) -> np.ndarray:
@@ -202,6 +239,8 @@ class Stream:
 
 # exp(-lam) stays a normal double up to here
 POISSON_LAM_MAX = 700.0
+# the largest quantile the Poisson inverse CDF resolves
+_U_CAP = 1.0 - 1e-12
 
 
 def poisson_inverse_cdf(lam: float, u: float) -> int:
@@ -218,7 +257,7 @@ def poisson_inverse_cdf(lam: float, u: float) -> int:
     if lam > POISSON_LAM_MAX:
         raise ValueError(
             f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
-    u = min(u, 1.0 - 1e-12)
+    u = min(u, _U_CAP)
     p = math.exp(-lam)
     cdf = p
     k = 0
@@ -227,3 +266,33 @@ def poisson_inverse_cdf(lam: float, u: float) -> int:
         p *= lam / k
         cdf += p
     return k
+
+
+@functools.lru_cache(maxsize=32)
+def _poisson_cdf_table(lam: float) -> np.ndarray:
+    """The running CDF values of ``poisson_inverse_cdf(lam, .)``, computed
+    by its recurrence, up to the first one at or above ``_U_CAP`` (which
+    every lam in (0, POISSON_LAM_MAX] reaches)."""
+    p = math.exp(-lam)
+    cdf = p
+    table = [cdf]
+    k = 0
+    while cdf < _U_CAP:
+        k += 1
+        p *= lam / k
+        cdf += p
+        table.append(cdf)
+    return np.array(table)
+
+
+def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
+    """``poisson_inverse_cdf(lam, u)`` for every u of an array, as int64:
+    a left binary search of min(u, 1 - 1e-12) in the table of the same
+    running CDF values the loop compares u with."""
+    if lam == 0.0:
+        return np.zeros(np.shape(u), dtype=np.int64)
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(
+            f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
+    return np.searchsorted(_poisson_cdf_table(lam), np.minimum(u, _U_CAP),
+                           side="left")

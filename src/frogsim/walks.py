@@ -100,9 +100,11 @@ def jump_picker(g: Graph):
 # block costs about 15 us whatever its size and then saves about 1 us per
 # jump, and the two loops timed equal per walk near t = 8 (Z^2 box, 2-vCPU
 # x86-64 host, Python 3.11, numpy 2.4). The particle walks of
-# phi_window_z2 and sweep_tree12 run at t = 1, those of renorm_z2 at
-# t = 64; loops over many independent walks from one vertex use
-# walk_batch instead.
+# phi_window_z2 and sweep_tree12 run at t = 1. Many independent walks run
+# in lockstep_walks instead: the replica walks of range_statistics,
+# exit_conditional_jumps and good_set_G_A, and every arrow walk of
+# frogs._arrow_adjacency, so of renorm_z2's t = 64 walks only the
+# phase-two cascade's reach this loop.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048
@@ -176,68 +178,80 @@ def _walk_blocked(pick, boundary, x: int, t: float, rng: Stream, n: int):
     return jumps, False
 
 
-def walk_batch(g: Graph, x: int, t: float, keys: np.ndarray):
-    """One walk from x up to time t per stream key, sampled in lockstep.
+def walk_batch(g: Graph, x, t: float, keys: np.ndarray):
+    """One walk up to time t per stream key, sampled in lockstep.
 
+    x is one start vertex for every walk or an array of one per key.
     Returns (positions, counts, absorbed): positions[i, :counts[i]] are the
     jumps of walk i, padded with -1 to the longest walk, and absorbed[i]
     says whether it stopped at the frontier. Walk i equals
-    ``walk_positions(g, x, t, s)`` for a fresh ``Stream`` s with key
-    ``keys[i]``: jump j reads draw 2j of every stream and the holding time
-    after it draw 2j + 1, so all streams draw the same counter at once
-    (``rng.uniforms_at``). Exponentials are ``-log1p(-u)`` on Python
-    floats, the unweighted pick is ``floor(u * deg)`` and the weighted one
-    a vectorized ``bisect_right`` on the cached row cumulative weights.
+    ``walk_positions(g, x[i], t, s)`` for a fresh ``Stream`` s with key
+    ``keys[i]``; the steps come from ``lockstep_walks``.
     """
     keys = np.asarray(keys, dtype=np.uint64)
+    starts = np.broadcast_to(np.asarray(x, dtype=np.int64), keys.shape)
     boundary = g.boundary_mask
-    if boundary[x]:
-        return (np.empty((keys.size, 0), dtype=np.int64),
-                np.zeros(keys.size, dtype=np.int64), np.ones(keys.size, bool))
+    absorbed = boundary[starts]
+    steps = list(lockstep_walks(g, starts, t, keys))
+    positions = np.full((keys.size, len(steps)), -1, dtype=np.int64)
+    for j, (rows, where) in enumerate(steps):
+        positions[rows, j] = where
+        absorbed[rows[boundary[where]]] = True
+    return positions, (positions >= 0).sum(axis=1), absorbed
+
+
+def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
+    """Yield (live, cur) after each jump of the walks from starts[i] up to
+    time t on the streams keys[i]: live holds the indices of the walks that
+    made that jump and cur where each landed. A walk ends at time t or on
+    its first frontier vertex; one that starts on the frontier never jumps.
+
+    Jump j reads draw 2j of every stream and the holding time after it
+    draw 2j + 1, so all streams draw the same counter at once
+    (``rng.uniforms_at``) and each walk equals ``walk_positions`` on its
+    stream. Exponentials are ``-log1p(-u)`` on Python floats, the
+    unweighted pick is ``floor(u * deg)`` and the weighted one a vectorized
+    ``bisect_right`` on the cached row cumulative weights.
+    """
+    boundary = g.boundary_mask
     deg, cw = g.walk_arrays()
     indptr, indices = g.indptr, g.indices
     if cw is not None:
         rounds = g.max_interior_degree().bit_length()
-    absorbed = np.zeros(keys.size, dtype=bool)
-    live = np.arange(keys.size)          # walks still running
-    cur = np.full(keys.size, x)
-    elapsed = _log1p_neg(uniforms_at(keys, 1))
-    steps = []                           # (live, cur) after each jump
-    k = 1                                # draws each live walk has read
+    live = np.flatnonzero(~boundary[starts])   # walks still running
+    cur = starts[live]
+    elapsed = _log1p_neg(uniforms_at(keys[live], 1))
+    k = 1                                      # draws each live walk has read
     while True:
         keep = elapsed <= t
         live, cur, elapsed = live[keep], cur[keep], elapsed[keep]
         if live.size == 0:
-            break
+            return
         u = uniforms_at(keys[live], k + 1)
         if cw is None:
             cur = indices[indptr[cur] + (u * deg[cur]).astype(np.int64)]
         else:
             lo, hi = indptr[cur], indptr[cur + 1]
             thr = u * cw[hi - 1]
-            for _ in range(rounds):      # bisect_right within each row
+            for _ in range(rounds):            # bisect_right within each row
                 mid = (lo + hi) >> 1
                 left = thr < cw[np.minimum(mid, cw.size - 1)]
                 searching = lo < hi
                 hi = np.where(searching & left, mid, hi)
                 lo = np.where(searching & ~left, mid + 1, lo)
             cur = indices[lo]
-        steps.append((live, cur))
-        hit = boundary[cur]
-        absorbed[live[hit]] = True
-        live, cur, elapsed = live[~hit], cur[~hit], elapsed[~hit]
+        yield live, cur
+        stay = ~boundary[cur]
+        live, cur, elapsed = live[stay], cur[stay], elapsed[stay]
         elapsed = elapsed + _log1p_neg(uniforms_at(keys[live], k + 2))
         k += 2
-    positions = np.full((keys.size, len(steps)), -1, dtype=np.int64)
-    for j, (rows, where) in enumerate(steps):
-        positions[rows, j] = where
-    return positions, (positions >= 0).sum(axis=1), absorbed
 
 
 def _log1p_neg(u: np.ndarray) -> np.ndarray:
     """-log1p(-u) elementwise with math.log1p, the exponential of
     ``Stream.exponential`` (np.log1p may differ in the last ulp)."""
-    return -np.array(list(map(log1p, (-u).tolist())), dtype=np.float64)
+    return -np.fromiter(map(log1p, (-u).tolist()), dtype=np.float64,
+                        count=u.size)
 
 
 def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:

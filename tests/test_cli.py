@@ -200,3 +200,39 @@ def test_particle_budget_reaches_survival_experiments(tmp_path, args, capsys):
     assert run(loose) == 0
     report = json.loads(Path(loose.out, "report.json").read_text())
     assert report["inputs"]["censored"] == 0
+
+
+def test_workers_beyond_per_cpu_bound_exit_2(tmp_path, monkeypatch, capsys):
+    from frogsim import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.mp, "Pool", no_pool)
+    cfgp = write_config(tmp_path)
+    assert validate(parse_config(str(cfgp), ["workers=8"])) == []
+    for workers in (9, 100_000):
+        problems = validate(parse_config(str(cfgp), [f"workers={workers}"]))
+        assert problems == [f"workers must be <= 8 (4 per CPU); "
+                            f"got {workers}"]
+        assert cli.main(["validate", str(cfgp), f"workers={workers}"]) == 2
+        assert cli.main(["run", str(cfgp), f"workers={workers}"]) == 2
+        assert f"got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonamenable_report_records_spectral_diagnostics(tmp_path):
+    from frogsim import GraphSpec, build_graph, spectral_radius_estimate
+    from frogsim.cli import main
+
+    out = tmp_path / "out"
+    assert main(["run", "experiment=nonamenable", "family=regular_tree",
+                 "depth=6", "n=3", "lambda=1.0", "t_list=1,2", "replicas=5",
+                 "seed=2", f"out={out}"]) == 0
+    inputs = json.loads((out / "report.json").read_text())["inputs"]
+    g = build_graph(GraphSpec("regular_tree", degree=3, depth=6))
+    spec = spectral_radius_estimate(g, g.origin, 2 * min(20, g.max_radius - 1))
+    assert inputs["spectral_leakage"] == spec.leakage > 0.0
+    assert inputs["spectral_truncation_warning"] is spec.truncation_warning
+    assert "spectral" not in (out / "results.csv").read_text()

@@ -10,7 +10,8 @@ from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
                      edge_open_probability, escape_probability,
                      linear_growth_experiment, nonamenable_pipeline,
                      renormalization_experiment, write_report)
-from frogsim.experiments import _CoordIndex, block_open
+from frogsim.experiments import _CoordIndex, block_open, good_vertex_decay
+from frogsim.stats import Estimate
 
 
 def test_edge_open_probability_closed_form():
@@ -190,3 +191,154 @@ def test_report_serialization(tmp_path, tree8):
     assert payload["passed"] is True
     header = cpath.read_text().splitlines()[0]
     assert header == "experiment,graph,lambda,t,n,replicas,seed,metric,mean,stderr"
+
+
+# -- golden renormalization outputs ---------------------------------------
+# float.hex of every metric (mean, stderr, replicas for estimates), recorded
+# on the per-particle reveal before the arrows were built in batches.
+# Key: (a, net_extent, lambda, decay_density, replicas, decay_replicas, seed).
+GOLDEN_RENORM = {
+    (8, 2, 4.0, 0.25, 1, 120, 1): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.a000000000000p+3",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x1.1111111111111p-6",
+                                     "0x1.7ef164867fb8fp-7", 120),
+        "p_no_good_vertex_size_4": ("0x1.8000000000000p-2",
+                                    "0x1.6a09e667f3bcdp-5", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (8, 2, 4.0, 0.25, 1, 120, 2): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.a000000000000p+3",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x1.1111111111111p-6",
+                                     "0x1.7ef164867fb8fp-7", 120),
+        "p_no_good_vertex_size_4": ("0x1.a222222222222p-2",
+                                    "0x1.6f930da6617b8p-5", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (8, 2, 4.0, 0.25, 1, 120, 3): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.a000000000000p+3",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x1.5555555555555p-5",
+                                     "0x1.2adea9643c151p-6", 120),
+        "p_no_good_vertex_size_4": ("0x1.2aaaaaaaaaaabp-2",
+                                    "0x1.53e87b956e247p-5", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (9, 1, 4.0, 0.5, 1, 120, 1): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x0.0p+0", "0x0.0p+0", 120),
+        "p_no_good_vertex_size_4": ("0x1.0000000000000p-3",
+                                    "0x1.eea3950a8511ep-6", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (9, 1, 4.0, 0.5, 1, 120, 2): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x0.0p+0", "0x0.0p+0", 120),
+        "p_no_good_vertex_size_4": ("0x1.6666666666666p-3",
+                                    "0x1.1c260203a393ap-5", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (9, 1, 4.0, 0.5, 1, 120, 3): {
+        "center_cluster_fraction": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.0000000000000p+0",
+        "p_no_good_vertex_size_16": ("0x0.0p+0", "0x0.0p+0", 120),
+        "p_no_good_vertex_size_4": ("0x1.0000000000000p-3",
+                                    "0x1.eea3950a8511ep-6", 120),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 120),
+    },
+    (8, 1, 2.0, 0.25, 3, 60, 1): {
+        "center_cluster_fraction": ("0x1.9999999999999p-1",
+                                    "0x1.d8f7208e6b82ep-4", 3),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.9999999999999p-1", "0x1.d8f7208e6b82ep-4", 3),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.5555555555555p-2",
+        "p_no_good_vertex_size_16": ("0x1.1111111111111p-6",
+                                     "0x1.0ec813a58caffp-6", 60),
+        "p_no_good_vertex_size_4": ("0x1.bbbbbbbbbbbbcp-2",
+                                    "0x1.0608f1d892a8cp-4", 60),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 60),
+    },
+    (8, 1, 2.0, 0.25, 3, 60, 2): {
+        "center_cluster_fraction": ("0x1.3333333333333p-1",
+                                    "0x1.38d6509b0208ep-2", 3),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.7777777777778p-1", "0x1.693bb5fcff870p-3", 3),
+        "open_frequency_site_max": "0x1.0000000000000p+0",
+        "open_frequency_site_min": "0x1.5555555555555p-1",
+        "p_no_good_vertex_size_16": ("0x1.1111111111111p-5",
+                                     "0x1.7baf0cfe7d7ccp-6", 60),
+        "p_no_good_vertex_size_4": ("0x1.eeeeeeeeeeeefp-2",
+                                    "0x1.083fad2631ed9p-4", 60),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 60),
+    },
+    (8, 1, 2.0, 0.25, 3, 60, 3): {
+        "center_cluster_fraction": ("0x1.1111111111111p-3",
+                                    "0x1.1111111111112p-3", 3),
+        "net_sites": "0x1.4000000000000p+2",
+        "open_frequency": ("0x1.5555555555555p-2", "0x1.693bb5fcff871p-3", 3),
+        "open_frequency_site_max": "0x1.5555555555555p-1",
+        "open_frequency_site_min": "0x0.0p+0",
+        "p_no_good_vertex_size_16": ("0x1.999999999999ap-5",
+                                     "0x1.ccfd55cfb4683p-6", 60),
+        "p_no_good_vertex_size_4": ("0x1.3333333333333p-2",
+                                    "0x1.e4a52f7c75ef2p-5", 60),
+        "p_no_good_vertex_size_64": ("0x0.0p+0", "0x0.0p+0", 60),
+    },
+}
+
+# good_vertex_decay on a Z^2 box of radius 24 around the origin, a = 8,
+# sizes (4, 16, 64), 40 replicas, seed 11: {size: (mean, stderr) hex}
+GOLDEN_DECAY = {
+    0.0: {4: ("0x1.0000000000000p+0", "0x0.0p+0"),
+          16: ("0x1.0000000000000p+0", "0x0.0p+0"),
+          64: ("0x1.0000000000000p+0", "0x0.0p+0")},
+    2.0: {4: ("0x1.999999999999ap-6", "0x1.9472957f2765bp-6"),
+          16: ("0x0.0p+0", "0x0.0p+0"),
+          64: ("0x0.0p+0", "0x0.0p+0")},
+}
+
+
+def _hex(v):
+    if isinstance(v, Estimate):
+        return (v.mean.hex(), v.stderr.hex(), v.replicas)
+    return float(v).hex()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RENORM))
+def test_renormalization_golden(case):
+    a, extent, lam, density, replicas, decay_replicas, seed = case
+    rep = renormalization_experiment(NetConfig(a=a, net_extent=extent), lam,
+                                     replicas, seed, decay_density=density,
+                                     decay_replicas=decay_replicas)
+    assert {k: _hex(v) for k, v in rep.metrics.items()} == GOLDEN_RENORM[case]
+
+
+@pytest.mark.parametrize("density", sorted(GOLDEN_DECAY))
+def test_good_vertex_decay_golden(density):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
+    decay = good_vertex_decay(g, g.origin, 8, density, (4, 16, 64), 40, 11)
+    assert {k: (e.mean.hex(), e.stderr.hex()) for k, e in decay.items()} \
+        == GOLDEN_DECAY[density]
+    assert all(e.replicas == 40 for e in decay.values())

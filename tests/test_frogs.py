@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
-                     Stream, arrow_closure, ball, build_graph,
+                     SpliceField, Stream, arrow_closure, ball, build_graph,
                      ep_exploration_sample, exit_conditional_jumps,
                      explore_cluster, from_samples, good_vertices,
                      restricted_activation, sphere_activation_profile)
+from frogsim import frogs
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -196,6 +197,77 @@ def test_arrow_closure_reflexive_and_contained(z2_box20):
     fld = ParticleField(z2_box20, 8)
     A = arrow_closure(z2_box20, B, 0, FrogParams(1.0, 1.0), fld)
     assert 0 in A and A <= B
+
+
+# Recorded on the per-particle arrow loop, before the arrows were built in
+# batches: Z^2 box of radius 24.
+GOLDEN_GOOD_VERTICES = {
+    # B = ball(0, 8), (lambda, t) = (1, 64), rng Stream(60, s), stop_after=1
+    "stop1": [[0], [0], [1], [0], [0]],
+    # B = ball(0, 3), (lambda, t) = (0.5, 6), rng Stream(61, s)
+    "all": [[2, 23], [22], [2, 6, 14, 17, 22], [0, 7, 8, 9, 14],
+            [4, 10, 13, 19, 21, 22]],
+}
+# arrow_closure from every x of ball(0, 3), field seed 8, (lambda, t) = (1, 1)
+GOLDEN_ARROW_CLOSURE = [
+    [0], [0, 1, 2, 4, 8, 10, 22], [2], [3], [2, 4, 8, 10, 22], [5, 14],
+    [0, 1, 2, 4, 6, 8, 10, 22], [0, 1, 2, 4, 7, 8, 10, 17, 22], [8], [9],
+    [2, 8, 10, 22], [11], [12], [5, 13, 14], [14], [15], [16], [17], [18],
+    [19], [8, 20], [21], [22], [23], [12, 24]]
+
+
+def test_good_vertices_and_arrow_closure_golden():
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
+    B8, B3 = ball(g, 0, 8), ball(g, 0, 3)
+    assert [sorted(good_vertices(g, B8, FrogParams(1.0, 64.0), Stream(60, s),
+                                 stop_after=1))
+            for s in range(5)] == GOLDEN_GOOD_VERTICES["stop1"]
+    assert [sorted(good_vertices(g, B3, FrogParams(0.5, 6.0), Stream(61, s)))
+            for s in range(5)] == GOLDEN_GOOD_VERTICES["all"]
+    fld = ParticleField(g, 8)
+    assert [sorted(arrow_closure(g, B3, x, FrogParams(1.0, 1.0), fld))
+            for x in sorted(B3)] == GOLDEN_ARROW_CLOSURE
+
+
+def reference_arrows(B, pick, params):
+    """The arrows of B read one particle at a time; pick(x) is the plain
+    ParticleField that holds x's particles."""
+    arrows = {}
+    for x in B:
+        _, trajs = pick(x).particles(x, params)
+        reach = set()
+        for tr in trajs:
+            reach |= tr.visited & B
+        reach.discard(x)
+        arrows[x] = reach
+    return arrows
+
+
+@pytest.mark.parametrize("cap", [1, 40, 300, 4096])
+def test_arrow_adjacency_matches_particles(monkeypatch, cap):
+    # caps that split the fields into one-field blocks, several passes per
+    # block, and one pass for all
+    monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=6))
+    B = ball(g, 3, 4) | {v for v in range(g.vertex_count)
+                         if g.boundary_mask[v]}   # frontier vertices too
+    window, core = ball(g, 3, 2), ball(g, 0, 1)
+    params = FrogParams(1.5, 5.0)
+    p = {s: ParticleField(g, s) for s in (1, -7, 2**70 + 3, 11, 12, 5)}
+    cases = [(p[s], lambda x, s=s: p[s]) for s in (1, -7, 2**70 + 3)]
+    cases.append((SpliceField(window, p[11], p[12]),
+                  lambda x: p[11] if x in window else p[12]))
+    cases.append((SpliceField(core, p[1], SpliceField(window, p[-7], p[5])),
+                  lambda x: p[1] if x in core
+                  else p[-7] if x in window else p[5]))
+    cases.append((p[5], lambda x: p[5]))
+    fields = [field for field, _ in cases]
+    got = list(frogs._arrow_adjacency(g, B, iter(fields), params))
+    assert len(got) == len(cases)
+    for arrows, (_, pick) in zip(got, cases):
+        assert arrows == reference_arrows(B, pick, params)
+    empty = frogs._arrow_adjacency(g, B, fields[:2], FrogParams(0.0, 5.0))
+    assert list(empty) == [{x: set() for x in B}] * 2
 
 
 # -- exploration process -------------------------------------------------

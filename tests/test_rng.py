@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frogsim.rng import (_GOLDEN, Stream, derive_key, derive_keys,
+import numpy as np
+
+from frogsim.rng import (_GOLDEN, POISSON_LAM_MAX, Stream, _poisson_cdf_table,
+                         derive_key, derive_keys, poisson_counts,
                          poisson_inverse_cdf)
 
 
@@ -139,3 +142,68 @@ def test_derive_keys_match_derive_key(seed, labels, count):
     assert keys.dtype == "uint64"
     assert keys.tolist() == [derive_key(seed, *labels, r)
                              for r in range(count)]
+
+
+_SEEDS = st.integers(min_value=-2**63, max_value=2**64 - 1)
+_INT_LABELS = st.integers(min_value=-2**70, max_value=2**70)
+
+
+@example(seeds=[-1, 2**64 - 1, -2**63], prefix=["traj"], suffix=["x"],
+         seed=2**70 + 5)
+@example(seeds=[0], prefix=[], suffix=[], seed=-3)
+@given(st.lists(_SEEDS, min_size=1, max_size=6),
+       st.lists(st.one_of(st.text(max_size=4), _INT_LABELS), max_size=2),
+       st.lists(st.one_of(st.text(max_size=4), _INT_LABELS), max_size=2),
+       st.integers(min_value=-2**80, max_value=2**80))
+@settings(max_examples=200, deadline=None)
+def test_derive_keys_fold_array_seeds_and_labels(seeds, prefix, suffix, seed):
+    # per-element seeds (negative ones as int64, the rest as uint64), a
+    # scalar prefix, two array labels and a scalar suffix after them
+    n = len(seeds)
+    xs = [(-1) ** i * (7 * i + 3) for i in range(n)]
+    idx = list(range(n))
+    arr = np.array([s if s < 0 else s - 2**64 if s >= 2**63 else s
+                    for s in seeds], dtype=np.int64)
+    keys = derive_keys(arr, *prefix, np.array(xs),
+                       np.array(idx, dtype=np.uint64), *suffix)
+    assert keys.dtype == "uint64"
+    assert keys.tolist() == [derive_key(s, *prefix, x, i, *suffix)
+                             for s, x, i in zip(seeds, xs, idx)]
+    unsigned = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
+    assert derive_keys(unsigned, *prefix, np.array(xs), *suffix).tolist() \
+        == [derive_key(s, *prefix, x, *suffix) for s, x in zip(seeds, xs)]
+    # a scalar seed of any size with array labels folds its prefix once
+    keys = derive_keys(seed, *prefix, np.array(xs), *suffix)
+    assert keys.tolist() == [derive_key(seed, *prefix, x, *suffix)
+                             for x in xs]
+
+
+def test_derive_keys_results_are_arrays():
+    # fold results stay >= 1-d: the array mix works in place
+    assert derive_keys(5).tolist() == [derive_key(5)]
+    assert derive_keys(5, "a", 3).tolist() == [derive_key(5, "a", 3)]
+    one = derive_keys(np.array(9), "eta", np.array(4))
+    assert one.shape == (1,) and one.tolist() == [derive_key(9, "eta", 4)]
+    assert derive_keys(np.array([], dtype=np.int64), "eta").size == 0
+    with pytest.raises(TypeError):
+        derive_keys(1, np.array([0.5]))
+    with pytest.raises(TypeError):
+        derive_keys(1, np.array([1]), 2.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.25, 30.0, 700.0])
+def test_poisson_counts_match_inverse_cdf(lam):
+    edges = [0.0, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 0.5, 1e-300]
+    rand = [Stream(3, "pc", repr(lam)).uniform() for _ in range(2000)]
+    # u on a CDF value itself: the loop stops there (cdf >= u)
+    steps = _poisson_cdf_table(lam).tolist()[:50] if lam else []
+    u = np.array(edges + rand + steps)
+    assert poisson_counts(lam, u).tolist() == [poisson_inverse_cdf(lam, v)
+                                               for v in u.tolist()]
+
+
+def test_poisson_table_reaches_the_cap():
+    for lam in np.linspace(0.0, POISSON_LAM_MAX, 1401)[1:].tolist() + [1e-9]:
+        assert _poisson_cdf_table(lam)[-1] >= 1.0 - 1e-12, lam
+    with pytest.raises(ValueError):
+        poisson_counts(700.5, np.array([0.5]))

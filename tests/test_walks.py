@@ -508,6 +508,25 @@ def test_walk_batch_matches_walk_positions(walk_graphs, name, x, t, key):
         assert row[n:] == [-1] * (len(row) - n)
 
 
+@example(name="z2", starts=[24, 0, 24, 5], t=9.0, key=1)   # frontier starts
+@example(name="weighted", starts=[4, 0, 2, 1], t=70.0, key=5)
+@given(st.sampled_from(["z2", "tree", "weighted"]),
+       st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                max_size=12),
+       st.floats(min_value=0.0, max_value=24.0),
+       st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_walk_batch_multi_start(walk_graphs, name, starts, t, key):
+    g = walk_graphs[name]
+    starts = [x % g.vertex_count for x in starts]
+    keys = derive_keys(key, "multi", count=len(starts))
+    positions, counts, absorbed = walk_batch(g, np.array(starts), t, keys)
+    for row, n, hit, k, x in zip(positions.tolist(), counts.tolist(),
+                                 absorbed.tolist(), keys.tolist(), starts):
+        assert (row[:n], hit) == walk_positions(g, x, t, stream_with_key(k))
+        assert row[n:] == [-1] * (len(row) - n)
+
+
 def test_walk_batch_frontier_start(walk_graphs):
     # vertex 24 lies on the frontier of the radius-3 box
     positions, counts, absorbed = walk_batch(walk_graphs["z2"], 24, 3.0,
