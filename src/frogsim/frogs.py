@@ -255,16 +255,17 @@ def restricted_activation(g: Graph, S, params: FrogParams,
 # jump step (about 90 steps at t = 64), so small passes are slow; large
 # ones raise peak memory. On the renormalization decay fields (|B| = 145,
 # lambda = 0.25, about 36 walks a field; 2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4) a CLI job of 2 replicas ran in 1.52 s at 2048 and 1.36 s at
-# 4096, with peak RSS 38.8 and 39.1 MB (38.3 MB revealing particle by
+# numpy 2.4) a CLI job of 2 replicas ran in 1.52 s at 2048 and 1.37 s at
+# 4096, with peak RSS 38.5 and 39.6 MB (38.3 MB revealing particle by
 # particle, 3.2 s).
 _ARROW_WALKS = 2048
 
 
-def _arrow_adjacency(g: Graph, B, fields, params: FrogParams):
+def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
     """Yield, field by field, the arrows of B under each field: a dict
-    mapping every x in B to the vertices of B other than x that x's
-    particles visit within their lifespan.
+    mapping every x of sources (a subset of B, default all of B) to the
+    vertices of B other than x that x's particles visit within their
+    lifespan.
 
     Equal to reading ``field.particles(x, params)`` for every x, but each
     (field, x) pair resolves to the ParticleField that answers it
@@ -273,18 +274,20 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams):
     counts ``poisson_counts``, trajectories ``lockstep_walks`` on
     ``derive_keys(seed, "traj", x, i)``. Fields are read lazily and run in
     passes of at most ``_ARROW_WALKS`` walks (a field with more runs
-    alone); each jump sets ``adj[(field, x), col(y)]`` in a boolean matrix
-    over the pairs that have particles. No trajectory is stored or cached.
+    alone). A pass keeps one code per jump that lands in B, so its memory
+    is O(walks + such jumps), whatever |B|. No trajectory is stored or
+    cached.
     """
     verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
-    nb = verts.size
-    vlist = verts.tolist()
+    srcs = verts if sources is None else np.array(
+        sorted(int(x) for x in sources), dtype=np.int64)
+    slist = srcs.tolist()
     fields = iter(fields)
-    per_block = max(1, _ARROW_WALKS // max(nb, 1))
+    per_block = max(1, _ARROW_WALKS // max(srcs.size, 1))
     while block := list(itertools.islice(fields, per_block)):
-        seeds = np.array([[f.source(x).seed & _MASK for x in vlist]
+        seeds = np.array([[f.source(x).seed & _MASK for x in slist]
                           for f in block], dtype=np.uint64)
-        marks = derive_keys(seeds, "eta", verts)
+        marks = derive_keys(seeds, "eta", srcs)
         marks >>= np.uint64(11)
         counts = poisson_counts(params.lam, marks * _INV_2_53)
         walks = counts.sum(axis=1).tolist()
@@ -296,46 +299,43 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams):
                 last += 1
             # the pass's (field, vertex) pairs with particles, field-major
             fi, xi = np.nonzero(counts[first:last])
-            adj = _jump_matrix(g, verts, seeds[first + fi, xi], xi,
-                               counts[first + fi, xi], params.t)
-            bounds = np.searchsorted(fi, np.arange(last - first + 1)).tolist()
-            for lo, hi in zip(bounds, bounds[1:]):
-                yield _arrows_of(vlist, xi[lo:hi].tolist(), adj[lo:hi])
+            pair, ys = _pair_jumps(g, verts, srcs[xi], seeds[first + fi, xi],
+                                   counts[first + fi, xi], params.t)
+            # each field's pairs, then each pair's jumps, as index runs
+            pb = np.searchsorted(fi, np.arange(last - first + 1)).tolist()
+            jb = np.searchsorted(pair, np.arange(xi.size + 1)).tolist()
+            sx = srcs[xi].tolist()
+            for lo, hi in zip(pb, pb[1:]):
+                arrows: dict[int, set[int]] = {x: set() for x in slist}
+                for p in range(lo, hi):
+                    arrows[sx[p]] = set(ys[jb[p]:jb[p + 1]])
+                yield arrows
             first = last
 
 
-def _jump_matrix(g: Graph, verts: np.ndarray, seeds: np.ndarray,
-                 xi: np.ndarray, counts: np.ndarray, t: float) -> np.ndarray:
-    """adj[p, c] says whether a particle of pair p (field seed seeds[p],
-    vertex verts[xi[p]], counts[p] particles) jumps to verts[c] != its
-    start within time t; verts is sorted."""
-    adj = np.zeros((xi.size, verts.size), dtype=bool)
-    pair = np.repeat(np.arange(xi.size), counts)
+def _pair_jumps(g: Graph, verts: np.ndarray, xs: np.ndarray,
+                seeds: np.ndarray, counts: np.ndarray,
+                t: float) -> tuple[np.ndarray, list[int]]:
+    """The distinct (p, y) with y in verts (sorted), y != xs[p], that a
+    particle of pair p (field seed seeds[p], vertex xs[p], counts[p]
+    particles) jumps to within time t, sorted: the array of p and the
+    list of y."""
+    pair = np.repeat(np.arange(xs.size), counts)
     first = np.cumsum(counts) - counts       # each pair's first walk
     index = np.arange(pair.size) - np.repeat(first, counts)
-    xs = verts[xi[pair]]
-    keys = derive_keys(seeds[pair], "traj", xs, index)
-    top = max(verts.size - 1, 0)
-    for live, cur in lockstep_walks(g, xs, t, keys):
+    starts = xs[pair]
+    keys = derive_keys(seeds[pair], "traj", starts, index)
+    nb = verts.size
+    top = max(nb - 1, 0)
+    codes = [pair[:0]]                       # p * |B| + column of y
+    for live, cur in lockstep_walks(g, starts, t, keys):
         col = np.minimum(np.searchsorted(verts, cur), top)
-        inside = verts[col] == cur
-        adj[pair[live[inside]], col[inside]] = True
-    adj[np.arange(xi.size), xi] = False
-    return adj
-
-
-def _arrows_of(vlist: list[int], sources: list[int],
-               adj: np.ndarray) -> dict[int, set[int]]:
-    """One field's arrows dict: row r of adj holds the arrows out of
-    vlist[sources[r]]; the other vertices have none."""
-    arrows: dict[int, set[int]] = {x: set() for x in vlist}
-    rows, cols = np.nonzero(adj)
-    ys = [vlist[c] for c in cols.tolist()]
-    # nonzero lists each row's arrows as one run
-    runs = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-    for r, a, b in zip(rows[runs].tolist(), runs, runs[1:] + [len(ys)]):
-        arrows[vlist[sources[r]]] = set(ys[a:b])
-    return arrows
+        hit = (verts[col] == cur) & (cur != starts[live])
+        codes.append(pair[live[hit]] * nb + col[hit])
+    codes = np.sort(np.concatenate(codes))
+    # distinct codes; not np.unique, whose first call imports numpy.ma (1 MB)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return codes // nb, verts[codes % nb].tolist()
 
 
 def _arrow_reach(arrows: dict[int, set[int]], start: int,
@@ -360,13 +360,24 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
 
     Chain vertices stay in B but the participating trajectories are free to
     leave B and return; a vertex with no particles only points to itself.
-    With stop_size, returns once that many vertices are reached.
+    Particles are revealed wave by wave, only at reached vertices. With
+    stop_size, returns once at least that many vertices are reached (the
+    lowest-numbered of the last wave), without revealing the next wave.
     """
     B = set(int(v) for v in B)
     if start not in B:
         raise GraphError("start must belong to B")
-    arrows = next(_arrow_adjacency(g, B, [field], params))
-    return _arrow_reach(arrows, start, stop_size)
+    verts = sorted(B)                        # sorted once, not per wave
+    reached = {start}
+    wave = [start]
+    while wave:
+        arrows = next(_arrow_adjacency(g, verts, [field], params,
+                                       sources=wave))
+        wave = sorted(set().union(*arrows.values()) - reached)
+        if stop_size is not None and len(reached) + len(wave) >= stop_size:
+            return reached.union(wave[:max(stop_size - len(reached), 0)])
+        reached.update(wave)
+    return reached
 
 
 def good_vertices(g: Graph, B, params: FrogParams, rng: Stream,
@@ -381,18 +392,13 @@ def good_vertices(g: Graph, B, params: FrogParams, rng: Stream,
     quota = len(B) / 4.0
     need = math.ceil(quota) if quota > 1 else 1
     good = set()
-    candidates = sorted(B)
-    # candidates in batches of 1, 2, 4, ...: an early stop reveals little
-    lo, size = 0, 1
-    while lo < len(candidates):
-        batch = candidates[lo:lo + size]
-        fields = [ParticleField(g, rng.child("goodv", x).key) for x in batch]
-        for x, arrows in zip(batch, _arrow_adjacency(g, B, fields, params)):
-            if len(_arrow_reach(arrows, x, need)) >= quota:
-                good.add(x)
-                if stop_after is not None and len(good) >= stop_after:
-                    return good
-        lo, size = lo + size, 2 * size
+    for x in sorted(B):
+        fld = ParticleField(g, rng.child("goodv", x).key)
+        A = arrow_closure(g, B, x, params, fld, stop_size=need)
+        if len(A) >= quota:
+            good.add(x)
+            if stop_after is not None and len(good) >= stop_after:
+                break
     return good
 
 

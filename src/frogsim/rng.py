@@ -83,12 +83,7 @@ def derive_key(seed: int, *labels) -> int:
     salt = 0
     for label in labels:
         salt += _GOLDEN
-        if isinstance(label, int):
-            code = label & _MASK
-        else:
-            code = _STR_CODES.get(label)
-            if code is None:  # a new string, or not a label
-                code = _label_code(label)
+        code = _label_code(label)
         x = ((code ^ salt) + _GOLDEN) & _MASK
         x = ((x ^ (x >> 30)) * _MIX1) & _MASK
         x = ((x ^ (x >> 27)) * _MIX2) & _MASK
@@ -272,7 +267,7 @@ def poisson_inverse_cdf(lam: float, u: float) -> int:
 def _poisson_cdf_table(lam: float) -> np.ndarray:
     """The running CDF values of ``poisson_inverse_cdf(lam, .)``, computed
     by its recurrence, up to the first one at or above ``_U_CAP`` (which
-    every lam in (0, POISSON_LAM_MAX] reaches)."""
+    every lam in [0, POISSON_LAM_MAX] reaches)."""
     p = math.exp(-lam)
     cdf = p
     table = [cdf]
@@ -289,8 +284,6 @@ def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
     """``poisson_inverse_cdf(lam, u)`` for every u of an array, as int64:
     a left binary search of min(u, 1 - 1e-12) in the table of the same
     running CDF values the loop compares u with."""
-    if lam == 0.0:
-        return np.zeros(np.shape(u), dtype=np.int64)
     if lam > POISSON_LAM_MAX:
         raise ValueError(
             f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")

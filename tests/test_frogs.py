@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,55 @@ def test_arrow_adjacency_matches_particles(monkeypatch, cap):
         assert arrows == reference_arrows(B, pick, params)
     empty = frogs._arrow_adjacency(g, B, fields[:2], FrogParams(0.0, 5.0))
     assert list(empty) == [{x: set() for x in B}] * 2
+    sources = sorted(B)[::3]
+    part = frogs._arrow_adjacency(g, B, iter(fields), params, sources=sources)
+    for arrows, (_, pick) in zip(part, cases):
+        ref = reference_arrows(B, pick, params)
+        assert arrows == {x: ref[x] for x in sources}
+
+
+def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
+    B = ball(g, 0, 20)
+    params = FrogParams(0.3, 2.0)
+    fld = ParticleField(g, 4)
+    arrows = next(frogs._arrow_adjacency(g, B, [fld], params))
+    revealed = []
+    builder = frogs._arrow_adjacency
+
+    def spy(g, B, fields, params, sources=None):
+        revealed.append(sorted(sources))
+        return builder(g, B, fields, params, sources)
+
+    monkeypatch.setattr(frogs, "_arrow_adjacency", spy)
+    for x in sorted(B)[::40]:
+        full = frogs._arrow_reach(arrows, x)
+        revealed.clear()
+        assert arrow_closure(g, B, x, params, fld) == full
+        waves = [v for wave in revealed for v in wave]
+        assert sorted(waves) == sorted(full)       # each vertex once
+        for k in (2, 5):
+            revealed.clear()
+            got = arrow_closure(g, B, x, params, fld, stop_size=k)
+            assert x in got and got <= full and len(got) == min(k, len(full))
+            assert {v for wave in revealed for v in wave} <= got
+
+
+def test_arrow_adjacency_memory_does_not_grow_with_B_squared():
+    # a boolean (pair with particles) x |B| matrix would take about
+    # 0.39 * |B|^2 bytes here (|B| = 3281: 4.2 MB); the arrows dict of
+    # |B| sets takes about 1 MB
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=45))
+    B = ball(g, 0, 40)
+    fld = ParticleField(g, 9)
+    tracemalloc.start()
+    try:
+        arrows = next(frogs._arrow_adjacency(g, B, [fld], FrogParams(0.5, 1.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(arrows) == len(B)
+    assert peak < 0.5 * 0.39 * len(B) ** 2
 
 
 # -- exploration process -------------------------------------------------
