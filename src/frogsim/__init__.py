@@ -39,5 +39,13 @@ from .experiments import (ExperimentReport, NetConfig,
                           linear_growth_experiment, nonamenable_pipeline,
                           renormalization_experiment, write_report)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names the CLI, scripts/ and README use; the rest stay importable.
+__all__ = [
+    "ExperimentReport", "FrogParams", "GraphError", "GraphSpec", "NetConfig",
+    "Stream", "abelian_invariance_check", "arrow_closure",
+    "bernoulli_edge_coupling", "build_graph", "exit_conditional_jumps",
+    "explore_cluster", "from_binomial", "good_set_G_A", "good_vertex_decay",
+    "good_vertices", "linear_growth_experiment", "nonamenable_pipeline",
+    "range_statistics", "renormalization_experiment", "tilde_critical_scan",
+    "write_report"]
 __version__ = "0.1.0"

@@ -110,22 +110,26 @@ def parse_config(path: str | None, overrides=()) -> RunConfig:
     return cfg
 
 
+_GRID_MAX = 10_000   # most points of a grid; a sweep runs each per replica
+
+
 def parse_grid(text: str) -> list[float]:
-    """A float, or an inclusive lo:hi:step grid."""
+    """A float, or an inclusive lo:hi:step grid of at most _GRID_MAX
+    points, with finite lo <= hi and a finite step > 0."""
     text = text.strip()
     if ":" in text:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-        if step <= 0 or hi < lo:
-            raise ValueError(f"bad grid {text!r}")
+        if not (all(map(math.isfinite, (lo, hi, step)))
+                and step > 0 and lo <= hi):
+            raise ValueError(f"{text!r} needs finite lo <= hi and a "
+                             "finite step > 0")
         vals = []
-        k = 0
-        while True:
-            v = lo + k * step
-            if v > hi + 1e-9:
-                break
+        while (v := lo + len(vals) * step) <= hi + 1e-9:
+            if len(vals) == _GRID_MAX:
+                raise ValueError(f"{text!r} has more than {_GRID_MAX} "
+                                 "points")
             vals.append(round(v, 12))
-            k += 1
         return vals
     return [float(text)]
 
@@ -167,6 +171,8 @@ _WORKERS_PER_CPU = 4
 
 _T_LIMIT = (f"must be <= {SERIES_T_MAX:g} (the exact walk series "
             "underflows above that)")
+_LAM_WHY = ("(the Poisson inverse CDF of the particle counts underflows "
+            "above that)")
 
 
 def validate(cfg: RunConfig) -> list[str]:
@@ -191,17 +197,22 @@ def validate(cfg: RunConfig) -> list[str]:
     for name, text in (("lambda", cfg.lam), ("t", cfg.t)):
         try:
             vals = parse_grid(text)
-            if any(v < 0 for v in vals):
-                problems.append(f"{name} values must be >= 0")
+            if not all(v >= 0 for v in vals):        # nan fails too
+                problems.append(f"{name} values must be finite and >= 0")
             if name == "lambda" and any(v > POISSON_LAM_MAX for v in vals):
-                problems.append(
-                    f"lambda values must be <= {POISSON_LAM_MAX:g} (the "
-                    "Poisson inverse CDF of the particle counts underflows "
-                    "above that)")
+                problems.append(f"lambda values must be <= "
+                                f"{POISSON_LAM_MAX:g} {_LAM_WHY}")
             if name == "t" and any(v > SERIES_T_MAX for v in vals):
                 problems.append(f"t values {_T_LIMIT}")
+            if (len(vals) > 1 and cfg.experiment != "survival_sweep"
+                    and cfg.experiment in EXPERIMENTS):
+                problems.append(f"{cfg.experiment} takes one {name} value "
+                                f"(grids are for survival_sweep); got {text!r}")
         except ValueError as exc:
             problems.append(f"bad {name} grid: {exc}")
+    if not 0 <= cfg.decay_density <= POISSON_LAM_MAX:
+        problems.append(f"decay_density must be in [0, {POISSON_LAM_MAX:g}] "
+                        f"{_LAM_WHY}; got {cfg.decay_density}")
     try:
         if any(v > SERIES_T_MAX for v in parse_t_list(cfg.t_list)):
             problems.append(f"t_list entries {_T_LIMIT}")

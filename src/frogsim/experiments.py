@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import (FrogParams, ParticleField, _arrow_adjacency, _arrow_reach,
+from .frogs import (FrogParams, ParticleField, _arrow_adjacency, _reach,
                     explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
@@ -193,14 +193,7 @@ def bernoulli_edge_coupling(g: Graph, params: FrogParams, replicas: int,
                     and _first_jump_open(fld, params, y, x)):
                 adj.setdefault(x, []).append(y)
                 adj.setdefault(y, []).append(x)
-        open_cluster = {g.origin}
-        stack = [g.origin]
-        while stack:
-            v = stack.pop()
-            for u in adj.get(v, ()):
-                if u not in open_cluster:
-                    open_cluster.add(u)
-                    stack.append(u)
+        open_cluster = _reach({g.origin}, lambda v: adj.get(v, ()))
         frog = explore_cluster(g, params, fld, particle_budget=5_000_000)
         if not open_cluster <= frog.activated:
             inclusion_ok = False
@@ -278,26 +271,6 @@ class _CoordIndex:
         return v
 
 
-def _cascade_covers(g: Graph, window: set[int], seeds, params: FrogParams,
-                    field: ParticleField, targets: set[int]) -> bool:
-    """Frog cascade restricted to `window`: only window vertices wake their
-    particles. True iff every target vertex is eventually visited."""
-    visited = set(seeds)
-    todo = list(seeds)
-    remaining = set(targets) - visited
-    while todo and remaining:
-        x = todo.pop()
-        _, trajs = field.particles(x, params)
-        for tr in trajs:
-            for v in tr.jumps:
-                if v in remaining:
-                    remaining.discard(v)
-                if v in window and v not in visited:
-                    visited.add(v)
-                    todo.append(v)
-    return not remaining
-
-
 def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, lam: float,
                phase1: ParticleField, phase2: ParticleField) -> bool:
     """Openness of one net site: some vertex of its small ball conquers a
@@ -312,7 +285,7 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, lam: float,
     quota = len(B) / 4.0
     goods = []
     for x in sorted(B):
-        reached = _arrow_reach(arrows, x)
+        reached = _reach({x}, arrows.__getitem__)
         if len(reached) >= quota:
             goods.append((len(reached), x, reached))
     if not goods:
@@ -323,10 +296,15 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, lam: float,
         w = idx.vid((site[0] + ox * net.a, site[1] + oy * net.a))
         bhat |= ball(g, w, net.a // 3)
     window = B | bhat
-    for _, x, reached in goods:
-        if _cascade_covers(g, window, reached, half, phase2, bhat):
-            return True
-    return False
+
+    def out(x):
+        # the second wave wakes window vertices only
+        _, trajs = phase2.particles(x, half)
+        return (v for tr in trajs for v in tr.jumps if v in window)
+
+    # bhat lies inside the window, so every target visited is reached
+    return any(bhat.issubset(_reach(set(reached), out, bhat.issubset))
+               for _, _, reached in goods)
 
 
 def good_vertex_decay(g: Graph, center: int, a: int, density: float,
@@ -353,7 +331,9 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
             ok = any(x in good_found for x in nested[k])
             if not ok:
                 for x in nested[k]:
-                    if len(_arrow_reach(arrows, x, need)) >= quota:
+                    reach = _reach({x}, arrows.__getitem__,
+                                   lambda r: len(r) >= need)
+                    if len(reach) >= quota:
                         good_found.add(x)
                         ok = True
                         break
@@ -397,14 +377,8 @@ def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
         per_rep_fraction.append(sum(state.values()) / len(sites))
         # renormalized site-percolation cluster of the center site
         if state[(0, 0)]:
-            comp = {(0, 0)}
-            stack = [(0, 0)]
-            while stack:
-                u = stack.pop()
-                for w in net_adj[u]:
-                    if state[w] and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
+            comp = _reach({(0, 0)},
+                          lambda u: (w for w in net_adj[u] if state[w]))
             cluster_fracs.append(len(comp) / len(sites))
         else:
             cluster_fracs.append(0.0)

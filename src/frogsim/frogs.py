@@ -217,26 +217,39 @@ def _check_window(g: Graph, S) -> set[int]:
     return S
 
 
+def _reach(reached: set, out, done=None) -> set:
+    """Grow `reached` in place along out(x), the vertices x points to,
+    depth first (last added, first read), and return it. Each vertex is
+    read at most once. Returns as soon as done(reached) holds, which is
+    checked before the first read and after each addition."""
+    if done is not None and done(reached):
+        return reached
+    stack = list(reached)
+    while stack:
+        for w in out(stack.pop()):
+            if w not in reached:
+                reached.add(w)
+                if done is not None and done(reached):
+                    return reached
+                stack.append(w)
+    return reached
+
+
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
                   field: ParticleField):
     """Reach set of `start` in S over stay-inside trajectories, revealing
     particles lazily. Returns (reached, stay_sets, exit_counts)."""
-    reached = {start}
-    stack = [start]
     stay_sets: dict[int, tuple[int, ...]] = {}
     exit_counts: dict[int, int] = {}
-    while stack:
-        x = stack.pop()
+
+    def out(x):
         eta, trajs = field.particles(x, params)
         stay = tuple(i for i, tr in enumerate(trajs) if tr.visited <= S)
         stay_sets[x] = stay
         exit_counts[x] = eta - len(stay)
-        for i in stay:
-            for v in trajs[i].jumps:
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
-    return reached, stay_sets, exit_counts
+        return (v for i in stay for v in trajs[i].jumps)
+
+    return _reach({start}, out), stay_sets, exit_counts
 
 
 def restricted_activation(g: Graph, S, params: FrogParams,
@@ -338,46 +351,32 @@ def _pair_jumps(g: Graph, verts: np.ndarray, xs: np.ndarray,
     return codes // nb, verts[codes % nb].tolist()
 
 
-def _arrow_reach(arrows: dict[int, set[int]], start: int,
-                 stop_size: int | None = None) -> set[int]:
-    """Vertices reachable from start along the arrows, start included;
-    returns as soon as the set holds stop_size vertices."""
-    reached = {start}
-    stack = [start]
-    while stack:
-        for w in arrows[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                if stop_size is not None and len(reached) >= stop_size:
-                    return reached
-                stack.append(w)
-    return reached
-
-
 def arrow_closure(g: Graph, B, start: int, params: FrogParams,
                   field: ParticleField, *, stop_size: int | None = None) -> set[int]:
     """Vertices of B activated from `start` through chains inside B.
 
     Chain vertices stay in B but the participating trajectories are free to
     leave B and return; a vertex with no particles only points to itself.
-    Particles are revealed wave by wave, only at reached vertices. With
-    stop_size, returns once at least that many vertices are reached (the
-    lowest-numbered of the last wave), without revealing the next wave.
+    Only the particles of reached vertices are revealed: the first read of
+    an unrevealed vertex reveals every reached vertex not yet revealed, in
+    one batch. With stop_size, returns the first stop_size vertices reached.
     """
     B = set(int(v) for v in B)
     if start not in B:
         raise GraphError("start must belong to B")
-    verts = sorted(B)                        # sorted once, not per wave
+    verts = sorted(B)                        # sorted once, not per batch
     reached = {start}
-    wave = [start]
-    while wave:
-        arrows = next(_arrow_adjacency(g, verts, [field], params,
-                                       sources=wave))
-        wave = sorted(set().union(*arrows.values()) - reached)
-        if stop_size is not None and len(reached) + len(wave) >= stop_size:
-            return reached.union(wave[:max(stop_size - len(reached), 0)])
-        reached.update(wave)
-    return reached
+    arrows: dict[int, set[int]] = {}
+
+    def out(x):
+        if x not in arrows:
+            fresh = [v for v in reached if v not in arrows]
+            arrows.update(next(_arrow_adjacency(g, verts, [field], params,
+                                                sources=fresh)))
+        return arrows[x]
+
+    return _reach(reached, out, None if stop_size is None
+                  else lambda r: len(r) >= stop_size)
 
 
 def good_vertices(g: Graph, B, params: FrogParams, rng: Stream,

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from frogsim.cli import RunConfig, parse_config, parse_grid, run, validate
+from frogsim.cli import (RunConfig, main, parse_config, parse_grid, run,
+                         validate)
 
 
 def write_config(tmp_path, **kv):
@@ -23,6 +24,67 @@ def test_parse_grid():
     assert parse_grid("0.5:3.0:0.5") == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     with pytest.raises(ValueError):
         parse_grid("3:1:0.5")
+    assert len(parse_grid("0:9999:1")) == 10_000
+    with pytest.raises(ValueError, match="more than 10000 points"):
+        parse_grid("0:10000:1")
+
+
+# Grids with a non-finite end or step, or too many points: parse_grid
+# must reject them before its loop, so they are reached through validate
+# only, never through a run.
+@pytest.mark.parametrize("arg", ["lambda=0:nan:1", "t=0:1:inf",
+                                 "lambda=nan:1:1", "t=-inf:1:1",
+                                 "lambda=0:1:1e-300"])
+def test_unbounded_grid_exits_2(tmp_path, arg, capsys):
+    cfgp = write_config(tmp_path)
+    name = arg.split("=")[0]
+    problems = validate(parse_config(str(cfgp), [arg]))
+    assert len(problems) == 1 and problems[0].startswith(f"bad {name} grid")
+    assert main(["validate", str(cfgp), arg]) == 2
+    assert capsys.readouterr().out == problems[0] + "\n"
+
+
+@pytest.mark.parametrize("arg,problem", [
+    ("lambda=nan", "lambda values must be finite and >= 0"),
+    ("t=nan", "t values must be finite and >= 0"),
+    ("lambda=-inf", "lambda values must be finite and >= 0"),
+    ("decay_density=-1", "decay_density must be in [0, 700]"),
+    ("decay_density=nan", "decay_density must be in [0, 700]"),
+    ("decay_density=inf", "decay_density must be in [0, 700]"),
+    ("decay_density=701", "decay_density must be in [0, 700]"),
+])
+def test_nan_or_out_of_range_value_exits_2(tmp_path, arg, problem):
+    args = ["experiment=renormalization", "a=4", "net_extent=1",
+            "replicas=1", "seed=1", arg, f"out={tmp_path / 'out'}"]
+    name = arg.split("=")[0]
+    problems = validate(parse_config(None, args))
+    assert len(problems) == 1 and problems[0].startswith(problem)
+    r = subprocess.run([sys.executable, "-m", "frogsim.cli", "run", *args],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert problem in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()
+    edge = "700" if name == "decay_density" else "0"
+    assert validate(parse_config(None, [*args, f"{name}={edge}"])) == []
+
+
+@pytest.mark.parametrize("experiment", ["bernoulli_coupling", "abelian",
+                                        "linear_growth", "nonamenable",
+                                        "renormalization"])
+def test_grid_outside_survival_sweep_exits_2(tmp_path, experiment, capsys):
+    args = [f"experiment={experiment}", "family=regular_tree", "depth=6",
+            "n=3", "replicas=2", "seed=1", f"out={tmp_path / 'out'}"]
+    for arg, name in (("lambda=1:2:0.5", "lambda"), ("t=1:3:1", "t")):
+        problems = validate(parse_config(None, [*args, arg]))
+        assert problems == [f"{experiment} takes one {name} value (grids "
+                            f"are for survival_sweep); got "
+                            f"{arg.split('=')[1]!r}"]
+        assert main(["run", *args, arg]) == 2
+        assert problems[0] in capsys.readouterr().err
+    # a one-point grid is one value
+    assert validate(parse_config(None, [*args, "lambda=1:1:1"])) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_ok(tmp_path):
@@ -236,3 +298,17 @@ def test_nonamenable_report_records_spectral_diagnostics(tmp_path):
     assert inputs["spectral_leakage"] == spec.leakage > 0.0
     assert inputs["spectral_truncation_warning"] is spec.truncation_warning
     assert "spectral" not in (out / "results.csv").read_text()
+
+
+def test_public_names_cover_the_scripts():
+    import ast
+
+    import frogsim
+
+    assert all(hasattr(frogsim, name) for name in frogsim.__all__)
+    used = set()
+    for path in Path(__file__).parents[1].glob("scripts/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "frogsim":
+                used.update(alias.name for alias in node.names)
+    assert used and used <= set(frogsim.__all__)

@@ -342,3 +342,36 @@ def test_good_vertex_decay_golden(density):
     assert {k: (e.mean.hex(), e.stderr.hex()) for k, e in decay.items()} \
         == GOLDEN_DECAY[density]
     assert all(e.replicas == 40 for e in decay.values())
+
+
+# Recorded on the cascade loop that block_open ran before it moved onto
+# frogs._reach: one replica of the renormalization fields (seed 1; a = 8,
+# net_extent = 2). Per net site in order: (open, len(phase2._cache) after
+# the site). The cache length counts the second-wave particles revealed.
+GOLDEN_BLOCK_OPEN = {
+    (4.0, 0): [(True, 160), (True, 230), (True, 245), (True, 292),
+               (True, 439), (True, 470), (True, 503), (True, 560),
+               (True, 655), (True, 680), (True, 717), (True, 735),
+               (True, 840)],
+    (4.0, 1): [(True, 122), (True, 188), (True, 274), (True, 316),
+               (True, 448), (True, 470), (True, 490), (True, 533),
+               (True, 593), (True, 635), (True, 679), (True, 717),
+               (True, 777)],
+    (2.0, 0): [(True, 94), (True, 145), (True, 157), (True, 185),
+               (True, 256), (False, 274), (True, 297), (True, 317),
+               (True, 365), (False, 398), (True, 415), (True, 432),
+               (False, 470)],
+}
+
+
+@pytest.mark.parametrize("lam,rep", sorted(GOLDEN_BLOCK_OPEN))
+def test_block_open_golden(lam, rep):
+    net = NetConfig(a=8, net_extent=2)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
+    idx = _CoordIndex(g)
+    p1 = ParticleField(g, Stream(1, "phase1", rep).key)
+    p2 = ParticleField(g, Stream(1, "phase2", rep).key)
+    got = [(block_open(g, idx, net, s, lam, p1, p2), len(p2._cache))
+           for s in net.net_sites()]
+    assert got == GOLDEN_BLOCK_OPEN[(lam, rep)]
+    assert len(p1._cache) == 0       # the first wave is revealed in batches

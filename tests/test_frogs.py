@@ -168,6 +168,41 @@ def test_window_must_hold_origin_and_avoid_frontier(tree8):
                               ParticleField(tree8, 0))
 
 
+# Recorded on the stack loop that _stay_closure ran before it moved onto
+# frogs._reach: S = ball(origin, 3), field seeds 1, 2, 3; per reached
+# vertex x, (x, stay_sets[x], exit_counts[x]).
+GOLDEN_STAY_CLOSURE = {
+    "z2": [  # Z^2 box of radius 20, (lambda, t) = (2, 1.5)
+        [(0, (0, 1, 2, 3), 0), (3, (0, 1), 0), (4, (0, 1, 2), 0),
+         (9, (0, 1, 2), 1), (10, (0,), 0), (11, (0, 1, 2, 3), 1),
+         (19, (0,), 1), (21, (0, 1), 0)],
+        [(0, (0, 1, 2), 0), (1, (0,), 0), (2, (1, 2), 1), (3, (0,), 1),
+         (5, (0,), 0), (6, (0,), 0), (7, (0,), 0), (8, (0, 1), 0),
+         (9, (), 0), (10, (1, 2, 3), 1), (11, (0,), 0), (14, (0, 1), 1),
+         (15, (0, 1, 2, 3), 0), (16, (), 0), (21, (1,), 1), (23, (), 1)],
+        [(0, (0,), 0), (3, (0, 1), 0), (4, (), 1), (9, (), 0),
+         (11, (0, 1, 2), 0), (21, (), 0)]],
+    "tree8": [  # (lambda, t) = (1.5, 1)
+        [(0, (0, 1, 2), 0), (2, (0,), 0), (3, (0,), 0), (7, (0, 1), 0),
+         (9, (1, 2), 2), (17, (), 0)],
+        [(0, (0, 1), 0), (2, (0, 1), 0), (3, (0,), 0), (7, (0,), 0),
+         (8, (0,), 0), (16, (), 0)],
+        [(0, (), 0)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STAY_CLOSURE))
+def test_stay_closure_golden(name, z2_box20, tree8):
+    g, params = {"z2": (z2_box20, FrogParams(2.0, 1.5)),
+                 "tree8": (tree8, FrogParams(1.5, 1.0))}[name]
+    S = ball(g, g.origin, 3)
+    for seed, want in zip((1, 2, 3), GOLDEN_STAY_CLOSURE[name]):
+        reached, stay, exits = frogs._stay_closure(
+            g, S, g.origin, params, ParticleField(g, seed))
+        assert set(stay) == set(exits) == reached
+        assert [(x, stay[x], exits[x]) for x in sorted(reached)] == want
+
+
 # -- good vertices -------------------------------------------------------
 
 
@@ -291,16 +326,18 @@ def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
 
     monkeypatch.setattr(frogs, "_arrow_adjacency", spy)
     for x in sorted(B)[::40]:
-        full = frogs._arrow_reach(arrows, x)
+        full = frogs._reach({x}, arrows.__getitem__)
         revealed.clear()
         assert arrow_closure(g, B, x, params, fld) == full
         waves = [v for wave in revealed for v in wave]
         assert sorted(waves) == sorted(full)       # each vertex once
-        for k in (2, 5):
+        for k in (1, 2, 5):
             revealed.clear()
             got = arrow_closure(g, B, x, params, fld, stop_size=k)
             assert x in got and got <= full and len(got) == min(k, len(full))
             assert {v for wave in revealed for v in wave} <= got
+            if k == 1:
+                assert got == {x} and revealed == []
 
 
 def test_arrow_adjacency_memory_does_not_grow_with_B_squared():
