@@ -20,7 +20,7 @@ import math
 import multiprocessing as mp
 import os
 import sys
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 from .graphs import GraphError, GraphSpec, build_graph
@@ -117,9 +117,16 @@ def parse_grid(text: str) -> list[float]:
     """A float, or an inclusive lo:hi:step grid of at most _GRID_MAX
     points, with finite lo <= hi and a finite step > 0."""
     text = text.strip()
-    if ":" in text:
-        lo_s, hi_s, step_s = text.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+    parts = text.split(":")
+    try:
+        nums = [float(part) for part in parts]
+    except ValueError:
+        nums = None
+    if nums is None or len(nums) not in (1, 3):
+        raise ValueError(f"{text!r} is neither a number nor a lo:hi:step "
+                         "grid of numbers")
+    if len(nums) == 3:
+        lo, hi, step = nums
         if not (all(map(math.isfinite, (lo, hi, step)))
                 and step > 0 and lo <= hi):
             raise ValueError(f"{text!r} needs finite lo <= hi and a "
@@ -131,7 +138,7 @@ def parse_grid(text: str) -> list[float]:
                                  "points")
             vals.append(round(v, 12))
         return vals
-    return [float(text)]
+    return nums
 
 
 def parse_t_list(text: str) -> list[float]:

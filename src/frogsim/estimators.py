@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .graphs import Graph, GraphError, ball
-from .frogs import (FrogParams, ParticleField, exit_conditional_jumps,
-                    explore_cluster, restricted_activation, _stay_closure,
+from .frogs import (FrogParams, ParticleField, explore_cluster,
+                    _exit_conditional_stats, _replica_closures,
                     _check_window)
 from .rng import Stream, derive_keys
 from .stats import Estimate, from_binomial, from_samples
@@ -141,11 +141,8 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     table = exit_probability_exact(g, S, params.t, tol)
     weights = {x: params.lam * p for x, p in table.exit_prob.items()}
-    vals = []
-    for r in range(replicas):
-        fld = ParticleField(g, Stream(seed, "phi", r).key)
-        reached, _, _ = _stay_closure(g, S, g.origin, params, fld)
-        vals.append(sum(weights[x] for x in reached))
+    vals = [sum(weights[x] for x in reached) for reached, _, _ in
+            _replica_closures(g, S, params, seed, "phi", replicas)]
     return from_samples(vals, seed, "phi-hat")
 
 
@@ -153,11 +150,10 @@ def mean_exiters(g: Graph, S, params: FrogParams, replicas: int,
                  seed: int) -> Estimate:
     """Direct estimate of E |N(S)|, the dual form of phi(S)."""
     S = _check_window(g, S)
-    vals = []
-    for r in range(replicas):
-        fld = ParticleField(g, Stream(seed, "exiters", r).key)
-        ra = restricted_activation(g, S, params, fld)
-        vals.append(ra.exiters)
+    if g.origin not in S:
+        raise GraphError("window must contain the origin")
+    vals = [sum(exits[x] for x in reached) for reached, _, exits in
+            _replica_closures(g, S, params, seed, "exiters", replicas)]
     return from_samples(vals, seed, "exiter-count")
 
 
@@ -179,9 +175,10 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     table = exit_probability_exact(g, S, params.t, tol)
     cond_mean: dict[int, float] = {}
     cond_se: dict[int, float] = {}
-    for x in sorted(S):
-        stats = exit_conditional_jumps(g, S, x, params.t, conditional_replicas,
-                                       Stream(seed, "cond", x))
+    xs = sorted(S)
+    cond_keys = derive_keys(seed, "cond", np.array(xs, dtype=np.int64))
+    for x, stats in zip(xs, _exit_conditional_stats(
+            g, S, xs, params.t, conditional_replicas, cond_keys.tolist())):
         if stats.estimate is None:
             cond_mean[x] = stats.bound
             cond_se[x] = 0.0
@@ -191,9 +188,8 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     weights = {x: params.lam * table.exit_prob[x] * cond_mean[x] for x in S}
     vals = []
     reach_freq = {x: 0 for x in S}
-    for r in range(replicas):
-        fld = ParticleField(g, Stream(seed, "phitilde", r).key)
-        reached, _, _ = _stay_closure(g, S, g.origin, params, fld)
+    for reached, _, _ in _replica_closures(g, S, params, seed, "phitilde",
+                                           replicas):
         for x in reached:
             reach_freq[x] += 1
         vals.append(sum(weights[x] for x in reached))

@@ -27,7 +27,7 @@ from .graphs import Graph, GraphError, ball, distance_to_complement
 from .rng import (_INV_2_53, _MASK, Stream, derive_key, derive_keys,
                   poisson_counts, poisson_inverse_cdf)
 from .stats import Estimate, from_samples
-from .walks import Trajectory, lockstep_walks, walk_batch, walk_positions
+from .walks import Trajectory, lockstep_walks, walk_positions
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ class ParticleField:
     same randomness, which is what the schedule-invariance and coupling
     tests exercise.
     """
+
+    __slots__ = ("graph", "seed", "_cache")
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
@@ -235,21 +237,149 @@ def _reach(reached: set, out, done=None) -> set:
     return reached
 
 
+# Fewest expected walks (lambda times the (field, vertex) pairs of a wave)
+# that _stay_closure reveals as one numpy batch; smaller waves read
+# field.particles. At t = 1 on a Z^2 box (window B(5)) a batched wave of
+# 4-128 walks cost 250-650 us and the per-walk loop 18-27 us a walk, so
+# the two met between 16 and 24 walks (2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4). Deciding on the expected count needs no numpy work, and
+# keeps single-field callers on field.particles for their first waves.
+_STAY_BATCH_WALKS = 24
+
+
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
-                  field: ParticleField):
-    """Reach set of `start` in S over stay-inside trajectories, revealing
-    particles lazily. Returns (reached, stay_sets, exit_counts)."""
-    stay_sets: dict[int, tuple[int, ...]] = {}
-    exit_counts: dict[int, int] = {}
+                  fields) -> list[tuple[set, dict, dict]]:
+    """Reach set of `start` in S over stay-inside trajectories under each
+    of `fields`: one (reached, stay_sets, exit_counts) per field.
 
-    def out(x):
-        eta, trajs = field.particles(x, params)
-        stay = tuple(i for i, tr in enumerate(trajs) if tr.visited <= S)
-        stay_sets[x] = stay
-        exit_counts[x] = eta - len(stay)
-        return (v for i in stay for v in trajs[i].jumps)
+    stay_sets[x] holds the indices of x's particles whose whole trajectory
+    stays in S and exit_counts[x] counts the others, for every reached x.
+    reached is ``_reach({start}, out)`` for out(x) the jumps of x's staying
+    particles in (particle, step) order, so it iterates in the same order
+    as a closure that reveals particles as it pops them.
 
-    return _reach({start}, out), stay_sets, exit_counts
+    The closures grow together, one generation at a time: each wave
+    reveals every field's newly reached vertices. A wave of at least
+    ``_STAY_BATCH_WALKS`` expected walks runs as one batch
+    (``_stay_batch``); a smaller one reads ``field.particles``.
+    """
+    fields = list(fields)
+    # x -> (out(x), stay_sets[x], exit_counts[x]); None until revealed
+    revealed: list[dict] = [{start: None} for _ in fields]
+    wave = [(f, start) for f in range(len(fields))]
+    inside = None                            # S as a vertex mask, once needed
+    while wave:
+        if params.lam * len(wave) < _STAY_BATCH_WALKS:
+            outs = [_stay_out(*fields[f].particles(x, params), S)
+                    for f, x in wave]
+        else:
+            if inside is None:
+                inside = np.zeros(g.vertex_count, dtype=bool)
+                inside[list(S)] = True
+            outs = _stay_batch(g, inside, fields, wave, params)
+        nxt = []
+        for (f, x), o in zip(wave, outs):
+            seen = revealed[f]
+            seen[x] = o
+            for y in o[0]:
+                if y not in seen:
+                    seen[y] = None
+                    nxt.append((f, y))
+        wave = nxt
+    closures = []
+    for f in range(len(fields)):
+        seen, revealed[f] = revealed[f], None   # freed field by field
+        closures.append((_reach({start}, lambda x: seen[x][0]),
+                         {x: o[1] for x, o in seen.items()},
+                         {x: o[2] for x, o in seen.items()}))
+    return closures
+
+
+# Replica fields per _stay_closure call in _replica_closures. A call holds
+# every closure it returns (about 0.7 kB a field at lambda = t = 1), so
+# this bounds memory for any replica count; fewer fields make smaller
+# waves, which batch less. On phi_window_z2 (1000 replicas; same host)
+# throughput and peak RSS were 3430/s, 53.8 MB at 128 fields; 3680/s,
+# 53.9 MB at 256; 3930/s, 54.2 MB at 512; 4090/s, 54.9 MB at 1000.
+_CLOSURE_FIELDS = 512
+
+
+def _replica_closures(g: Graph, S: set[int], params: FrogParams, seed: int,
+                      label: str, replicas: int):
+    """Yield the stay-inside closure from the origin (``_stay_closure``'s
+    triple) of replica r = 0, 1, ..., replicas - 1 on the field keyed
+    ``Stream(seed, label, r)``, ``_CLOSURE_FIELDS`` fields per call."""
+    keys = derive_keys(seed, label, count=replicas).tolist()
+    for lo in range(0, replicas, _CLOSURE_FIELDS):
+        yield from _stay_closure(g, S, g.origin, params, [
+            ParticleField(g, key) for key in keys[lo:lo + _CLOSURE_FIELDS]])
+
+
+def _stay_out(eta: int, trajs, S):
+    """(out, stay, exits) of one vertex from its particles."""
+    stay = tuple(i for i, tr in enumerate(trajs) if tr.visited <= S)
+    return (list(dict.fromkeys(v for i in stay for v in trajs[i].jumps)),
+            stay, eta - len(stay))
+
+
+def _stay_batch(g: Graph, inside: np.ndarray, fields, wave,
+                params: FrogParams):
+    """``_stay_out`` of every (field index, vertex) pair of `wave`, with
+    the particles revealed from their counter-based keys in one lockstep
+    pass. A walk stays if every vertex it visits is in the window S
+    (inside[v] says v is in S); S avoids the frontier, so an absorbed walk
+    leaves."""
+    xs = np.array([x for _, x in wave], dtype=np.int64)
+    seeds = np.array([fields[f].source(x).seed & _MASK for f, x in wave],
+                     dtype=np.uint64)
+    counts = _vertex_counts(seeds, xs, params.lam)
+    pair, index, starts, keys = _particle_keys(seeds, xs, counts)
+    leaves = ~inside[starts]
+    walk, where = [pair[:0]], [pair[:0]]     # jumps of walks still inside
+    for live, cur in lockstep_walks(g, starts, params.t, keys):
+        leaves[live[~inside[cur]]] = True
+        keep = ~leaves[live]
+        walk.append(live[keep])
+        where.append(cur[keep])
+    walk, where = np.concatenate(walk), np.concatenate(where)
+    keep = ~leaves[walk]
+    walk, where = walk[keep], where[keep]
+    order = np.argsort(walk, kind="stable")  # by walk, then step
+    codes = pair[walk[order]] * g.vertex_count + where[order]
+    # each pair's first occurrence of each vertex, in (walk, step) order
+    first = np.argsort(codes, kind="stable")
+    first = np.sort(first[np.diff(codes[first], prepend=-1) != 0])
+    codes = codes[first]
+    span = np.arange(xs.size + 1)
+    jb = np.searchsorted(codes // g.vertex_count, span).tolist()
+    ys = (codes % g.vertex_count).tolist()
+    stay = np.flatnonzero(~leaves)
+    sb = np.searchsorted(pair[stay], span).tolist()
+    sidx = index[stay].tolist()
+    eta = counts.tolist()
+    return [(ys[jb[p]:jb[p + 1]], tuple(sidx[sb[p]:sb[p + 1]]),
+             eta[p] - (sb[p + 1] - sb[p])) for p in range(xs.size)]
+
+
+def _vertex_counts(seeds: np.ndarray, xs: np.ndarray, lam: float) -> np.ndarray:
+    """Particle counts of the vertices xs under the field seeds (arrays that
+    broadcast together): the Poisson inverse CDF at each mark
+    ``derive_key(seed, "eta", x)``, as ``ParticleField.count_at``."""
+    marks = derive_keys(seeds, "eta", xs)
+    marks >>= np.uint64(11)
+    return poisson_counts(lam, marks * _INV_2_53)
+
+
+def _particle_keys(seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray):
+    """The particles of the pairs (field seed seeds[p], vertex xs[p]) with
+    counts[p] particles, pair by pair: arrays of each particle's pair,
+    index at its vertex, start vertex and trajectory stream key
+    ``derive_key(seed, "traj", x, index)``."""
+    pair = np.repeat(np.arange(xs.size), counts)
+    first = np.cumsum(counts) - counts       # each pair's first particle
+    index = np.arange(pair.size) - np.repeat(first, counts)
+    starts = xs[pair]
+    return pair, index, starts, derive_keys(seeds[pair], "traj", starts, index)
 
 
 def restricted_activation(g: Graph, S, params: FrogParams,
@@ -257,7 +387,8 @@ def restricted_activation(g: Graph, S, params: FrogParams,
     S = _check_window(g, S)
     if g.origin not in S:
         raise GraphError("window must contain the origin")
-    reached, stay_sets, exit_counts = _stay_closure(g, S, g.origin, params, field)
+    [(reached, stay_sets, exit_counts)] = _stay_closure(g, S, g.origin,
+                                                        params, [field])
     harpoon = {x: (x in reached) for x in S}
     exiters = sum(exit_counts[x] for x in reached)
     return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
@@ -300,9 +431,7 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
     while block := list(itertools.islice(fields, per_block)):
         seeds = np.array([[f.source(x).seed & _MASK for x in slist]
                           for f in block], dtype=np.uint64)
-        marks = derive_keys(seeds, "eta", srcs)
-        marks >>= np.uint64(11)
-        counts = poisson_counts(params.lam, marks * _INV_2_53)
+        counts = _vertex_counts(seeds, srcs, params.lam)
         walks = counts.sum(axis=1).tolist()
         first = 0
         while first < len(block):
@@ -333,11 +462,7 @@ def _pair_jumps(g: Graph, verts: np.ndarray, xs: np.ndarray,
     particle of pair p (field seed seeds[p], vertex xs[p], counts[p]
     particles) jumps to within time t, sorted: the array of p and the
     list of y."""
-    pair = np.repeat(np.arange(xs.size), counts)
-    first = np.cumsum(counts) - counts       # each pair's first walk
-    index = np.arange(pair.size) - np.repeat(first, counts)
-    starts = xs[pair]
-    keys = derive_keys(seeds[pair], "traj", starts, index)
+    pair, _, starts, keys = _particle_keys(seeds, xs, counts)
     nb = verts.size
     top = max(nb - 1, 0)
     codes = [pair[:0]]                       # p * |B| + column of y
@@ -444,7 +569,8 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
                 clipped += 1
                 window = {w for w in window if not g.boundary_mask[w]}
             fld = ParticleField(g, rng.child("ep", gen, p_idx).key)
-            reached, stay_sets, _ = _stay_closure(g, window, v, params, fld)
+            [(reached, stay_sets, _)] = _stay_closure(g, window, v, params,
+                                                       [fld])
             for x in reached:
                 eta, trajs = fld.particles(x, params)
                 staying = set(stay_sets.get(x, ()))
@@ -474,9 +600,8 @@ def sphere_activation_profile(g: Graph, S, params: FrogParams, replicas: int,
     for x, d in depth.items():
         shells.setdefault(d, []).append(x)
     samples: dict[int, list[int]] = {r: [] for r in shells}
-    for rep in range(replicas):
-        fld = ParticleField(g, rng.child("shell", rep).key)
-        reached, _, _ = _stay_closure(g, S, g.origin, params, fld)
+    for reached, _, _ in _replica_closures(g, S, params, rng.key, "shell",
+                                           replicas):
         for r, shell in shells.items():
             samples[r].append(sum(1 for x in shell if x in reached))
     return {r: from_samples(vals, rng.key) for r, vals in sorted(samples.items())}
@@ -496,24 +621,54 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
 
     Also evaluates the geometric cap Delta^{D_x} (t + D_x), where D_x is the
     directed distance from x to S^c and Delta the maximum out-degree.
-    Replica r walks on ``rng.child("exitcond", r)``; the replicas run as one
-    ``walk_batch``.
+    Replica r walks on ``rng.child("exitcond", r)``.
     """
     S = _check_window(g, S)
     if x not in S:
         raise GraphError("x must belong to S")
+    return _exit_conditional_stats(g, S, [x], t, replicas, [rng.key])[0]
+
+
+# Most walks one lockstep pass of _exit_conditional_stats runs (a vertex
+# with more replicas runs alone); keys are derived per pass, which keeps
+# peak memory flat in |S|.
+_EXIT_WALKS = 4096
+
+
+def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
+                            replicas: int, seeds) -> list[ExitJumpStats]:
+    """``exit_conditional_jumps`` for every x of xs (vertices of S), the
+    replicas of xs[i] on ``Stream(seeds[i]).child("exitcond", r)``. A walk
+    exits if it visits a vertex outside S; its jump count is its number of
+    steps. The vertices run in lockstep passes of about ``_EXIT_WALKS``
+    walks."""
     depth = distance_to_complement(g, S)
-    d_x = depth.get(x)
-    if d_x is None:
-        raise GraphError("x cannot reach the complement of S")
     delta = g.max_interior_degree()
-    bound = (delta ** d_x) * (t + d_x)
-    positions, jumps, _ = walk_batch(
-        g, x, t, derive_keys(rng.key, "exitcond", count=replicas))
-    # outside[v] for v = -1, the padding, is False
-    outside = np.ones(g.vertex_count + 1, dtype=bool)
-    outside[list(S)] = False
-    outside[-1] = False
-    counts = jumps[outside[positions].any(axis=1)].tolist()
-    est = from_samples(counts, rng.key) if counts else None
-    return ExitJumpStats(est, bound, len(counts), len(counts) / replicas)
+    bounds = []
+    for x in xs:
+        d_x = depth.get(x)
+        if d_x is None:
+            raise GraphError("x cannot reach the complement of S")
+        bounds.append((delta ** d_x) * (t + d_x))
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    inside[list(S)] = True
+    per_pass = max(1, _EXIT_WALKS // max(replicas, 1))
+    samples = []
+    for lo in range(0, len(xs), per_pass):
+        block = np.array(xs[lo:lo + per_pass], dtype=np.int64)
+        which = np.repeat(np.arange(block.size), replicas)
+        keys = derive_keys(np.array(seeds[lo:lo + per_pass],
+                                    dtype=np.uint64)[which], "exitcond",
+                           np.tile(np.arange(replicas), block.size))
+        starts = block[which]
+        exits = ~inside[starts]
+        jumps = np.zeros(starts.size, dtype=np.int64)
+        for live, cur in lockstep_walks(g, starts, t, keys):
+            jumps[live] += 1
+            exits[live[~inside[cur]]] = True
+        for i in range(block.size):
+            rows = slice(i * replicas, (i + 1) * replicas)
+            samples.append(jumps[rows][exits[rows]].tolist())
+    return [ExitJumpStats(from_samples(counts, seed) if counts else None,
+                          bound, len(counts), len(counts) / replicas)
+            for counts, seed, bound in zip(samples, seeds, bounds)]

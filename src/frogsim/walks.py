@@ -100,11 +100,14 @@ def jump_picker(g: Graph):
 # block costs about 15 us whatever its size and then saves about 1 us per
 # jump, and the two loops timed equal per walk near t = 8 (Z^2 box, 2-vCPU
 # x86-64 host, Python 3.11, numpy 2.4). The particle walks of
-# phi_window_z2 and sweep_tree12 run at t = 1. Many independent walks run
-# in lockstep_walks instead: the replica walks of range_statistics,
-# exit_conditional_jumps and good_set_G_A, and every arrow walk of
-# frogs._arrow_adjacency, so of renorm_z2's t = 64 walks only the
-# phase-two cascade's reach this loop.
+# sweep_tree12 run at t = 1. Many independent walks run in lockstep_walks
+# instead: the replica walks of range_statistics, good_set_G_A and the
+# exit-conditional jump counts (frogs._exit_conditional_stats), every
+# arrow walk of frogs._arrow_adjacency and the particle walks of every
+# stay-inside closure wave of at least frogs._STAY_BATCH_WALKS expected
+# walks (frogs._stay_batch). So of renorm_z2's t = 64 walks only the
+# phase-two cascade's reach this loop, and of phi_window_z2's t = 1 walks
+# only those of the closures' small last waves.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048

@@ -44,6 +44,19 @@ def test_unbounded_grid_exits_2(tmp_path, arg, capsys):
     assert capsys.readouterr().out == problems[0] + "\n"
 
 
+# Grids that are not lo:hi:step of numbers: the message says what the
+# grid must look like, not how the parse failed.
+@pytest.mark.parametrize("arg", ["lambda=1:2", "lambda=1:2:0.5:3",
+                                 "lambda=a:2:1", "t=1:x"])
+def test_malformed_grid_exits_2(tmp_path, arg, capsys):
+    cfgp = write_config(tmp_path)
+    name, text = arg.split("=")
+    assert main(["validate", str(cfgp), arg]) == 2
+    assert capsys.readouterr().out == (
+        f"bad {name} grid: {text!r} is neither a number nor a lo:hi:step "
+        "grid of numbers\n")
+
+
 @pytest.mark.parametrize("arg,problem", [
     ("lambda=nan", "lambda values must be finite and >= 0"),
     ("t=nan", "t values must be finite and >= 0"),

@@ -8,7 +8,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, Stream, ball,
                      nonamenable_t_bound, phi_hat, phi_report, phi_tilde_hat,
                      russo_inequality_check, sharpness_constants,
                      spectral_radius_estimate, survival_probability,
-                     tilde_critical_scan)
+                     sphere_activation_profile, tilde_critical_scan)
 from frogsim.estimators import replica_survival
 
 
@@ -129,6 +129,76 @@ def test_phi_tilde_below_constant_times_phi(tree8):
         rhs_low = rep.constants.C * max(
             rep.phi_hat.mean - 3 * rep.phi_hat.stderr, 0.0)
         assert lhs < rhs_low
+
+
+# Recorded with float.hex before the stay-inside closures were batched
+# across replicas, when every replica ran its own closure and every
+# conditional-jump vertex its own walk batch. Key: (graph, window radius,
+# lambda, t); phi_hat at seed 71 (300 replicas), phi_tilde_hat at 72 (300
+# replicas, 700 conditional walks), mean_exiters at 73 (300 replicas) and
+# sphere_activation_profile on Stream(74) (200 replicas); (mean, stderr).
+GOLDEN_PHI = {
+    ("tree8", 3, 1.5, 1.0): {
+        "phi_hat": ("0x1.d3e5719d510e5p-2", "0x1.2d6f7f44a7738p-5"),
+        "phi_tilde_hat": ("0x1.c77b8f248ab63p-1", "0x1.2f6e6abd949dfp-4"),
+        "mean_exiters": ("0x1.ccccccccccccdp-2", "0x1.bffc30b8388eap-5"),
+        "sphere": {1: ("0x1.8f5c28f5c28f6p-2", "0x1.a9e80a9022befp-5"),
+                   2: ("0x1.570a3d70a3d71p-1", "0x1.30ae973efe51bp-4"),
+                   3: ("0x1.a666666666666p-1", "0x1.ee3f8cb38a007p-5"),
+                   4: ("0x1.0000000000000p+0", "0x0.0p+0")}},
+    ("tree8", 2, 1.0, 3.0): {
+        "phi_hat": ("0x1.11c49f3aabc69p+0", "0x1.d8baafa0724f0p-5"),
+        "phi_tilde_hat": ("0x1.dea0d02d8b25cp+1", "0x1.9350e2ef49905p-3"),
+        "mean_exiters": ("0x1.f92c5f92c5f93p-1", "0x1.254dbbdd07350p-4"),
+        "sphere": {1: ("0x1.eb851eb851eb8p-2", "0x1.d7a1ebd5667cap-5"),
+                   2: ("0x1.4a3d70a3d70a4p-1", "0x1.01e87b23b1a4dp-4"),
+                   3: ("0x1.0000000000000p+0", "0x0.0p+0")}},
+    ("z2", 3, 1.0, 1.0): {
+        "phi_hat": ("0x1.4648160cbefefp-3", "0x1.1d9c3ff6db1c9p-6"),
+        "phi_tilde_hat": ("0x1.3211ffb59e17fp-2", "0x1.0005234d13179p-5"),
+        "mean_exiters": ("0x1.17e4b17e4b17ep-3", "0x1.789d70e11d624p-6"),
+        "sphere": {1: ("0x1.ae147ae147ae1p-3", "0x1.640a6720c69adp-5"),
+                   2: ("0x1.ae147ae147ae1p-2", "0x1.f162ac1a88ba0p-5"),
+                   3: ("0x1.2666666666666p-1", "0x1.ce86bbc9fb6a0p-5"),
+                   4: ("0x1.0000000000000p+0", "0x0.0p+0")}},
+    ("z2", 5, 2.0, 1.5): {
+        "phi_hat": ("0x1.01c8a8e7d2a97p+2", "0x1.ec8232e5edcd3p-3"),
+        "phi_tilde_hat": ("0x1.09d9b8fb2bc97p+4", "0x1.d653f08772e52p-1"),
+        "mean_exiters": ("0x1.eb851eb851eb8p+1", "0x1.09328649ad4dcp-2"),
+        "sphere": {1: ("0x1.770a3d70a3d71p+1", "0x1.c1f0933cce5d0p-3"),
+                   2: ("0x1.047ae147ae148p+2", "0x1.19477607db9e2p-2"),
+                   3: ("0x1.05c28f5c28f5cp+2", "0x1.03ed09ee0723dp-2"),
+                   4: ("0x1.c28f5c28f5c29p+1", "0x1.93e3bced6ba9dp-3"),
+                   5: ("0x1.17ae147ae147bp+1", "0x1.ba5566b65150dp-4"),
+                   6: ("0x1.0000000000000p+0", "0x0.0p+0")}},
+}
+
+
+def hexed(est):
+    return (est.mean.hex(), est.stderr.hex())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PHI))
+def test_phi_estimators_golden(case, tree8, z2_box20):
+    name, radius, lam, t = case
+    g = {"tree8": tree8, "z2": z2_box20}[name]
+    S = ball(g, g.origin, radius)
+    params = FrogParams(lam, t)
+    want = GOLDEN_PHI[case]
+    assert hexed(phi_hat(g, S, params, 300, 71)) == want["phi_hat"]
+    assert hexed(phi_tilde_hat(g, S, params, 300, 72,
+                               conditional_replicas=700)) \
+        == want["phi_tilde_hat"]
+    assert hexed(mean_exiters(g, S, params, 300, 73)) == want["mean_exiters"]
+    prof = sphere_activation_profile(g, S, params, 200, Stream(74))
+    assert {r: hexed(e) for r, e in prof.items()} == want["sphere"]
+
+
+def test_phi_tilde_default_conditional_replicas_golden(z2_box20):
+    # 2000 walks for each of the 25 window vertices: many lockstep passes
+    pt = phi_tilde_hat(z2_box20, ball(z2_box20, 0, 3), FrogParams(1.0, 1.0),
+                       100, 75)
+    assert hexed(pt) == ("0x1.91da6be7093d3p-2", "0x1.1080bcf32a897p-4")
 
 
 # -- constants ------------------------------------------------------------

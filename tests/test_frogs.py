@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
                      explore_cluster, from_samples, good_vertices,
                      restricted_activation, sphere_activation_profile)
 from frogsim import frogs
+from frogsim.rng import derive_keys
+from frogsim.walks import walk_batch
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -196,11 +199,87 @@ def test_stay_closure_golden(name, z2_box20, tree8):
     g, params = {"z2": (z2_box20, FrogParams(2.0, 1.5)),
                  "tree8": (tree8, FrogParams(1.5, 1.0))}[name]
     S = ball(g, g.origin, 3)
-    for seed, want in zip((1, 2, 3), GOLDEN_STAY_CLOSURE[name]):
-        reached, stay, exits = frogs._stay_closure(
-            g, S, g.origin, params, ParticleField(g, seed))
+    got = frogs._stay_closure(g, S, g.origin, params,
+                              [ParticleField(g, seed) for seed in (1, 2, 3)])
+    assert len(got) == 3
+    for (reached, stay, exits), want in zip(got, GOLDEN_STAY_CLOSURE[name]):
         assert set(stay) == set(exits) == reached
         assert [(x, stay[x], exits[x]) for x in sorted(reached)] == want
+
+
+def reference_stay_closure(g, S, start, params, field):
+    """_stay_closure's triple for one field, revealing each vertex's
+    particles through field.particles as the closure pops it."""
+    stay_sets, exit_counts = {}, {}
+
+    def out(x):
+        eta, trajs = field.particles(x, params)
+        stay = tuple(i for i, tr in enumerate(trajs) if tr.visited <= S)
+        stay_sets[x] = stay
+        exit_counts[x] = eta - len(stay)
+        return (v for i in stay for v in trajs[i].jumps)
+
+    return frogs._reach({start}, out), stay_sets, exit_counts
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("lam,t", [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0)])
+@pytest.mark.parametrize("window", ["z2-3", "z2-5", "tree8-3", "z2-3-off"])
+def test_stay_closure_equals_per_field_path(monkeypatch, z2_box20, tree8,
+                                            window, lam, t, batch):
+    # every wave batched, or every wave read through field.particles
+    monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", 0 if batch else math.inf)
+    name, radius, *off = window.split("-")
+    g = z2_box20 if name == "z2" else tree8
+    S = ball(g, g.origin, int(radius))
+    # "off": start at a vertex on the window's edge
+    start = max(S, key=lambda v: (g.dist[v], v)) if off else g.origin
+    params = FrogParams(lam, t)
+    fields = [ParticleField(g, s) for s in range(300)]
+    fields += [ParticleField(g, -7), ParticleField(g, 2**70 + 3)]
+    got = frogs._stay_closure(g, S, start, params, fields)
+    assert len(got) == len(fields)
+    for (reached, stay, exits), fld in zip(got, fields):
+        want = reference_stay_closure(g, S, start, params,
+                                      ParticleField(g, fld.seed))
+        assert list(reached) == list(want[0])
+        assert stay == want[1] and exits == want[2]
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_stay_closure_splices_zero_density_and_outside_start(
+        monkeypatch, z2_box20, batch):
+    monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", 0 if batch else math.inf)
+    g = z2_box20
+    S = ball(g, g.origin, 4)
+    core = ball(g, g.origin, 1)
+    p = [ParticleField(g, s) for s in range(40, 46)]
+    fields = [SpliceField(core, p[0], p[1]), p[2],
+              SpliceField(S, SpliceField(core, p[3], p[4]), p[5])] * 30
+    params = FrogParams(2.0, 1.5)
+    for start in (g.origin, max(S) + 1):        # the second lies outside S
+        assert start == g.origin or start not in S
+        got = frogs._stay_closure(g, S, start, params, fields)
+        for (reached, stay, exits), fld in zip(got, fields):
+            want = reference_stay_closure(g, S, start, params, fld)
+            assert list(reached) == list(want[0])
+            assert stay == want[1] and exits == want[2]
+    got = frogs._stay_closure(g, S, g.origin, FrogParams(0.0, 1.0), fields)
+    assert got == [({g.origin}, {g.origin: ()}, {g.origin: 0})] * len(fields)
+
+
+def test_replica_closures_blocks(monkeypatch, tree8):
+    S = ball(tree8, 0, 3)
+    params = FrogParams(1.5, 1.0)
+    whole = list(frogs._replica_closures(tree8, S, params, 5, "phi", 70))
+    monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
+    assert list(frogs._replica_closures(tree8, S, params, 5, "phi", 70)) \
+        == whole
+    for r in (0, 33, 69):
+        want = reference_stay_closure(tree8, S, 0, params, ParticleField(
+            tree8, Stream(5, "phi", r).key))
+        assert list(whole[r][0]) == list(want[0])
+        assert whole[r][1:] == want[1:]
 
 
 # -- good vertices -------------------------------------------------------
@@ -451,3 +530,33 @@ def test_exit_conditional_zero_accepts(tree8):
     stats = exit_conditional_jumps(tree8, S, 0, 0.01, 200, Stream(37))
     assert stats.accepted == 0 and stats.estimate is None
     assert stats.exit_rate == 0.0
+
+
+def reference_exit_jumps(g, S, x, t, replicas, rng):
+    """The jump counts of the walks that leave S, read off walk_batch's
+    padded position matrix."""
+    positions, jumps, _ = walk_batch(
+        g, x, t, derive_keys(rng.key, "exitcond", count=replicas))
+    outside = np.ones(g.vertex_count + 1, dtype=bool)
+    outside[list(S)] = False
+    outside[-1] = False                       # the padding
+    return jumps[outside[positions].any(axis=1)].tolist()
+
+
+@pytest.mark.parametrize("cap", [1, 700, 4096, 10**6])
+def test_exit_conditional_stats_match_walk_batch(monkeypatch, z2_box20, cap):
+    # one vertex per pass, several, and the whole window in one pass
+    monkeypatch.setattr(frogs, "_EXIT_WALKS", cap)
+    g = z2_box20
+    S = ball(g, 0, 3)
+    xs = sorted(S)
+    rngs = [Stream(91, "cond", x) for x in xs]
+    got = frogs._exit_conditional_stats(g, S, xs, 2.0, 300,
+                                        [r.key for r in rngs])
+    for x, rng, stats in zip(xs, rngs, got):
+        counts = reference_exit_jumps(g, S, x, 2.0, 300, rng)
+        assert stats.accepted == len(counts)
+        assert stats.exit_rate == len(counts) / 300
+        want = from_samples(counts, rng.key) if counts else None
+        assert stats.estimate == want
+        assert stats == exit_conditional_jumps(g, S, x, 2.0, 300, rng)
