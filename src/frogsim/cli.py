@@ -248,8 +248,8 @@ def validate(cfg: RunConfig) -> list[str]:
 _WORKER_STATE: dict = {}
 
 
-def _sweep_worker_init(spec: GraphSpec):
-    _WORKER_STATE["graph"] = build_graph(spec)
+def _sweep_worker_init(g):
+    _WORKER_STATE["graph"] = g
 
 
 def _sweep_worker(task):
@@ -267,14 +267,16 @@ def _run_survival_sweep(cfg: RunConfig):
     lam_grid = parse_grid(cfg.lam)
     t_grid = parse_grid(cfg.t)
     spec = cfg.graph_spec()
+    # a bad spec fails here: raised in a pool initializer, it respawns forever
+    g = build_graph(spec)
     tasks = [(cfg.seed, r, lam_grid, t_grid, cfg.n, cfg.max_particles)
              for r in range(cfg.replicas)]
     if cfg.workers > 1:
         with mp.Pool(cfg.workers, initializer=_sweep_worker_init,
-                     initargs=(spec,)) as pool:
+                     initargs=(g,)) as pool:
             results = pool.map(_sweep_worker, tasks, chunksize=16)
     else:
-        _sweep_worker_init(spec)
+        _sweep_worker_init(g)
         results = [_sweep_worker(t) for t in tasks]
     results.sort(key=lambda item: item[0])
     npoints = len(lam_grid) * len(t_grid)

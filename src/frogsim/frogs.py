@@ -211,9 +211,8 @@ class RestrictedActivation:
 
 def _check_window(g: Graph, S) -> set[int]:
     S = set(int(v) for v in S)
+    g.check_vertex(*S)
     for v in S:
-        if not (0 <= v < g.vertex_count):
-            raise GraphError(f"invalid vertex {v}")
         if g.is_boundary(v):
             raise GraphError("window must avoid the truncation frontier")
     return S

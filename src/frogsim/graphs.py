@@ -14,12 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class GraphError(ValueError):
@@ -62,11 +58,11 @@ class Graph:
     """Finite weighted (di)graph with CSR adjacency and BFS-ordered ids.
 
     Derived structures are built lazily, on first use, and cached on the
-    graph: the sparse transition matrix, the plain-Python walk tables that
-    the per-jump sampling loop reads (see ``walk_tables``) and their numpy
-    counterparts for batched walks (see ``walk_arrays``). Building
-    them inside the work phase keeps graph construction as cheap as the
-    arrays alone.
+    graph: the jump-chain kernel as CSR-ordered numpy arrays (see
+    ``transition_matrix``), the plain-Python walk tables that the per-jump
+    sampling loop reads (see ``walk_tables``) and their numpy counterparts
+    for batched walks (see ``walk_arrays``). Building them inside the work
+    phase keeps graph construction as cheap as the arrays alone.
     """
 
     vertex_count: int
@@ -80,7 +76,7 @@ class Graph:
     family: str = "custom"
     origin: int = 0
     coords: np.ndarray | None = None  # (n, d) lattice points, grid families only
-    _transition: sp.csr_matrix | None = field(default=None, repr=False)
+    _transition: tuple | None = field(default=None, repr=False)
     _walk: tuple | None = field(default=None, repr=False)
     _walk_np: tuple | None = field(default=None, repr=False)
 
@@ -101,6 +97,12 @@ class Graph:
         degs = np.diff(self.indptr)
         inside = degs[~self.boundary_mask]
         return int((inside if inside.size else degs).max())
+
+    def check_vertex(self, *xs) -> None:
+        """Raise GraphError unless every x is a vertex id of this graph."""
+        for x in xs:
+            if not 0 <= x < self.vertex_count:
+                raise GraphError(f"invalid vertex {x}")
 
     def is_boundary(self, x: int) -> bool:
         return bool(self.boundary_mask[x])
@@ -173,27 +175,22 @@ class Graph:
         starts[self.indptr[:-1] == 0] = 0.0
         return cw - np.repeat(starts, np.diff(self.indptr))
 
-    def transition_matrix(self) -> sp.csr_matrix:
-        """Jump-chain kernel P(x,y) = w(x,y)/pi(x); boundary rows absorb."""
-        import scipy.sparse as sp  # lazily: sampling-only runs never need it
-
+    def transition_matrix(self) -> tuple:
+        """Jump-chain kernel P(x,y) = w(x,y)/pi(x) as cached numpy arrays
+        (rows, cols, vals) in CSR order, each row in ``indices`` order;
+        each frontier row holds just a diagonal 1.0, so boundary rows absorb."""
         if self._transition is None:
-            n = self.vertex_count
-            w = (self.weights if self.weights is not None
-                 else np.ones_like(self.indices, dtype=np.float64))
-            data = w / np.repeat(self.pi, np.diff(self.indptr))
-            if self.boundary_mask.any():
-                rows = np.repeat(np.arange(n), np.diff(self.indptr))
-                keep = ~self.boundary_mask[rows]
-                bidx = np.flatnonzero(self.boundary_mask)
-                rows = np.concatenate([rows[keep], bidx])
-                cols = np.concatenate([self.indices[keep], bidx])
-                vals = np.concatenate([data[keep], np.ones(bidx.size)])
-                mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-            else:
-                mat = sp.csr_matrix(
-                    (data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-            self._transition = mat
+            rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+            w = self.weights if self.weights is not None else 1.0
+            vals = w / self.pi[rows]
+            keep = ~self.boundary_mask[rows]
+            sinks = np.flatnonzero(self.boundary_mask)
+            rows = np.concatenate([rows[keep], sinks])
+            order = np.argsort(rows, kind="stable")
+            self._transition = (
+                rows[order],
+                np.concatenate([self.indices[keep], sinks])[order],
+                np.concatenate([vals[keep], np.ones(sinks.size)])[order])
         return self._transition
 
 
@@ -475,8 +472,7 @@ def _validate(g: Graph, rel_tol: float = 1e-12) -> None:
 
 def ball(g: Graph, x: int, r: int) -> set[int]:
     """All vertices within graph distance r of x (out-distance if directed)."""
-    if not (0 <= x < g.vertex_count):
-        raise GraphError(f"invalid vertex {x}")
+    g.check_vertex(x)
     if r < 0:
         raise GraphError("radius must be >= 0")
     if x == g.origin and g.dist.min() >= 0:
@@ -587,9 +583,7 @@ def cheeger_of_set(g: Graph, A) -> float:
     A = set(int(a) for a in A)
     if not A:
         raise GraphError("cheeger_of_set needs a non-empty set")
-    for a in A:
-        if not (0 <= a < g.vertex_count):
-            raise GraphError(f"invalid vertex {a}")
+    g.check_vertex(*A)
     out_w = 0.0
     vol = 0.0
     for a in A:
@@ -626,7 +620,7 @@ class SpectralEstimate:
 def spectral_radius_estimate(g: Graph, x: int, nmax: int) -> SpectralEstimate:
     """Estimate the jump-chain spectral radius from even-step returns.
 
-    Computes p_{2n}(x,x) by exact sparse iteration of the boundary-absorbed
+    Computes p_{2n}(x,x) by exact iteration of the boundary-absorbed
     kernel, then extrapolates the ratio sequence sqrt(p_{2n+2}/p_{2n}), whose
     1/n polynomial correction is removed Richardson-style. Requires an
     undirected graph (the estimator relies on reversibility).
@@ -644,12 +638,13 @@ def spectral_radius_estimate(g: Graph, x: int, nmax: int) -> SpectralEstimate:
         raise GraphError("spectral_radius_estimate requires an undirected graph")
     if nmax < 4 or nmax % 2:
         raise GraphError("nmax must be an even integer >= 4")
-    P = g.transition_matrix()
+    g.check_vertex(x)
+    rows, cols, vals = g.transition_matrix()
     v = np.zeros(g.vertex_count)
     v[x] = 1.0
     returns = [1.0]
     for k in range(1, nmax + 1):
-        v = P.T @ v
+        v = np.bincount(cols, vals * v[rows], v.size)  # P^T v
         if k % 2 == 0:
             returns.append(float(v[x]))
     returns = np.array(returns)

@@ -4,11 +4,11 @@ Walks jump at rate 1: holding times are Exp(1) and the number of jumps by
 time t is Poisson(t). Exact quantities (exit probabilities, heat kernels,
 Green functions) are computed by uniformization: Poisson(t)-weighted powers
 of the discrete jump chain, truncated with a certified tail bound. Every
-series runs on a slice ``P[dom][:, dom]`` of the cached
-``g.transition_matrix()``: dom is the window S for exit probabilities and,
-for the others, the ball of radius K around the start, where K is the
-number of retained terms, so they are exact for the truncated graph: a walk
-cannot leave that ball in K jumps.
+series runs on the cached ``g.transition_matrix()`` arrays cut down to a
+vertex set dom, one ``np.bincount`` per kernel product: dom is the window S
+for exit probabilities and, for the others, the ball of radius K around the
+start, where K is the number of retained terms, so they are exact for the
+truncated graph: a walk cannot leave that ball in K jumps.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ def _log1p_neg(u: np.ndarray) -> np.ndarray:
 
 
 def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
-    if not (0 <= x < g.vertex_count):
-        raise GraphError(f"invalid vertex {x}")
+    g.check_vertex(x)
     if t < 0:
         raise ValueError("t must be >= 0")
     jumps, absorbed = walk_positions(g, x, t, rng)
@@ -335,22 +334,23 @@ def _gamma_tail_weights(t: float, tol: float, max_terms: int | None):
 
 
 def _kernel_slice(g: Graph, dom: np.ndarray):
-    """The killed jump kernel on the sorted vertex ids `dom`: the slice
-    ``P[dom][:, dom]`` of ``g.transition_matrix()``, so mass leaving dom is
-    killed and frontier rows absorb, as in P. Column indices are sorted, so
-    every product sums each row in vertex order. Columns are picked from the
-    row slice only, so the cost is O(|dom| + its rows' entries), not O(n)."""
-    import scipy.sparse as sp
-
-    R = g.transition_matrix()[dom]
-    col = np.searchsorted(dom, R.indices)
-    keep = dom[np.minimum(col, dom.size - 1)] == R.indices
-    rows = np.repeat(np.arange(dom.size), np.diff(R.indptr))[keep]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dom.size))))
-    Q = sp.csr_matrix((R.data[keep], col[keep], indptr),
-                      shape=(dom.size, dom.size))
-    Q.sort_indices()
-    return Q
+    """The killed jump kernel on the sorted vertex ids `dom`: the entries of
+    ``g.transition_matrix()`` with both ends in dom (so frontier rows absorb)
+    as (rows, cols, vals) in local ids, row by row and by column within each
+    row, so every product sums each row in vertex order. Only dom's rows are
+    read: the cost is O(|dom| + their entries), not O(n)."""
+    rows, cols, vals = g.transition_matrix()
+    lo = np.searchsorted(rows, dom)
+    counts = np.searchsorted(rows, dom, side="right") - lo
+    # the entry ids of dom's rows, in order
+    e = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
+                                            counts)
+    col = np.searchsorted(dom, cols[e])
+    keep = dom[np.minimum(col, dom.size - 1)] == cols[e]
+    e, c = e[keep], col[keep]
+    r = np.searchsorted(dom, rows[e])
+    order = np.lexsort((c, r))
+    return r[order], c[order], vals[e[order]]
 
 
 def _local_kernel(g: Graph, center: int, k_terms: int, kill: set[int]):
@@ -360,11 +360,13 @@ def _local_kernel(g: Graph, center: int, k_terms: int, kill: set[int]):
     return dom, _kernel_slice(g, dom), int(np.searchsorted(dom, center))
 
 
-def _weighted_powers(weights: np.ndarray, M, v: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] M^k v, accumulated in order k = 0, 1, ..."""
+def _weighted_powers(weights: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] M^k v, accumulated in order k = 0, 1, ..., for M =
+    (rows, cols, vals); bincount sums each row of M v in entry order."""
+    rows, cols, vals = kernel
     acc = weights[0] * v
     for w in weights[1:]:
-        v = M @ v
+        v = np.bincount(rows, vals * v[cols], v.size)
         acc += w * v
     return acc
 
@@ -372,10 +374,10 @@ def _weighted_powers(weights: np.ndarray, M, v: np.ndarray) -> np.ndarray:
 def _row_series(g: Graph, x: int, weights: np.ndarray):
     """(dom, sum_k weights[k] Q^k(x, .)) for the kernel Q on
     ball(x, len(weights)), as distributions over the sorted ids dom."""
-    dom, Q, ix = _local_kernel(g, x, weights.size, kill=set())
+    dom, (rows, cols, vals), ix = _local_kernel(g, x, weights.size, kill=set())
     u = np.zeros(len(dom))
     u[ix] = 1.0
-    return dom, _weighted_powers(weights, Q.T.tocsr(), u)
+    return dom, _weighted_powers(weights, (cols, rows, vals), u)  # Q^T
 
 
 def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
@@ -391,9 +393,8 @@ def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
         raise GraphError("S must be non-empty")
     if t < 0:
         raise ValueError("t must be >= 0")
+    g.check_vertex(*S)
     for v in S:
-        if not (0 <= v < g.vertex_count):
-            raise GraphError(f"invalid vertex {v}")
         if g.is_boundary(v):
             raise GraphError("S must lie in the interior (frontier is killing)")
     pmf, tail = _poisson_weights(t, tol, max_terms)
@@ -414,6 +415,7 @@ def hitting_probability_exact(g: Graph, x: int, y: int, t: float,
     undercounts by at most the frontier mass, which `max_leakage` can cap
     (raises LeakageBudgetError beyond it).
     """
+    g.check_vertex(x, y)
     if x == y:
         return 1.0
     if t == 0:
@@ -476,6 +478,7 @@ def heat_kernel_exact(g: Graph, x: int, y: int, t: float,
     `max_leakage` allows, instead of silently returning a value distorted
     relative to the untruncated graph.
     """
+    g.check_vertex(x, y)
     if t == 0:
         return 1.0 if x == y else 0.0
     return _budgeted_row(g, x, t, tol, max_terms, max_leakage).prob(y)
@@ -492,6 +495,7 @@ def truncated_green(g: Graph, x: int, y: int, t: float,
     to t, giving an exact remainder bound. `max_leakage` caps the admissible
     end-of-horizon frontier mass, as for the heat kernel.
     """
+    g.check_vertex(x, y)
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:

@@ -297,6 +297,34 @@ def test_workers_beyond_per_cpu_bound_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["degree=2"], "regular_tree needs degree >= 3"),
+    (["family=lattice_box", "d=0", "radius=6"],
+     "lattice_box needs d >= 1 and radius >= 1"),
+    (["family=weighted_file", "path=no/such/graph.txt"],
+     "cannot read graph file"),
+    (["max_vertices=100"], "vertex budget exceeded"),
+])
+def test_bad_graph_spec_exits_2_before_any_pool(tmp_path, monkeypatch, capsys,
+                                                bad, message):
+    # each spec passes validate; a pool initializer that raised would
+    # respawn its worker forever, so the graph must fail before a pool
+    from frogsim import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.mp, "Pool", no_pool)
+    cfgp = write_config(tmp_path)
+    for workers in (1, 2):
+        args = [*bad, f"workers={workers}"]
+        assert validate(parse_config(str(cfgp), args)) == []
+        assert cli.main(["run", str(cfgp), *args]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_nonamenable_report_records_spectral_diagnostics(tmp_path):
     from frogsim import GraphSpec, build_graph, spectral_radius_estimate
     from frogsim.cli import main

@@ -14,7 +14,7 @@ from frogsim import (GraphError, GraphSpec, SeriesToleranceError, Stream,
                      hitting_probability_exact, range_statistics,
                      sample_jump_count, sample_trajectory,
                      self_intersection_bound, self_intersection_profile,
-                     truncated_green)
+                     spectral_radius_estimate, truncated_green)
 from frogsim import exit_conditional_jumps, good_set_G_A, walks
 from frogsim.experiments import escape_probability
 from frogsim.rng import derive_keys
@@ -131,6 +131,35 @@ def test_exit_probability_rejects_frontier(z2_box20):
     S = {0} | set(np.flatnonzero(z2_box20.boundary_mask)[:1].tolist())
     with pytest.raises(GraphError):
         exit_probability_exact(z2_box20, S, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, v: exit_probability_exact(g, {0, v}, 1.0),
+                 id="exit-window"),
+    pytest.param(lambda g, v: hitting_probability_exact(g, 0, v, 2.0),
+                 id="hitting-target"),
+    pytest.param(lambda g, v: hitting_probability_exact(g, v, 0, 2.0),
+                 id="hitting-start"),
+    pytest.param(lambda g, v: hitting_probability_exact(g, v, v, 2.0),
+                 id="hitting-same"),
+    pytest.param(lambda g, v: heat_kernel_exact(g, 0, v, 1.0),
+                 id="heat-target"),
+    pytest.param(lambda g, v: heat_kernel_exact(g, v, v, 0.0),
+                 id="heat-same-t0"),
+    pytest.param(lambda g, v: heat_kernel_row(g, v, 1.0), id="heat-row"),
+    pytest.param(lambda g, v: truncated_green(g, 0, v, 1.0),
+                 id="green-target"),
+    pytest.param(lambda g, v: truncated_green(g, v, 0, 0.0),
+                 id="green-start-t0"),
+    pytest.param(lambda g, v: spectral_radius_estimate(g, v, 8),
+                 id="spectral"),
+])
+def test_series_reject_out_of_range_vertices(tree8, call):
+    # -1 would otherwise index from the end and n past it; a far-away y
+    # must not read as an unreachable target
+    for v in (-1, tree8.vertex_count, 10**6):
+        with pytest.raises(GraphError, match=f"invalid vertex {v}"):
+            call(tree8, v)
 
 
 def test_series_tolerance_budget(z2_box20):
@@ -882,3 +911,35 @@ def test_series_golden(series_graphs, case):
     assert (short_digest(repr(row.support.tolist()).encode()),
             len(row.support), short_digest(row.mass.tobytes()),
             row.boundary_leakage.hex(), row.truncation_error.hex()) == heat
+
+
+# Recorded before the kernel products moved from scipy.sparse to
+# np.bincount: per (graph, nmax), float.hex of spectral_radius_estimate's
+# estimate and leakage from the origin, then the sha256 prefix of
+# returns, root_seq, ratio_seq and richardson_seq (their tobytes()).
+GOLDEN_SPECTRAL = {
+    ("tree16", 30): ('0x1.ded148eda9060p-1', '0x1.dd31df9d2f0ddp-3',
+                     '88f3bd514fa0920c', '84fa6d27e13a7eda',
+                     '5262f4ab08885ea7', '8eadb7861499c394'),
+    ("z2_box40", 60): ('0x1.ffb4abd7fb480p-1', '0x1.9d5da9aac89fep-22',
+                       'f116d79ec0e24309', '9bd688fda00b9000',
+                       '8f9d90a540f01949', '68f5798cd02c1ef6'),
+    ("ladder240", 60): ('0x1.ffe1127226960p-1', '0x0.0p+0',
+                        '62b6682e037595ad', '8cf4cb5105c56f94',
+                        'ff220ab9c76e4d35', '2fb22300af266dde'),
+    ("closed", 20): ('0x1.9bcfac9f94a68p-1', '0x0.0p+0',
+                     '819647ca6e9b195d', '9fa619cd27ce2711',
+                     '8f5f04d55a4b29e6', 'ba131e84f9a9d365'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SPECTRAL))
+def test_spectral_golden(request, series_graphs, case):
+    name, nmax = case
+    g = (series_graphs[name] if name in series_graphs
+         else request.getfixturevalue(name))
+    est = spectral_radius_estimate(g, g.origin, nmax)
+    assert (est.estimate.hex(), est.leakage.hex(),
+            *(short_digest(a.tobytes()) for a in (
+                est.returns, est.root_seq, est.ratio_seq,
+                est.richardson_seq))) == GOLDEN_SPECTRAL[case]
