@@ -80,6 +80,11 @@ class ParticleField:
         """The ParticleField whose seed gives x's particles: this one."""
         return self
 
+    def seeds(self, xs) -> list[int]:
+        """The seeds (mod 2^64) of the fields that give the particles of
+        the vertices xs, as ``source(x).seed``."""
+        return [self.seed & _MASK] * len(xs)
+
 
 class SpliceField:
     """Field that answers from `field_in` on a vertex set and `field_out`
@@ -97,6 +102,9 @@ class SpliceField:
         """The ParticleField whose seed gives x's particles."""
         field = self.field_in if x in self.inside else self.field_out
         return field.source(x)
+
+    def seeds(self, xs) -> list[int]:
+        return [self.source(x).seed & _MASK for x in xs]
 
     def count_at(self, x: int, lam: float) -> int:
         return self.source(x).count_at(x, lam)
@@ -210,8 +218,7 @@ class RestrictedActivation:
 
 
 def _check_window(g: Graph, S) -> set[int]:
-    S = set(int(v) for v in S)
-    g.check_vertex(*S)
+    S = g.vertex_set(S)
     for v in S:
         if g.is_boundary(v):
             raise GraphError("window must avoid the truncation frontier")
@@ -393,14 +400,14 @@ def restricted_activation(g: Graph, S, params: FrogParams,
     return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
 
 
-# Most particle walks one lockstep pass of _arrow_adjacency samples, and
-# the most marks it derives at once. A pass pays a fixed numpy cost per
-# jump step (about 90 steps at t = 64), so small passes are slow; large
-# ones raise peak memory. On the renormalization decay fields (|B| = 145,
-# lambda = 0.25, about 36 walks a field; 2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4) a CLI job of 2 replicas ran in 1.52 s at 2048 and 1.37 s at
-# 4096, with peak RSS 38.5 and 39.6 MB (38.3 MB revealing particle by
-# particle, 3.2 s).
+# Most particle walks one lockstep pass of _arrow_adjacency samples. A
+# pass pays a fixed numpy cost per jump step (about 90 steps at t = 64),
+# so small passes are slow; large ones raise peak memory. renorm_z2
+# (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4) ran at 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
+# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
+# 39.11-39.40 MB at 3072: 1024 saves no memory, and 3072 adds about
+# 0.4 MB for a few per cent.
 _ARROW_WALKS = 2048
 
 
@@ -415,21 +422,25 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
     (``source``, so splices batch too) and its particles are revealed from
     the counter-based keys directly: marks ``derive_keys(seed, "eta", x)``,
     counts ``poisson_counts``, trajectories ``lockstep_walks`` on
-    ``derive_keys(seed, "traj", x, i)``. Fields are read lazily and run in
-    passes of at most ``_ARROW_WALKS`` walks (a field with more runs
-    alone). A pass keeps one code per jump that lands in B, so its memory
-    is O(walks + such jumps), whatever |B|. No trajectory is stored or
-    cached.
+    ``derive_keys(seed, "traj", x, i)``. Fields are read lazily, in blocks
+    of about ``_ARROW_WALKS`` expected walks (lambda |sources| a field) and
+    at most 4 ``_ARROW_WALKS`` marks, and run in passes of at most
+    ``_ARROW_WALKS`` walks (a field with more runs alone). A pass keeps one
+    code per jump that lands in B, so its memory is O(walks + such jumps),
+    whatever |B|; the column lookup of ``_pair_jumps`` takes 4 bytes per id
+    in B's id span. No trajectory is stored or cached.
     """
     verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
     srcs = verts if sources is None else np.array(
         sorted(int(x) for x in sources), dtype=np.int64)
     slist = srcs.tolist()
+    look = _columns(verts)
     fields = iter(fields)
-    per_block = max(1, _ARROW_WALKS // max(srcs.size, 1))
+    # below lambda = 1/4 the mark bound, not the walk bound, sizes a block
+    per_block = max(1, int(_ARROW_WALKS / (max(params.lam, 0.25)
+                                           * max(srcs.size, 1))))
     while block := list(itertools.islice(fields, per_block)):
-        seeds = np.array([[f.source(x).seed & _MASK for x in slist]
-                          for f in block], dtype=np.uint64)
+        seeds = np.array([f.seeds(slist) for f in block], dtype=np.uint64)
         counts = _vertex_counts(seeds, srcs, params.lam)
         walks = counts.sum(axis=1).tolist()
         first = 0
@@ -440,39 +451,80 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
                 last += 1
             # the pass's (field, vertex) pairs with particles, field-major
             fi, xi = np.nonzero(counts[first:last])
-            pair, ys = _pair_jumps(g, verts, srcs[xi], seeds[first + fi, xi],
-                                   counts[first + fi, xi], params.t)
-            # each field's pairs, then each pair's jumps, as index runs
+            codes = _pair_jumps(g, verts, look, srcs[xi],
+                                seeds[first + fi, xi], counts[first + fi, xi],
+                                params.t)
+            # each field's pairs, then each pair's codes, as index runs
             pb = np.searchsorted(fi, np.arange(last - first + 1)).tolist()
-            jb = np.searchsorted(pair, np.arange(xi.size + 1)).tolist()
+            jb = np.searchsorted(codes, np.arange(xi.size + 1)
+                                 * verts.size).tolist()
             sx = srcs[xi].tolist()
             for lo, hi in zip(pb, pb[1:]):
                 arrows: dict[int, set[int]] = {x: set() for x in slist}
+                # one field's landing vertices at a time as Python ints
+                j0 = jb[lo]
+                fy = verts[codes[j0:jb[hi]] % verts.size].tolist()
                 for p in range(lo, hi):
-                    arrows[sx[p]] = set(ys[jb[p]:jb[p + 1]])
+                    arrows[sx[p]] = set(fy[jb[p] - j0:jb[p + 1] - j0])
                 yield arrows
             first = last
 
 
-def _pair_jumps(g: Graph, verts: np.ndarray, xs: np.ndarray,
-                seeds: np.ndarray, counts: np.ndarray,
-                t: float) -> tuple[np.ndarray, list[int]]:
-    """The distinct (p, y) with y in verts (sorted), y != xs[p], that a
-    particle of pair p (field seed seeds[p], vertex xs[p], counts[p]
-    particles) jumps to within time t, sorted: the array of p and the
-    list of y."""
+def _columns(verts: np.ndarray) -> np.ndarray:
+    """The column lookup of the sorted vertex array verts: entry v - verts[0]
+    is v's index in verts for every id v of the span verts[0]..verts[-1]
+    (-1 if v is not in verts), and one more -1 follows the span."""
+    v0 = int(verts[0]) if verts.size else 0
+    span = int(verts[-1]) - v0 + 1 if verts.size else 0
+    look = np.full(span + 1, -1, dtype=np.int32)
+    look[verts - v0] = np.arange(verts.size, dtype=np.int32)
+    return look
+
+
+def _pair_jumps(g: Graph, verts: np.ndarray, look: np.ndarray,
+                xs: np.ndarray, seeds: np.ndarray, counts: np.ndarray,
+                t: float) -> np.ndarray:
+    """The sorted distinct codes p |verts| + c of the (p, verts[c]),
+    verts[c] != xs[p], that a particle of pair p (field seed seeds[p],
+    vertex xs[p], counts[p] particles) jumps to within time t; verts is
+    sorted and look is ``_columns(verts)``, which finds each landing
+    vertex's column in O(1). Codes are int32 while every one fits."""
     pair, _, starts, keys = _particle_keys(seeds, xs, counts)
     nb = verts.size
-    top = max(nb - 1, 0)
-    codes = [pair[:0]]                       # p * |B| + column of y
+    v0, span = (int(verts[0]) if nb else 0), look.size - 1
+    base = pair * nb
+    if xs.size * nb < 2**31:
+        base = base.astype(np.int32)
+    # one buffer, doubled when full, sized for a code per jump of a walk
+    # that stays in B (at most t jumps, and a walk leaves B after about
+    # |B|): per-step arrays kept until the pass ends would fragment the heap
+    size = max(pair.size * int(min(t, nb) + 1), 16)
+    codes, n = np.empty(size, dtype=base.dtype), 0
     for live, cur in lockstep_walks(g, starts, t, keys):
-        col = np.minimum(np.searchsorted(verts, cur), top)
-        hit = (verts[col] == cur) & (cur != starts[live])
-        codes.append(pair[live[hit]] * nb + col[hit])
-    codes = np.sort(np.concatenate(codes))
+        # ids off the span clip to -1 or span; both read the -1 after it
+        col = look[np.minimum(np.maximum(cur - v0, -1), span)]
+        hit = col >= 0
+        m = n + int(np.count_nonzero(hit))
+        if m > codes.size:
+            grown = np.empty(max(m, 2 * codes.size), dtype=codes.dtype)
+            grown[:n] = codes[:n]
+            codes = grown
+        np.add(base[live[hit]], col[hit], out=codes[n:m])
+        n = m
+    codes = codes[:n]
+    codes.sort()
     # distinct codes; not np.unique, whose first call imports numpy.ma (1 MB)
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    return codes // nb, verts[codes % nb].tolist()
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    # then each pair's own vertex, at most one code a pair
+    own = look[np.minimum(np.maximum(xs - v0, -1), span)]
+    own = (np.arange(xs.size) * nb + own)[own >= 0]
+    at = np.searchsorted(codes, own)
+    inside = at < codes.size
+    at, own = at[inside], own[inside]
+    return np.delete(codes, at[codes[at] == own])
 
 
 def arrow_closure(g: Graph, B, start: int, params: FrogParams,
@@ -485,7 +537,7 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
     an unrevealed vertex reveals every reached vertex not yet revealed, in
     one batch. With stop_size, returns the first stop_size vertices reached.
     """
-    B = set(int(v) for v in B)
+    B = g.vertex_set(B)
     if start not in B:
         raise GraphError("start must belong to B")
     verts = sorted(B)                        # sorted once, not per batch
@@ -511,7 +563,7 @@ def good_vertices(g: Graph, B, params: FrogParams, rng: Stream,
     sequential refreshed-exploration semantics. stop_after returns early
     once that many good vertices are found (existence checks).
     """
-    B = set(int(v) for v in B)
+    B = g.vertex_set(B)
     quota = len(B) / 4.0
     need = math.ceil(quota) if quota > 1 else 1
     good = set()

@@ -99,10 +99,19 @@ class Graph:
         return int((inside if inside.size else degs).max())
 
     def check_vertex(self, *xs) -> None:
-        """Raise GraphError unless every x is a vertex id of this graph."""
+        """Raise GraphError unless every x is a vertex id of this graph: a
+        Python or numpy integer, not a bool, in [0, vertex_count)."""
         for x in xs:
-            if not 0 <= x < self.vertex_count:
+            if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                    or not 0 <= x < self.vertex_count):
                 raise GraphError(f"invalid vertex {x}")
+
+    def vertex_set(self, xs) -> set[int]:
+        """The vertex ids xs as a set of Python ints, each checked by
+        ``check_vertex`` before it is converted."""
+        xs = list(xs)
+        self.check_vertex(*xs)
+        return set(map(int, xs))
 
     def is_boundary(self, x: int) -> bool:
         return bool(self.boundary_mask[x])
@@ -580,10 +589,9 @@ def growth_profile(g: Graph, x: int, rmax: int):
 def cheeger_of_set(g: Graph, A) -> float:
     """Boundary-weight to volume ratio of A: sum_{a in A, b not in A} w(a,b)
     over sum_{a in A} pi(a)."""
-    A = set(int(a) for a in A)
+    A = g.vertex_set(A)
     if not A:
         raise GraphError("cheeger_of_set needs a non-empty set")
-    g.check_vertex(*A)
     out_w = 0.0
     vol = 0.0
     for a in A:

@@ -139,10 +139,18 @@ def _as_u64(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.uint64, ndmin=1)
 
 
-def uniforms_at(keys: np.ndarray, k: int) -> np.ndarray:
+def uniforms_at(keys: np.ndarray, k: int,
+                count: int | None = None) -> np.ndarray:
     """Uniform draw k of the streams with these keys: what the k-th
-    ``uniform()`` call of a ``Stream`` with each key returns."""
-    return _np_uniforms(keys + np.uint64(k * _GOLDEN & _MASK))
+    ``uniform()`` call of a ``Stream`` with each key returns.
+
+    ``count=n`` returns draws k, k+1, ..., k+n-1 as the rows of an
+    (n, keys.size) array, in one pass.
+    """
+    if count is None:
+        return _np_uniforms(keys + np.uint64(k * _GOLDEN & _MASK))
+    x = np.arange(k, k + count, dtype=np.uint64)[:, None] * _NP_GOLDEN
+    return _np_uniforms(x + keys)
 
 
 def _np_mix(x: np.ndarray) -> None:

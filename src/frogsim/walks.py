@@ -107,7 +107,10 @@ def jump_picker(g: Graph):
 # stay-inside closure wave of at least frogs._STAY_BATCH_WALKS expected
 # walks (frogs._stay_batch). So of renorm_z2's t = 64 walks only the
 # phase-two cascade's reach this loop, and of phi_window_z2's t = 1 walks
-# only those of the closures' small last waves.
+# only those of the closures' small last waves. A lockstep jump step costs
+# about 23 us of numpy calls plus 18 ns a walk (same host in a fast spell;
+# its speed swings about 2x), holding times included: they are numpy
+# exponentials, checked against the exact sum only near t.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048
@@ -210,10 +213,14 @@ def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
     its first frontier vertex; one that starts on the frontier never jumps.
 
     Jump j reads draw 2j of every stream and the holding time after it
-    draw 2j + 1, so all streams draw the same counter at once
-    (``rng.uniforms_at``) and each walk equals ``walk_positions`` on its
-    stream. Exponentials are ``-log1p(-u)`` on Python floats, the
-    unweighted pick is ``floor(u * deg)`` and the weighted one a vectorized
+    draw 2j + 1, so all streams draw the same two counters at once (one
+    ``rng.uniforms_at`` pass per jump) and each walk equals
+    ``walk_positions`` on its stream. Each live walk carries its key along.
+    Holding times are ``-np.log1p(-u)``, summed in numpy; a walk whose sum
+    lies within a relative ``_EXACT_MARGIN`` per draw of t has
+    ``elapsed <= t`` decided by the exact sum of ``walk_positions``
+    (``_exact_elapsed``), so the two never disagree. The unweighted
+    pick is ``floor(u * deg)`` and the weighted one a vectorized
     ``bisect_right`` on the cached row cumulative weights.
     """
     boundary = g.boundary_mask
@@ -222,15 +229,15 @@ def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
     if cw is not None:
         rounds = g.max_interior_degree().bit_length()
     live = np.flatnonzero(~boundary[starts])   # walks still running
-    cur = starts[live]
-    elapsed = _log1p_neg(uniforms_at(keys[live], 1))
+    cur, key = starts[live], keys[live]
+    elapsed = -np.log1p(-uniforms_at(key, 1))
     k = 1                                      # draws each live walk has read
+    keep = _within(elapsed, t, key, k)
     while True:
-        keep = elapsed <= t
-        live, cur, elapsed = live[keep], cur[keep], elapsed[keep]
+        live, cur, key, elapsed = live[keep], cur[keep], key[keep], elapsed[keep]
         if live.size == 0:
             return
-        u = uniforms_at(keys[live], k + 1)
+        u, hold = uniforms_at(key, k + 1, count=2)
         if cw is None:
             cur = indices[indptr[cur] + (u * deg[cur]).astype(np.int64)]
         else:
@@ -244,17 +251,54 @@ def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
                 lo = np.where(searching & ~left, mid + 1, lo)
             cur = indices[lo]
         yield live, cur
-        stay = ~boundary[cur]
-        live, cur, elapsed = live[stay], cur[stay], elapsed[stay]
-        elapsed = elapsed + _log1p_neg(uniforms_at(keys[live], k + 2))
+        np.negative(hold, out=hold)
+        elapsed -= np.log1p(hold, out=hold)    # x - y is x + (-y) exactly
         k += 2
+        keep = _within(elapsed, t, key, k)
+        keep &= ~boundary[cur]
 
 
-def _log1p_neg(u: np.ndarray) -> np.ndarray:
-    """-log1p(-u) elementwise with math.log1p, the exponential of
-    ``Stream.exponential`` (np.log1p may differ in the last ulp)."""
-    return -np.fromiter(map(log1p, (-u).tolist()), dtype=np.float64,
-                        count=u.size)
+# np.log1p and math.log1p (the exponential of walk_positions) may differ
+# in the last place, so the numpy sum S of a walk's k draws' holding
+# times can fall on the other side of t from walk_positions' sum X. With
+# u = 2^-53, the m = (k + 1) / 2 terms differ by at most d ulps each
+# (numpy's accuracy tests allow 1 ulp and 1 ulp was measured on 7.4 % of
+# draws; d = 4 is assumed), and each sum is within (m - 1)u of its exact
+# value in relative terms, so |S - X| <= (k - 1 + 2d) u X. When t lies
+# between S and X, X is t to within that, so |S - t| < 2^-52 (k + 7) t:
+# twice the bound. Walks that close to t are decided by their exact sum.
+# A walk at horizon t reads about 2(t + 4 sqrt t) draws, so at t = 64 the
+# margin is about 200 * 2^-52 * 64 = 2.8e-12, and a walk lands in it with
+# probability below 1e-12 per jump.
+_EXACT_MARGIN = 2.0 ** -52
+
+
+def _within(elapsed: np.ndarray, t: float, keys: np.ndarray,
+            k: int) -> np.ndarray:
+    """elapsed <= t for walks that have read k draws, decided as
+    ``walk_positions`` decides it. Strict ``<`` keeps t = inf off the exact
+    path."""
+    gap = elapsed - t
+    keep = gap <= 0.0
+    np.abs(gap, out=gap)
+    tol = _EXACT_MARGIN * (k + 7) * t
+    if gap.size and gap.min() < tol:
+        near = np.flatnonzero(gap < tol)
+        keep[near] = _exact_elapsed(keys[near], k) <= t
+    return keep
+
+
+def _exact_elapsed(keys: np.ndarray, k: int) -> np.ndarray:
+    """walk_positions' elapsed time after draw k (odd) of each stream: the
+    ``-log1p(-u)`` of draws 1, 3, ..., k on Python floats, added in stream
+    order."""
+    sums = []
+    for us in uniforms_at(keys, 1, count=k)[::2].T.tolist():
+        elapsed = -log1p(-us[0])
+        for u in us[1:]:
+            elapsed -= log1p(-u)
+        sums.append(elapsed)
+    return np.array(sums)
 
 
 def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
@@ -388,12 +432,11 @@ def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
     rows are not renormalized); survival in S is the Poisson-weighted sum of
     its powers applied to the all-ones vector.
     """
-    S = sorted(set(int(v) for v in S))
+    S = sorted(g.vertex_set(S))
     if not S:
         raise GraphError("S must be non-empty")
     if t < 0:
         raise ValueError("t must be >= 0")
-    g.check_vertex(*S)
     for v in S:
         if g.is_boundary(v):
             raise GraphError("S must lie in the interior (frontier is killing)")

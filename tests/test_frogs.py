@@ -171,6 +171,23 @@ def test_window_must_hold_origin_and_avoid_frontier(tree8):
                               ParticleField(tree8, 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, w: restricted_activation(g, w, FrogParams(1, 1),
+                                       ParticleField(g, 0)),
+    lambda g, w: sphere_activation_profile(g, w, FrogParams(1, 1), 2,
+                                           Stream(0)),
+    lambda g, w: exit_conditional_jumps(g, w, 0, 1.0, 5, Stream(0)),
+    lambda g, w: arrow_closure(g, w, 0, FrogParams(1, 1),
+                               ParticleField(g, 0)),
+    lambda g, w: good_vertices(g, w, FrogParams(1, 1), Stream(0)),
+])
+def test_vertex_sets_reject_non_integer_ids(tree8, call):
+    # int() used to truncate 2.5 to the vertex 2 without a word
+    for v in (2.5, 2.0, True, "2"):
+        with pytest.raises(GraphError, match="invalid vertex"):
+            call(tree8, [0, 1, v])
+
+
 # Recorded on the stack loop that _stay_closure ran before it moved onto
 # frogs._reach: S = ball(origin, 3), field seeds 1, 2, 3; per reached
 # vertex x, (x, stay_sets[x], exit_counts[x]).
@@ -388,6 +405,76 @@ def test_arrow_adjacency_matches_particles(monkeypatch, cap):
     for arrows, (_, pick) in zip(part, cases):
         ref = reference_arrows(B, pick, params)
         assert arrows == {x: ref[x] for x in sources}
+
+
+def test_arrow_adjacency_pass_size_does_not_change_arrows(monkeypatch):
+    # a radius-8 ball off the origin, so B's id span holds vertices outside
+    # B; lambda = 0.25 and 2 bracket the decay and block_open densities
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    B = ball(g, 40, 8)
+    p = {s: ParticleField(g, s) for s in range(1, 6)}
+    fields = [p[1], p[2], SpliceField(ball(g, 40, 3), p[3], p[4]), p[5]]
+    sources = sorted(B)[::7]
+    runs = {}
+    for lam in (0.25, 2.0):
+        params = FrogParams(lam, 16.0)
+        # 80 at lambda = 0.25 makes two-field blocks, one of them split
+        # into two passes
+        for cap in (1, 37, 80, 2048, 10**6):
+            monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
+            runs[lam, cap] = (
+                list(frogs._arrow_adjacency(g, B, iter(fields), params)),
+                list(frogs._arrow_adjacency(g, B, iter(fields), params,
+                                            sources=sources)))
+        full, part = runs[lam, 2048]
+        assert len(full) == len(part) == len(fields)
+        assert part == [{x: arrows[x] for x in sources} for arrows in full]
+        assert any(arrows[x] for arrows in full for x in arrows)
+        for cap in (1, 37, 80, 10**6):
+            assert runs[lam, cap] == runs[lam, 2048]
+    # the per-particle reference, on the splice and one plain field
+    params = FrogParams(0.25, 16.0)
+    inner = ball(g, 40, 3)
+    assert runs[0.25, 37][0][2] == reference_arrows(
+        B, lambda x: p[3] if x in inner else p[4], params)
+    assert runs[0.25, 37][0][0] == reference_arrows(B, lambda x: p[1], params)
+
+
+def pair_jumps_reference(g, B, xs, seeds, counts, t):
+    """_pair_jumps' codes from walk_batch, one pair at a time: p |B| + the
+    rank in B of each vertex of B other than xs[p] that pair p's particles
+    visit."""
+    verts = sorted(B)
+    codes = set()
+    for p, (x, seed, n) in enumerate(zip(xs, seeds, counts)):
+        keys = derive_keys(seed, "traj", x, count=n)
+        positions, _, _ = walk_batch(g, x, t, keys)
+        codes |= {p * len(verts) + verts.index(y)
+                  for y in positions.ravel().tolist() if y in B and y != x}
+    return sorted(codes)
+
+
+@pytest.mark.parametrize("shape", ["scattered", "singleton"])
+def test_pair_jumps_column_lookup(shape):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=10))
+    if shape == "scattered":
+        # every other vertex of a ball: the id span between B's ends holds
+        # as many vertices outside B as in it
+        B = set(sorted(ball(g, 30, 4))[::2])
+    else:
+        B = {30}
+    verts = np.array(sorted(B), dtype=np.int64)
+    # 29 and 31 lie outside the scattered B and 30 and 52 inside it, where
+    # a pair's own vertex must not appear among its codes
+    xs = np.array([30, 31, 30, 52, 29], dtype=np.int64)
+    seeds = derive_keys(5, "pj", count=xs.size)
+    counts = np.array([3, 2, 0, 4, 5])
+    look = frogs._columns(verts)
+    assert look.size == verts[-1] - verts[0] + 2 and look[-1] == -1
+    got = frogs._pair_jumps(g, verts, look, xs, seeds, counts, 6.0)
+    ref = pair_jumps_reference(g, B, xs.tolist(), seeds.tolist(),
+                               counts.tolist(), 6.0)
+    assert got.tolist() == ref and ref
 
 
 def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):

@@ -147,6 +147,12 @@ def cheeger_double_loop(g, A):
     return out_w / sum(g.pi[a] for a in A)
 
 
+def test_cheeger_rejects_non_integer_ids(z2_box20):
+    for v in (1.5, 1.0, False):
+        with pytest.raises(GraphError, match="invalid vertex"):
+            cheeger_of_set(z2_box20, [0, v])
+
+
 def test_cheeger_single_interior_vertex(z2_box20):
     assert cheeger_of_set(z2_box20, {0}) == 1.0
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from frogsim.rng import (_GOLDEN, POISSON_LAM_MAX, Stream, _poisson_cdf_table,
                          derive_key, derive_keys, poisson_counts,
-                         poisson_inverse_cdf)
+                         poisson_inverse_cdf, uniforms_at)
 
 
 def test_same_key_replays_identical_sequence():
@@ -127,6 +127,25 @@ def test_peek_uniforms_match_successive_draws(state, n, k):
         drawn.u64()
     assert skipped._state == drawn._state
 
+
+
+# keys from which draw k + j wraps past 2^64
+@example(keys=[2**64 - 1, 2**64 - 3 * _GOLDEN % 2**64], k=1, count=4)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                max_size=6),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_uniforms_at_rows_are_successive_draws(keys, k, count):
+    arr = np.array(keys, dtype=np.uint64)
+    rows = uniforms_at(arr, k, count=count)
+    assert rows.shape == (count, len(keys))
+    for j in range(count):
+        assert rows[j].tolist() == uniforms_at(arr, k + j).tolist()
+    for i, key in enumerate(keys):
+        s = stream_at(key)
+        s.skip(k - 1)
+        assert rows[:, i].tolist() == [s.uniform() for _ in range(count)]
 
 
 @example(seed=-1, labels=[], count=3)

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from frogsim import (GraphError, GraphSpec, SeriesToleranceError, Stream,
                      spectral_radius_estimate, truncated_green)
 from frogsim import exit_conditional_jumps, good_set_G_A, walks
 from frogsim.experiments import escape_probability
-from frogsim.rng import derive_keys
+from frogsim.rng import derive_keys, uniforms_at
 from frogsim.walks import walk_batch, walk_positions
 
 
@@ -133,7 +135,7 @@ def test_exit_probability_rejects_frontier(z2_box20):
         exit_probability_exact(z2_box20, S, 1.0)
 
 
-@pytest.mark.parametrize("call", [
+SERIES_VERTEX_CALLS = [
     pytest.param(lambda g, v: exit_probability_exact(g, {0, v}, 1.0),
                  id="exit-window"),
     pytest.param(lambda g, v: hitting_probability_exact(g, 0, v, 2.0),
@@ -153,13 +155,33 @@ def test_exit_probability_rejects_frontier(z2_box20):
                  id="green-start-t0"),
     pytest.param(lambda g, v: spectral_radius_estimate(g, v, 8),
                  id="spectral"),
-])
+]
+
+
+@pytest.mark.parametrize("call", SERIES_VERTEX_CALLS)
 def test_series_reject_out_of_range_vertices(tree8, call):
     # -1 would otherwise index from the end and n past it; a far-away y
     # must not read as an unreachable target
     for v in (-1, tree8.vertex_count, 10**6):
         with pytest.raises(GraphError, match=f"invalid vertex {v}"):
             call(tree8, v)
+
+
+@pytest.mark.parametrize("call", SERIES_VERTEX_CALLS)
+def test_series_reject_non_integer_vertices(tree8, call):
+    # a float id inside [0, n) used to read as a vertex (2.5 as a target
+    # gave 5.6e-11 or 0.0, a window truncated it with int(), a start of
+    # 0.5 ended in numpy's IndexError); a bool is not a vertex id either
+    for v in (2.5, 0.5, np.float64(2.0), True, np.bool_(True), "2", None):
+        with pytest.raises(GraphError, match="invalid vertex"):
+            call(tree8, v)
+
+
+def test_series_accept_numpy_integer_vertices(tree8):
+    assert (hitting_probability_exact(tree8, np.int64(0), np.int32(2), 2.0)
+            == hitting_probability_exact(tree8, 0, 2, 2.0))
+    assert (exit_probability_exact(tree8, {0, np.uint8(1)}, 1.0).exit_prob
+            == exit_probability_exact(tree8, {0, 1}, 1.0).exit_prob)
 
 
 def test_series_tolerance_budget(z2_box20):
@@ -527,7 +549,10 @@ def stream_with_key(key):
        st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_walk_batch_matches_walk_positions(walk_graphs, name, x, t, key):
-    g = walk_graphs[name]
+    check_batch_matches_walk_positions(walk_graphs[name], x, t, key)
+
+
+def check_batch_matches_walk_positions(g, x, t, key):
     keys = derive_keys(key, "batch", count=30)
     positions, counts, absorbed = walk_batch(g, x, t, keys)
     assert positions.shape[0] == counts.size == absorbed.size == keys.size
@@ -546,7 +571,10 @@ def test_walk_batch_matches_walk_positions(walk_graphs, name, x, t, key):
        st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_walk_batch_multi_start(walk_graphs, name, starts, t, key):
-    g = walk_graphs[name]
+    check_batch_multi_start(walk_graphs[name], starts, t, key)
+
+
+def check_batch_multi_start(g, starts, t, key):
     starts = [x % g.vertex_count for x in starts]
     keys = derive_keys(key, "multi", count=len(starts))
     positions, counts, absorbed = walk_batch(g, np.array(starts), t, keys)
@@ -554,6 +582,60 @@ def test_walk_batch_multi_start(walk_graphs, name, starts, t, key):
                                  absorbed.tolist(), keys.tolist(), starts):
         assert (row[:n], hit) == walk_positions(g, x, t, stream_with_key(k))
         assert row[n:] == [-1] * (len(row) - n)
+
+
+# Every elapsed <= t comparison on the exact path: the margin is infinite,
+# so each walk re-adds its holding times with math.log1p at every jump.
+@given(st.sampled_from(["z2", "tree", "weighted"]),
+       st.integers(min_value=0, max_value=4),
+       st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                max_size=12),
+       st.floats(min_value=0.0, max_value=24.0),
+       st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_walk_batch_all_exact_comparisons(walk_graphs, name, x, starts, t,
+                                          key):
+    with mock.patch.object(walks, "_EXACT_MARGIN", math.inf):
+        check_batch_matches_walk_positions(walk_graphs[name], x, t, key)
+        check_batch_multi_start(walk_graphs[name], starts, t, key)
+
+
+def adversarial_horizon(g, x, label, below_numpy, m_min=2, m_max=40):
+    """A key and horizon t at which the numpy and math.log1p sums of the
+    walk from x disagree about elapsed <= t after m >= m_min holding
+    times, with m - 1 jumps made before. below_numpy: the exact sum is the
+    smaller one (t is it, so walk_positions makes one more jump than the
+    numpy sum allows); else t is the numpy sum (one fewer)."""
+    for key in derive_keys(7, label, count=5000).tolist():
+        us = uniforms_at(np.array([key], dtype=np.uint64), 1,
+                         count=2 * m_max)[::2, 0].tolist()
+        fast = itertools.accumulate((-np.log1p(-np.array(us))).tolist())
+        exact = itertools.accumulate(-math.log1p(-u) for u in us)
+        for m, (s, e) in enumerate(zip(fast, exact), start=1):
+            if m >= m_min and s != e and (e < s) == below_numpy:
+                t = min(s, e)
+                jumps, absorbed = walk_positions(g, x, t, stream_with_key(key))
+                if not absorbed and len(jumps) == m - (not below_numpy):
+                    return key, t, m
+                break
+    raise AssertionError("no adversarial key found")
+
+
+@pytest.mark.parametrize("below_numpy", [True, False])
+@pytest.mark.parametrize("name", ["z2", "weighted"])
+def test_walk_batch_exact_where_numpy_sum_errs(name, below_numpy, z2_box20,
+                                               tmp_path):
+    g = z2_box20 if name == "z2" else golden_graph("weighted", tmp_path)
+    x = g.origin if name == "z2" else 0
+    key, t, _ = adversarial_horizon(g, x, name, below_numpy)
+    keys = np.array([key], dtype=np.uint64)
+    expected = walk_positions(g, x, t, stream_with_key(key))
+    positions, counts, absorbed = walk_batch(g, x, t, keys)
+    assert (positions[0, :counts[0]].tolist(), bool(absorbed[0])) == expected
+    # the numpy sum alone decides the m-th comparison the other way
+    with mock.patch.object(walks, "_EXACT_MARGIN", 0.0):
+        _, fast_counts, _ = walk_batch(g, x, t, keys)
+    assert fast_counts[0] == len(expected[0]) + (-1 if below_numpy else 1)
 
 
 def test_walk_batch_frontier_start(walk_graphs):
