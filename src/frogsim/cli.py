@@ -349,7 +349,8 @@ def run(cfg: RunConfig) -> int:
                 report = linear_growth_experiment(
                     cfg.width, cfg.length, FrogParams(lam, t), cfg.replicas,
                     cfg.seed, distances=(cfg.n // 4, cfg.n // 2, cfg.n),
-                    particle_budget=cfg.max_particles)
+                    particle_budget=cfg.max_particles,
+                    max_vertices=cfg.max_vertices)
                 censored = report.inputs["censored"]
             elif cfg.experiment == "nonamenable":
                 g = build_graph(cfg.graph_spec())
@@ -362,7 +363,8 @@ def run(cfg: RunConfig) -> int:
                 net = NetConfig(a=cfg.a, net_extent=cfg.net_extent)
                 report = renormalization_experiment(
                     net, lam, cfg.replicas, cfg.seed,
-                    decay_density=cfg.decay_density)
+                    decay_density=cfg.decay_density,
+                    max_vertices=cfg.max_vertices)
             rows = report.csv_rows()
     except GraphError as exc:
         print(f"config error: {exc}", file=sys.stderr)

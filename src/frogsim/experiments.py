@@ -271,21 +271,39 @@ class _CoordIndex:
         return v
 
 
-def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, lam: float,
-               phase1: ParticleField, phase2: ParticleField) -> bool:
-    """Openness of one net site: some vertex of its small ball conquers a
-    quarter of the ball with the first particle wave, and the second wave
-    seeded on that conquered set covers all eight neighboring balls through
-    the ball-plus-targets window."""
+def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
+               phase1: ParticleField, phase2: ParticleField) -> dict:
+    """Openness of each net site of `sites`, as {site: open}: some vertex
+    of the site's small ball conquers a quarter of the ball with the first
+    particle wave, and the second wave seeded on that conquered set covers
+    all eight neighboring balls through the ball-plus-targets window.
+
+    The first wave of every site is revealed in one arrow pass over the
+    union of the small balls; a site's arrows are that pass's landings
+    restricted to its own ball, so they equal a pass over the ball alone.
+    The second wave reveals phase2's particles one vertex at a time, site
+    by site in the order given."""
     t = net.lifespan
     half = FrogParams(lam / 2.0, t)
-    v = idx.vid(site)
-    B = ball(g, v, net.a // 3)
-    arrows = next(_arrow_adjacency(g, B, [phase1], half))
+    r = net.a // 3
+    balls = {s: ball(g, idx.vid(s), r) for s in sites}
+    arrows = next(_arrow_adjacency(g, set().union(*balls.values()), [phase1],
+                                   half))
+    return {s: _site_open(g, idx, net, s, B, arrows, half, phase2)
+            for s, B in balls.items()}
+
+
+def _site_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, B: set,
+               arrows: dict, half: FrogParams, phase2: ParticleField) -> bool:
+    """block_open for one site with small ball B, given first-wave arrows
+    over a superset of B."""
+    # a set filled in ascending order iterates as the one a pass over B
+    # alone builds, so the second wave reveals in the same order
+    inner = {x: {y for y in sorted(arrows[x]) if y in B} for x in B}
     quota = len(B) / 4.0
     goods = []
     for x in sorted(B):
-        reached = _reach({x}, arrows.__getitem__)
+        reached = _reach({x}, inner.__getitem__)
         if len(reached) >= quota:
             goods.append((len(reached), x, reached))
     if not goods:
@@ -316,8 +334,10 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     ball. Nesting makes the probabilities non-increasing in |A| per seed.
     """
     B = ball(g, center, a)
+    # the size-k candidate set is order[:k], so one scan of the largest
+    # set per field finds the first good candidate for every size
     order = sorted(B, key=lambda v: (int(g.dist[v]), v))
-    nested = {k: order[:k] for k in sizes}
+    scan = order[:max(sizes, default=0)]
     params = FrogParams(density, float(a * a))
     quota = len(B) / 4.0
     need = math.ceil(quota)
@@ -326,41 +346,43 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     fields = (ParticleField(g, s)
               for s in derive_keys(seed, "decay", count=replicas).tolist())
     for arrows in _arrow_adjacency(g, B, fields, params):
-        good_found: set[int] = set()
-        for k in sorted(sizes):
-            ok = any(x in good_found for x in nested[k])
-            if not ok:
-                for x in nested[k]:
-                    reach = _reach({x}, arrows.__getitem__,
-                                   lambda r: len(r) >= need)
-                    if len(reach) >= quota:
-                        good_found.add(x)
-                        ok = True
-                        break
-            if not ok:
-                fails[k] += 1
+        first = math.inf     # index of the first good candidate
+        for i, x in enumerate(scan):
+            if len(_reach({x}, arrows.__getitem__,
+                          lambda r: len(r) >= need)) >= quota:
+                first = i
+                break
+        for k in fails:
+            fails[k] += first >= k
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
 
 
 def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
                  lam: float, seed: int, rep: int) -> dict:
-    """Openness of every net site in replica rep. The replica's two fields
-    (and the trajectories they cache) are released on return."""
+    """Openness of every net site in replica rep, from one block_open call
+    (looked up as a module global, so a wrapper sees the replica's work
+    start): its first wave is one arrow pass over every site's ball. The
+    replica's two fields (and the trajectories they cache) are released
+    on return."""
     phase1 = ParticleField(g, Stream(seed, "phase1", rep).key)
     phase2 = ParticleField(g, Stream(seed, "phase2", rep).key)
-    return {s: block_open(g, idx, net, s, lam, phase1, phase2) for s in sites}
+    return block_open(g, idx, net, sites, lam, phase1, phase2)
 
 
 def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
                                seed: int, *, decay_density: float = 0.25,
                                decay_sizes=(4, 16, 64),
-                               decay_replicas: int = 500) -> ExperimentReport:
+                               decay_replicas: int = 500,
+                               max_vertices: int = GraphSpec.max_vertices
+                               ) -> ExperimentReport:
     """Two-wave block renormalization: split the particle density in half,
     open a net site when wave one finds a good vertex in its ball and wave
     two conquers the neighboring balls, then read off the open frequency and
-    the site-percolation cluster of the renormalized configuration.
+    the site-percolation cluster of the renormalized configuration. A box
+    of more than max_vertices vertices raises GraphError.
     """
-    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius,
+                              max_vertices=max_vertices))
     idx = _CoordIndex(g)
     sites = net.net_sites()
     site_ids = {s: i for i, s in enumerate(sites)}
@@ -478,12 +500,15 @@ def linear_growth_experiment(width: int, length: int, params: FrogParams,
                              replicas: int, seed: int,
                              *, distances=(50, 100, 200),
                              blocking_inner: int = 50,
-                             particle_budget: int = 2_000_000
+                             particle_budget: int = 2_000_000,
+                             max_vertices: int = GraphSpec.max_vertices
                              ) -> ExperimentReport:
     """Survival decay along a ladder, the quasi-1d stand-in for linear
     growth, plus the exact blocking probability of an annulus. Replicas
-    that exhaust `particle_budget` are counted in inputs["censored"]."""
-    g = build_graph(GraphSpec("ladder", width=width, length=length))
+    that exhaust `particle_budget` are counted in inputs["censored"]; a
+    ladder of more than max_vertices vertices raises GraphError."""
+    g = build_graph(GraphSpec("ladder", width=width, length=length,
+                              max_vertices=max_vertices))
     ests = {}
     censored = 0
     for n in distances:

@@ -294,7 +294,9 @@ def _build_lattice_box(spec: GraphSpec) -> Graph:
     if d < 1 or r < 1:
         raise GraphError("lattice_box needs d >= 1 and radius >= 1")
     if (2 * r + 1) ** d > 40 * spec.max_vertices:
-        raise GraphError("lattice_box enumeration too large for vertex budget")
+        raise GraphError(f"vertex budget exceeded: a lattice_box of radius {r} "
+                         f"in {d} dimensions enumerates more than 40 x "
+                         f"{spec.max_vertices} points")
     axes = [np.arange(-r, r + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

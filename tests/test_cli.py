@@ -325,6 +325,28 @@ def test_bad_graph_spec_exits_2_before_any_pool(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+# Experiments that build their own graph must still honour max_vertices:
+# a renormalization box of radius 36 holds 2665 vertices, a ladder of width
+# 2 and length 240 holds 962.
+@pytest.mark.parametrize("args, message", [
+    (["experiment=renormalization", "lambda=4", "max_vertices=1000"],
+     "vertex budget exceeded: 2665 > 1000"),
+    (["experiment=renormalization", "lambda=4", "max_vertices=100"],
+     "vertex budget exceeded: a lattice_box of radius 36"),
+    (["experiment=linear_growth", "lambda=2", "t=2", "max_vertices=10"],
+     "vertex budget exceeded: 962 > 10"),
+])
+def test_experiment_graph_over_vertex_budget_exits_2(tmp_path, args, message):
+    out = tmp_path / "out"
+    r = subprocess.run([sys.executable, "-m", "frogsim.cli", "run", *args,
+                        "replicas=1", "seed=1", f"out={out}"],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "results.csv").exists()
+
+
 def test_nonamenable_report_records_spectral_diagnostics(tmp_path):
     from frogsim import GraphSpec, build_graph, spectral_radius_estimate
     from frogsim.cli import main

@@ -10,6 +10,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
                      edge_open_probability, escape_probability,
                      linear_growth_experiment, nonamenable_pipeline,
                      renormalization_experiment, write_report)
+from frogsim import frogs
 from frogsim.experiments import _CoordIndex, block_open, good_vertex_decay
 from frogsim.stats import Estimate
 
@@ -82,11 +83,11 @@ def test_block_openness_locality():
     for seed in range(6):
         p1 = ParticleField(g, Stream(seed, "p1").key)
         p2 = ParticleField(g, Stream(seed, "p2").key)
-        base = block_open(g, idx, net, site, 4.0, p1, p2)
+        base = block_open(g, idx, net, [site], 4.0, p1, p2)
         # splice in a completely different field outside the dependency set
         other1 = ParticleField(g, Stream(seed, "noise1").key)
         other2 = ParticleField(g, Stream(seed, "noise2").key)
-        spliced = block_open(g, idx, net, site, 4.0,
+        spliced = block_open(g, idx, net, [site], 4.0,
                              SpliceField(window, p1, other1),
                              SpliceField(window, p2, other2))
         assert spliced == base
@@ -344,6 +345,53 @@ def test_good_vertex_decay_golden(density):
     assert all(e.replicas == 40 for e in decay.values())
 
 
+def nested_decay_fails(g, center, a, density, sizes, replicas, seed):
+    """good_vertex_decay's failure counts as the nested loop computed them:
+    every size re-tries the candidates of the smaller sizes."""
+    B = ball(g, center, a)
+    order = sorted(B, key=lambda v: (int(g.dist[v]), v))
+    quota = len(B) / 4.0
+    need = math.ceil(quota)
+    fails = {k: 0 for k in sizes}
+    fields = [ParticleField(g, Stream(seed, "decay", r).key)
+              for r in range(replicas)]
+    params = FrogParams(density, float(a * a))
+    for arrows in frogs._arrow_adjacency(g, B, fields, params):
+        good_found = set()
+        for k in sorted(sizes):
+            ok = any(x in good_found for x in order[:k])
+            if not ok:
+                for x in order[:k]:
+                    reach = frogs._reach({x}, arrows.__getitem__,
+                                         lambda r: len(r) >= need)
+                    if len(reach) >= quota:
+                        good_found.add(x)
+                        ok = True
+                        break
+            if not ok:
+                fails[k] += 1
+    return fails
+
+
+def test_good_vertex_decay_scan_matches_nested_loop():
+    # |B| = 61 for a = 5; 64 and 100 lie above it, and 0 fails every field
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    a, replicas, seed = 5, 60, 13
+    seen = set()
+    for density in (0.1, 0.3, 0.6):
+        for sizes in ((64, 4, 16), (0, 4), (2, 100, 9)):
+            ref = nested_decay_fails(g, g.origin, a, density, sizes,
+                                     replicas, seed)
+            got = good_vertex_decay(g, g.origin, a, density, sizes,
+                                    replicas, seed)
+            assert list(got) == list(sizes)
+            assert {k: round(e.mean * replicas) for k, e in got.items()} \
+                == ref
+            seen |= set(ref.values())
+    # the cases hold all-fail, none-fail and in-between sizes
+    assert 0 in seen and replicas in seen and len(seen) > 3
+
+
 # Recorded on the cascade loop that block_open ran before it moved onto
 # frogs._reach: one replica of the renormalization fields (seed 1; a = 8,
 # net_extent = 2). Per net site in order: (open, len(phase2._cache) after
@@ -371,7 +419,53 @@ def test_block_open_golden(lam, rep):
     idx = _CoordIndex(g)
     p1 = ParticleField(g, Stream(1, "phase1", rep).key)
     p2 = ParticleField(g, Stream(1, "phase2", rep).key)
-    got = [(block_open(g, idx, net, s, lam, p1, p2), len(p2._cache))
+    got = [(block_open(g, idx, net, [s], lam, p1, p2)[s], len(p2._cache))
            for s in net.net_sites()]
     assert got == GOLDEN_BLOCK_OPEN[(lam, rep)]
     assert len(p1._cache) == 0       # the first wave is revealed in batches
+
+
+def replica_block_open(g, idx, net, lam, p1, p2, per_site):
+    """block_open over every net site: one call, or one call a site."""
+    sites = net.net_sites()
+    if not per_site:
+        return block_open(g, idx, net, sites, lam, p1, p2)
+    return {s: block_open(g, idx, net, [s], lam, p1, p2)[s] for s in sites}
+
+
+@pytest.mark.parametrize("a,extent", [(6, 1), (6, 2), (8, 1), (8, 2)])
+def test_block_open_replica_call_equals_site_calls(a, extent):
+    # one first-wave pass over every ball opens the same sites and makes
+    # the second wave reveal the same particles as a pass per ball
+    net = NetConfig(a=a, net_extent=extent)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
+    idx = _CoordIndex(g)
+    opened = set()
+    for lam in (1.0, 2.0, 4.0):
+        runs = []
+        for per_site in (False, True):
+            p1 = ParticleField(g, Stream(a, "phase1", extent).key)
+            p2 = ParticleField(g, Stream(a, "phase2", extent).key)
+            state = replica_block_open(g, idx, net, lam, p1, p2, per_site)
+            assert list(state) == net.net_sites()
+            assert len(p1._cache) == 0
+            runs.append((state, len(p2._cache)))
+        assert runs[0] == runs[1]
+        opened |= set(runs[0][0].values())
+    assert opened == {False, True}
+
+
+def test_block_open_replica_call_equals_site_calls_on_splice():
+    net = NetConfig(a=8, net_extent=1)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
+    idx = _CoordIndex(g)
+    inner = ball(g, g.origin, 10)
+    runs = []
+    for per_site in (False, True):
+        p = {s: ParticleField(g, Stream(3, "splice", s).key) for s in range(4)}
+        p1, p2 = SpliceField(inner, p[0], p[1]), SpliceField(inner, p[2], p[3])
+        state = replica_block_open(g, idx, net, 2.0, p1, p2, per_site)
+        assert len(p[0]._cache) == len(p[1]._cache) == 0
+        runs.append((state, len(p[2]._cache), len(p[3]._cache)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0 and runs[0][2] > 0
