@@ -257,7 +257,8 @@ def _sweep_worker(task):
     field keyed only by (seed, replica) so grid points ride the coupling."""
     (seed, replica, lam_grid, t_grid, n, budget) = task
     g = _WORKER_STATE["graph"]
-    outcomes = [replica_survival(g, FrogParams(lam, t), n, seed, replica,
+    key = Stream(seed, "survival", replica).key
+    outcomes = [replica_survival(g, FrogParams(lam, t), n, key,
                                  particle_budget=budget)
                 for lam in lam_grid for t in t_grid]
     return replica, [int(o is True) for o in outcomes], outcomes.count(None)

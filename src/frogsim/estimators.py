@@ -36,14 +36,14 @@ class SurvivalEstimate:
     censored: int  # replicas that hit the particle budget before deciding
 
 
-def replica_survival(g: Graph, params: FrogParams, n: int, seed: int,
-                     replica: int, *, particle_budget: int) -> bool | None:
-    """One replica of the survival event on the field keyed by
-    (seed, "survival", replica): True if the cluster reaches distance >= n
-    from the origin (for n = 0: activates a second vertex), False if it dies
-    out first, None (censored) if the particle budget runs out first, even
-    when the origin's own particles exceed it."""
-    fld = ParticleField(g, Stream(seed, "survival", replica).key)
+def replica_survival(g: Graph, params: FrogParams, n: int, key: int, *,
+                     particle_budget: int | None) -> bool | None:
+    """One replica of the survival event on the field with key `key`: True
+    if the cluster reaches distance >= n from the origin (for n = 0:
+    activates a second vertex), False if it dies out first, None (censored)
+    if the particle budget runs out first, even when the origin's own
+    particles exceed it. A budget of None never censors."""
+    fld = ParticleField(g, key)
     if n == 0:
         cl = explore_cluster(g, params, fld, vertex_budget=2,
                              particle_budget=particle_budget)
@@ -70,7 +70,7 @@ def survival_probability(g: Graph, params: FrogParams, n: int, replicas: int,
     """
     if n > g.max_radius:
         raise GraphError(f"survival radius {n} exceeds truncation radius")
-    outcomes = [replica_survival(g, params, n, seed, r,
+    outcomes = [replica_survival(g, params, n, Stream(seed, "survival", r).key,
                                  particle_budget=particle_budget)
                 for r in range(replicas)]
     return SurvivalEstimate(from_binomial(outcomes.count(True), replicas, seed),
@@ -456,10 +456,8 @@ def russo_inequality_check(g: Graph, radius: int, params: FrogParams,
     base_hits = 0
     for r in range(replicas):
         key = Stream(seed, "russo", r).key
-        base_cl = explore_cluster(g, params, ParticleField(g, key), radius=n)
-        bump_cl = explore_cluster(g, bumped, ParticleField(g, key), radius=n)
-        b0 = base_cl.stop_reason == "radius_reached"
-        b1 = bump_cl.stop_reason == "radius_reached"
+        b0 = replica_survival(g, params, n, key, particle_budget=None) is True
+        b1 = replica_survival(g, bumped, n, key, particle_budget=None) is True
         base_hits += b0
         diffs.append((b1 - b0) / dstep)
     deriv = from_samples(diffs, seed, "paired-fd")

@@ -259,16 +259,27 @@ class NetConfig:
 
 
 class _CoordIndex:
+    """Vertex ids of a planar lattice's points, and balls around them."""
+
     def __init__(self, g: Graph):
         if g.coords is None:
             raise GraphError("experiment needs a lattice graph with coordinates")
+        self._g = g
         self._map = {tuple(int(c) for c in p): i for i, p in enumerate(g.coords)}
+        self._balls: dict[tuple, set[int]] = {}
 
     def vid(self, p) -> int:
         v = self._map.get((int(p[0]), int(p[1])))
         if v is None:
             raise GraphError(f"point {p} outside the base box")
         return v
+
+    def ball(self, p, r: int) -> set[int]:
+        """ball(g, vid(p), r), shared between calls: do not modify it."""
+        key = (int(p[0]), int(p[1]), r)
+        if key not in self._balls:
+            self._balls[key] = ball(self._g, self.vid(p), r)
+        return self._balls[key]
 
 
 def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
@@ -286,15 +297,15 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
     t = net.lifespan
     half = FrogParams(lam / 2.0, t)
     r = net.a // 3
-    balls = {s: ball(g, idx.vid(s), r) for s in sites}
+    balls = {s: idx.ball(s, r) for s in sites}
     arrows = next(_arrow_adjacency(g, set().union(*balls.values()), [phase1],
                                    half))
-    return {s: _site_open(g, idx, net, s, B, arrows, half, phase2)
+    return {s: _site_open(idx, net, s, B, arrows, half, phase2)
             for s, B in balls.items()}
 
 
-def _site_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, B: set,
-               arrows: dict, half: FrogParams, phase2: ParticleField) -> bool:
+def _site_open(idx: _CoordIndex, net: NetConfig, site, B: set, arrows: dict,
+               half: FrogParams, phase2: ParticleField) -> bool:
     """block_open for one site with small ball B, given first-wave arrows
     over a superset of B."""
     # a set filled in ascending order iterates as the one a pass over B
@@ -311,8 +322,8 @@ def _site_open(g: Graph, idx: _CoordIndex, net: NetConfig, site, B: set,
     goods.sort(key=lambda item: (-item[0], item[1]))
     bhat: set[int] = set()
     for ox, oy in _NET_NEIGHBORS:
-        w = idx.vid((site[0] + ox * net.a, site[1] + oy * net.a))
-        bhat |= ball(g, w, net.a // 3)
+        bhat |= idx.ball((site[0] + ox * net.a, site[1] + oy * net.a),
+                         net.a // 3)
     window = B | bhat
 
     def out(x):
@@ -543,15 +554,18 @@ def escape_probability(g: Graph, A, horizon: int, replicas: int,
                        seed: int) -> Estimate:
     """Stationary-start probability of not returning to A within the
     horizon (a proxy for never returning): start from pi restricted to A."""
-    A = sorted(set(int(a) for a in A))
-    w = np.array([g.pi[a] for a in A])
+    A = g.vertex_set(A)
+    if not A:
+        raise GraphError("escape_probability needs a non-empty set")
+    starts = sorted(A)
+    w = g.pi[starts]
     cum = np.cumsum(w / w.sum())
     boundary = g.walk_tables()[2]
     pick = jump_picker(g)
     hits = 0
     for r in range(replicas):
         st = Stream(seed, "escape", r)
-        x = A[int(np.searchsorted(cum, st.uniform()))]
+        x = starts[int(np.searchsorted(cum, st.uniform()))]
         cur = x
         returned = False
         for _ in range(horizon):

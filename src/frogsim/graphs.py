@@ -12,7 +12,6 @@ finite connection events need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +55,10 @@ class GraphSpec:
 @dataclass
 class Graph:
     """Finite weighted (di)graph with CSR adjacency and BFS-ordered ids.
+
+    Every graph-distance query below runs on one layer-at-a-time search
+    over ``indptr``/``indices`` (``_frontiers``) and rejects any vertex id
+    that ``check_vertex`` rejects, with GraphError.
 
     Derived structures are built lazily, on first use, and cached on the
     graph: the jump-chain kernel as CSR-ordered numpy arrays (see
@@ -222,20 +225,45 @@ def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray,
     return indptr, dst.astype(np.int32), w
 
 
-def _bfs_order_and_dist(n, indptr, indices, origin):
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[origin] = 0
-    frontier = np.array([origin], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        nbrs = []
-        for v in frontier:
-            nbrs.append(indices[indptr[v]:indptr[v + 1]])
-        nxt = np.unique(np.concatenate(nbrs)) if nbrs else np.empty(0, np.int64)
-        nxt = nxt[dist[nxt] < 0]
-        dist[nxt] = d
-        frontier = nxt
+def _rows(indptr: np.ndarray, indices: np.ndarray, vs: np.ndarray):
+    """(the CSR rows of the vertices vs concatenated, each row's length)."""
+    lo = indptr[vs]
+    counts = indptr[vs + 1] - lo
+    return indices[np.arange(counts.sum()) +
+                   np.repeat(lo - np.cumsum(counts) + counts, counts)], counts
+
+
+def _frontiers(indptr: np.ndarray, indices: np.ndarray, sources,
+               radius: int | None = None):
+    """Breadth-first layers over CSR arrays, as int64 arrays: the sources,
+    then the vertices first reached one step later, until layer `radius` or
+    an empty layer. Each layer keeps the order a queue-driven search visits
+    it in (frontier order, then row order). Cost: the rows read, plus one
+    bool mask over the vertices."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    layer = np.asarray(sources, dtype=np.int64)
+    seen[layer] = True
+    depth = 0
+    while layer.size:
+        yield layer
+        if depth == radius:
+            return
+        depth += 1
+        reached, _ = _rows(indptr, indices, layer)
+        reached = reached[~seen[reached]]
+        # first occurrences (np.unique's first call imports numpy.ma, 1 MB)
+        order = np.argsort(reached, kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        np.not_equal(reached[order[1:]], reached[order[:-1]], out=first[1:])
+        layer = reached[np.sort(order[first])].astype(np.int64)
+        seen[layer] = True
+
+
+def _layer_distances(indptr: np.ndarray, indices: np.ndarray, sources):
+    """int32 distance from the nearest source (-1 when unreachable)."""
+    dist = np.full(indptr.size - 1, -1, dtype=np.int32)
+    for d, layer in enumerate(_frontiers(indptr, indices, sources)):
+        dist[layer] = d
     return dist
 
 
@@ -257,24 +285,19 @@ def _points_to_graph(points: np.ndarray, origin_row: int, spec: GraphSpec,
     if n > spec.max_vertices:
         raise GraphError(f"vertex budget exceeded: {n} > {spec.max_vertices}")
 
-    # lexicographic key per point for neighbor lookup
+    # lexicographic key per point for neighbor lookup; a unit step along
+    # an axis adds or subtracts that axis's stride
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo + 3
-    key = np.zeros(n, dtype=np.int64)
-    for k in range(pts.shape[1]):
-        key = key * span[k] + (pts[:, k] - lo[k] + 1)
+    strides = np.cumprod(np.r_[1, span[:0:-1]])[::-1]
+    key = (pts - lo + 1) @ strides
     key_order = np.argsort(key)
     key_sorted = key[key_order]
 
     srcs, dsts = [], []
-    d = pts.shape[1]
-    for axis in range(d):
+    for axis in range(pts.shape[1]):
         for sign in (1, -1):
-            shifted = pts.copy()
-            shifted[:, axis] += sign
-            skey = np.zeros(n, dtype=np.int64)
-            for k in range(d):
-                skey = skey * span[k] + (shifted[:, k] - lo[k] + 1)
+            skey = key + sign * strides[axis]
             pos = np.searchsorted(key_sorted, skey)
             pos = np.clip(pos, 0, n - 1)
             found = key_sorted[pos] == skey
@@ -417,7 +440,7 @@ def _parse_weighted_file(spec: GraphSpec) -> Graph:
 
     # provisional CSR to run BFS from the smallest original id
     indptr0, indices0, w0s = _csr_from_edges(n, src0, dst0, w0)
-    dist0 = _bfs_order_and_dist(n, indptr0, indices0, 0)
+    dist0 = _layer_distances(indptr0, indices0, [0])
     reach = dist0 >= 0
     sort_dist = np.where(reach, dist0, np.iinfo(np.int32).max)
     order = np.lexsort((np.arange(n), sort_dist))
@@ -482,79 +505,48 @@ def _validate(g: Graph, rel_tol: float = 1e-12) -> None:
 
 
 def ball(g: Graph, x: int, r: int) -> set[int]:
-    """All vertices within graph distance r of x (out-distance if directed)."""
+    """All vertices within graph distance r of x (out-distance if directed),
+    inserted in breadth-first order."""
     g.check_vertex(x)
     if r < 0:
         raise GraphError("radius must be >= 0")
     if x == g.origin and g.dist.min() >= 0:
         return set(np.flatnonzero(g.dist <= r).tolist())
-    seen = {x}
-    frontier = [x]
-    for _ in range(r):
-        nxt = []
-        for v in frontier:
-            for u in g.out_neighbors(v):
-                u = int(u)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+    return set(np.concatenate(list(_frontiers(g.indptr, g.indices, [x], r)))
+               .tolist())
 
 
 def sphere(g: Graph, x: int, r: int) -> set[int]:
-    """S(r) = B(r) minus B(r-1)."""
-    if r == 0:
-        return {x}
-    return ball(g, x, r) - ball(g, x, r - 1)
+    """S(r) = B(r) minus B(r-1): the last layer of one search."""
+    g.check_vertex(x)
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    layers = list(_frontiers(g.indptr, g.indices, [x], r))
+    return set(layers[r].tolist()) if len(layers) > r else set()
 
 
 def distances_from(g: Graph, x: int) -> np.ndarray:
+    """Out-distance from x to every vertex (-1 when unreachable)."""
+    g.check_vertex(x)
     if x == g.origin:
         return g.dist
-    dist = np.full(g.vertex_count, -1, dtype=np.int32)
-    dist[x] = 0
-    frontier = deque([x])
-    while frontier:
-        v = frontier.popleft()
-        for u in g.out_neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                frontier.append(int(u))
-    return dist
+    return _layer_distances(g.indptr, g.indices, [x])
 
 
 def distance_to_complement(g: Graph, S) -> dict[int, int]:
-    """d(x, S^c) for x in S, following directed edges out of S.
-
-    Computed by BFS from S^c over reversed edges.
-    """
-    S = set(S)
-    dist = {}
-    rev: dict[int, list[int]] = {x: [] for x in S}
-    frontier = []
-    for x in S:
-        for y in g.out_neighbors(x):
-            y = int(y)
-            if y in S:
-                rev[y].append(x)
-            else:
-                if x not in dist:
-                    dist[x] = 1
-                    frontier.append(x)
-    d = 1
-    while frontier:
-        d += 1
-        nxt = []
-        for y in frontier:
-            for x in rev[y]:
-                if x not in dist:
-                    dist[x] = d
-                    nxt.append(x)
-        frontier = nxt
-    return dist
+    """d(x, S^c) for each x in S with a directed path out of S: one search
+    from S's exit vertices (distance 1) over S's internal edges reversed."""
+    members = np.array(sorted(g.vertex_set(S)), dtype=np.int64)
+    dst, counts = _rows(g.indptr, g.indices, members)
+    src = np.repeat(members, counts)
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    inside[members] = True
+    internal = inside[dst]
+    indptr, indices, _ = _csr_from_edges(g.vertex_count, dst[internal],
+                                         src[internal], None)
+    dist = _layer_distances(indptr, indices, src[~internal])
+    found = np.flatnonzero(dist >= 0)
+    return dict(zip(found.tolist(), (dist[found] + 1).tolist()))
 
 
 def growth_profile(g: Graph, x: int, rmax: int):
@@ -563,26 +555,17 @@ def growth_profile(g: Graph, x: int, rmax: int):
     The exponent is the least-squares slope of log g(n) against log n over
     n in [rmax/2, rmax]. Raises if the profile would be boundary-distorted.
     """
+    g.check_vertex(x)
     if rmax < 2:
         raise GraphError("rmax must be >= 2 to fit an exponent")
-    sizes = [1]
-    seen = {x}
-    frontier = [x]
-    for r in range(1, rmax + 1):
-        nxt = []
-        for v in frontier:
-            for u in g.out_neighbors(v):
-                u = int(u)
-                if u not in seen:
-                    if g.boundary_mask[u]:
-                        raise GraphError(
-                            f"rmax={rmax} reaches the truncation frontier at r={r}; "
-                            "profile would be boundary-distorted")
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-        sizes.append(len(seen))
-    sizes = np.array(sizes, dtype=np.int64)
+    layer_sizes = np.zeros(rmax + 1, dtype=np.int64)
+    for r, layer in enumerate(_frontiers(g.indptr, g.indices, [x], rmax)):
+        if r and g.boundary_mask[layer].any():
+            raise GraphError(
+                f"rmax={rmax} reaches the truncation frontier at r={r}; "
+                "profile would be boundary-distorted")
+        layer_sizes[r] = layer.size
+    sizes = np.cumsum(layer_sizes)
     ns = np.arange(rmax // 2, rmax + 1)
     slope = np.polyfit(np.log(ns), np.log(sizes[ns]), 1)[0]
     return sizes, float(slope), int(round(slope))
@@ -672,8 +655,7 @@ def spectral_radius_estimate(g: Graph, x: int, nmax: int) -> SpectralEstimate:
     estimate = float(richardson[-1]) if richardson.size else float(ratio_seq[-1])
     estimate = min(estimate, 1.0)
     if g.boundary_mask.any():
-        dx = distances_from(g, x) if x != g.origin else g.dist
-        bdist = int(dx[g.boundary_mask].min())
+        bdist = int(distances_from(g, x)[g.boundary_mask].min())
         warn = nmax >= 2 * bdist
     else:
         warn = False

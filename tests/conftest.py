@@ -3,6 +3,23 @@ import pytest
 from frogsim import GraphSpec, build_graph
 
 
+# A directed weighted graph with non-dyadic weights and a sink (vertex 4)
+WEIGHTED_DIGRAPH = """frogsim-graph v1 directed
+0 1 1.5
+0 2 0.25
+0 3 2.0
+1 0 1.0
+1 2 3.0
+1 4 0.6
+2 0 0.5
+2 1 0.7
+2 3 0.1
+3 0 1.0
+3 2 2.5
+3 4 0.4
+"""
+
+
 @pytest.fixture(scope="session")
 def tree8():
     return build_graph(GraphSpec("regular_tree", degree=3, depth=8))

@@ -56,8 +56,10 @@ def test_survival_radius_zero_censors_budget_at_origin():
     # budget stop after a second vertex is activated (replica 0) is a hit.
     g = build_graph(GraphSpec("regular_tree", degree=3, depth=6))
     params = FrogParams(3.0, 1.0)
-    assert replica_survival(g, params, 0, 1, 0, particle_budget=1) is True
-    assert replica_survival(g, params, 0, 1, 1, particle_budget=1) is None
+    assert replica_survival(g, params, 0, Stream(1, "survival", 0).key,
+                            particle_budget=1) is True
+    assert replica_survival(g, params, 0, Stream(1, "survival", 1).key,
+                            particle_budget=1) is None
     sv = survival_probability(g, params, 0, 50, 1, particle_budget=1)
     assert sv.censored == 41
     assert sv.estimate.mean == 7 / 50

@@ -184,6 +184,17 @@ def test_escape_probability_tree(tree12):
     assert abs(est.mean - expect) <= 3 * est.stderr + 0.01
 
 
+@pytest.mark.parametrize("bad", [-1, 766, 2.5, True])
+def test_escape_probability_rejects_bad_vertex_ids(tree8, bad):
+    with pytest.raises(GraphError, match="invalid vertex"):
+        escape_probability(tree8, [0, bad], 20, 10, 1)
+
+
+def test_escape_probability_rejects_empty_set(tree8):
+    with pytest.raises(GraphError, match="non-empty"):
+        escape_probability(tree8, [], 20, 10, 1)
+
+
 def test_report_serialization(tmp_path, tree8):
     rep = abelian_invariance_check(tree8, FrogParams(0.5, 0.5), range(20))
     jpath, cpath = write_report(rep, tmp_path)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogsim import (GraphError, GraphSpec, ball, build_graph, cheeger_of_set,
-                     growth_profile, sphere, spectral_radius_estimate,
+                     distance_to_complement, distances_from, growth_profile,
+                     sphere, spectral_radius_estimate,
                      stationary_control_constant)
-from conftest import bfs_oracle
+from conftest import WEIGHTED_DIGRAPH, bfs_oracle
 
 
 def z2_neighbors(p):
@@ -130,6 +132,104 @@ def test_growth_profile_tree_exponential():
 def test_growth_profile_rejects_boundary_distortion(z2_box20):
     with pytest.raises(GraphError):
         growth_profile(z2_box20, 0, 20)
+
+
+# -- every distance query against a plain queue BFS --------------------
+
+
+def deque_bfs(g, x, stop=None):
+    """{vertex: distance from x} along out-edges, in visit order; with
+    `stop`, the search ends at the first dequeued vertex v with stop(v)."""
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        if stop is not None and stop(v):
+            break
+        for u in g.out_neighbors(v).tolist():
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def reference_graph(name, tree8, tmp_path_factory):
+    if name == "z2":
+        return build_graph(GraphSpec("lattice_box", d=2, radius=6))
+    if name == "ladder":
+        return build_graph(GraphSpec("ladder", width=2, length=10))
+    if name == "tree8":
+        return tree8
+    p = tmp_path_factory.mktemp("digraph") / "w.txt"
+    p.write_text(WEIGHTED_DIGRAPH)
+    return build_graph(GraphSpec("weighted_file", path=str(p)))
+
+
+@pytest.mark.parametrize("where", ["origin", "interior", "frontier"])
+@pytest.mark.parametrize("name", ["z2", "ladder", "tree8", "digraph"])
+def test_distance_queries_match_deque_bfs(name, where, tree8,
+                                          tmp_path_factory):
+    g = reference_graph(name, tree8, tmp_path_factory)
+    interior = np.flatnonzero(~g.boundary_mask & (g.dist > 0))
+    x = {"origin": 0, "interior": int(interior[interior.size // 2]),
+         "frontier": int(np.flatnonzero(g.boundary_mask)[0])}[where]
+    ref = deque_bfs(g, x)
+    order = list(ref)
+    expect = np.full(g.vertex_count, -1)
+    expect[order] = list(ref.values())
+    assert np.array_equal(distances_from(g, x), expect)
+    for r in range(g.max_radius + 2):
+        b = ball(g, x, r)
+        assert b == {v for v, d in ref.items() if d <= r}
+        if x != g.origin:
+            # filled in visit order, so it iterates as the visit-order set
+            assert list(b) == list(set(v for v in order if ref[v] <= r))
+        assert sphere(g, x, r) == {v for v, d in ref.items() if d == r}
+        outside = {v: deque_bfs(g, v, lambda u: u not in b) for v in b}
+        depth = {v: min((d for u, d in dv.items() if u not in b), default=None)
+                 for v, dv in outside.items()}
+        assert distance_to_complement(g, b) == {
+            v: d for v, d in depth.items() if d is not None}
+        if r < 2:
+            continue
+        hits = [d for v, d in ref.items() if 0 < d <= r and g.boundary_mask[v]]
+        if hits:
+            with pytest.raises(GraphError, match=f"frontier at r={min(hits)};"):
+                growth_profile(g, x, r)
+        else:
+            sizes, _, _ = growth_profile(g, x, r)
+            assert sizes.tolist() == [sum(d <= n for d in ref.values())
+                                      for n in range(r + 1)]
+
+
+def test_distance_to_complement_directed_trap(tmp_path):
+    # from the origin, a -> b -> c -> b is a cycle with no way out of S;
+    # only the origin has an edge (to the sink d) leaving S
+    p = tmp_path / "trap.txt"
+    p.write_text("frogsim-graph v1 directed\n"
+                 "0 1 1\n1 2 1\n2 1 1\n0 3 1\n")
+    g = build_graph(GraphSpec("weighted_file", path=str(p)))
+    S = set(np.flatnonzero(~g.boundary_mask).tolist())
+    assert len(S) == 3
+    assert distance_to_complement(g, S) == {0: 1}
+
+
+@pytest.mark.parametrize("bad", [-1, "n", 2.5, True])
+@pytest.mark.parametrize("query", [
+    lambda g, x: ball(g, x, 2),
+    lambda g, x: sphere(g, x, 0),
+    lambda g, x: sphere(g, x, 2),
+    lambda g, x: distances_from(g, x),
+    lambda g, x: growth_profile(g, x, 3),
+    lambda g, x: distance_to_complement(g, {x, 0}),
+], ids=["ball", "sphere0", "sphere", "distances_from", "growth_profile",
+        "distance_to_complement"])
+def test_distance_queries_reject_bad_vertex_ids(query, bad):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=6))
+    if bad == "n":
+        bad = g.vertex_count
+    with pytest.raises(GraphError, match="invalid vertex"):
+        query(g, bad)
 
 
 # -- cheeger -----------------------------------------------------------

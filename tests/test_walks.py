@@ -21,6 +21,7 @@ from frogsim import exit_conditional_jumps, good_set_G_A, walks
 from frogsim.experiments import escape_probability
 from frogsim.rng import derive_keys, uniforms_at
 from frogsim.walks import walk_batch, walk_positions
+from conftest import WEIGHTED_DIGRAPH
 
 
 # -- sampling ----------------------------------------------------------
@@ -346,24 +347,10 @@ def test_self_intersection_tree_bound(tree12):
 
 # Exact outputs recorded from the reference implementation: (jumps,
 # absorbed, stream state afterwards) for four walks from the origin, then
-# a 15-step discrete walk. The weighted digraph has non-dyadic weights and
-# a sink (vertex 4), so the cumulative-weight search and absorption are
-# both pinned; the bench references cover unweighted graphs only.
-WEIGHTED_DIGRAPH = """frogsim-graph v1 directed
-0 1 1.5
-0 2 0.25
-0 3 2.0
-1 0 1.0
-1 2 3.0
-1 4 0.6
-2 0 0.5
-2 1 0.7
-2 3 0.1
-3 0 1.0
-3 2 2.5
-3 4 0.4
-"""
-
+# a 15-step discrete walk. The weighted digraph (WEIGHTED_DIGRAPH) has
+# non-dyadic weights and a sink (vertex 4), so the cumulative-weight search
+# and absorption are both pinned; the bench references cover unweighted
+# graphs only.
 GOLDEN_WALKS = {
     "z2": (12.0, [
         ([2, 10, 20], True, 14106975560638721906),
