@@ -19,7 +19,7 @@ import numpy as np
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
 from .frogs import (FrogParams, ParticleField, _arrow_adjacency, _reach,
-                    explore_cluster)
+                    _read_arrows, explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
 from .stats import Estimate, from_binomial, from_samples
@@ -343,29 +343,55 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
 
     Goodness = the candidate's in-ball activation covers a quarter of the
     ball. Nesting makes the probabilities non-increasing in |A| per seed.
+    The ball must avoid the truncation frontier, where walks are absorbed.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if any(k < 0 for k in sizes):
+        raise ValueError(f"candidate set sizes must be >= 0, got {sizes}")
     B = ball(g, center, a)
+    verts = sorted(B)
+    if g.boundary_mask[verts].any():
+        raise GraphError("the decay ball must avoid the truncation frontier")
     # the size-k candidate set is order[:k], so one scan of the largest
     # set per field finds the first good candidate for every size
     order = sorted(B, key=lambda v: (int(g.dist[v]), v))
-    scan = order[:max(sizes, default=0)]
+    column = {v: c for c, v in enumerate(verts)}
+    scan = [column[v] for v in order[:max(sizes, default=0)]]
     params = FrogParams(density, float(a * a))
-    quota = len(B) / 4.0
-    need = math.ceil(quota)
+    need = math.ceil(len(B) / 4.0)   # a reach of integer size covers a quarter
     fails = {k: 0 for k in sizes}
     # replica r's field has the seed Stream(seed, "decay", r).key
     fields = (ParticleField(g, s)
               for s in derive_keys(seed, "decay", count=replicas).tolist())
-    for arrows in _arrow_adjacency(g, B, fields, params):
-        first = math.inf     # index of the first good candidate
-        for i, x in enumerate(scan):
-            if len(_reach({x}, arrows.__getitem__,
-                          lambda r: len(r) >= need)) >= quota:
-                first = i
-                break
+    for first in _read_arrows(g, B, fields, params,
+                              lambda: _first_good(scan, len(B), need)):
         for k in fails:
             fails[k] += first >= k
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
+
+
+def _first_good(scan, nb: int, need: int):
+    """One field's decay scan, as a ``frogs._read_arrows`` scan over a ball
+    of nb vertices: the index in `scan` of the first candidate column whose
+    reach along the arrows has at least need vertices (inf if none). Each
+    reach is ``frogs._reach({x}, out, lambda r: len(r) >= need)`` with
+    out(x) read by a yield."""
+    for i, start in enumerate(scan):
+        reached = bytearray(nb)
+        reached[start] = 1
+        size, stack = 1, [start]
+        while stack and size < need:
+            for w in (yield stack.pop()):
+                if not reached[w]:
+                    reached[w] = 1
+                    size += 1
+                    if size >= need:
+                        break
+                    stack.append(w)
+        if size >= need:
+            return i
+    return math.inf
 
 
 def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,

@@ -400,15 +400,31 @@ def restricted_activation(g: Graph, S, params: FrogParams,
     return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
 
 
-# Most particle walks one lockstep pass of _arrow_adjacency samples. A
-# pass pays a fixed numpy cost per jump step (about 90 steps at t = 64),
-# so small passes are slow; large ones raise peak memory. renorm_z2
-# (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4) ran at 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
-# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
-# 39.11-39.40 MB at 3072: 1024 saves no memory, and 3072 adds about
-# 0.4 MB for a few per cent.
+# Most particle walks one lockstep pass of _arrow_adjacency or
+# _read_arrows samples. A pass pays a fixed numpy cost per jump step (about
+# 90 steps at t = 64), so small passes are slow; large ones raise peak
+# memory. It bounds block_open's first wave (one pass per replica, about
+# 340 walks on renorm_z2), arrow_closure's batches and, at high densities,
+# a decay wave. The value was chosen on renorm_z2 when full decay passes
+# dominated its walks (bench/run.py, 10 s runs at seeds 23-25;
+# 2-vCPU x86-64 host, Python 3.11, numpy 2.4): 2.31-2.86 /s with
+# 38.76-38.90 MB peak RSS at 1024, 3.13-3.26 /s with 38.79-38.93 MB at
+# 2048 and 3.17-3.48 /s with 39.11-39.40 MB at 3072.
 _ARROW_WALKS = 2048
+
+
+def _passes(walks):
+    """Split consecutive items with walks[i] walks each into passes of at
+    most ``_ARROW_WALKS`` walks (an item with more runs alone): yield each
+    pass as its (first, last) index range."""
+    first = 0
+    while first < len(walks):
+        last, total = first + 1, walks[first]
+        while last < len(walks) and total + walks[last] <= _ARROW_WALKS:
+            total += walks[last]
+            last += 1
+        yield first, last
+        first = last
 
 
 def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
@@ -442,13 +458,7 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
     while block := list(itertools.islice(fields, per_block)):
         seeds = np.array([f.seeds(slist) for f in block], dtype=np.uint64)
         counts = _vertex_counts(seeds, srcs, params.lam)
-        walks = counts.sum(axis=1).tolist()
-        first = 0
-        while first < len(block):
-            last, total = first + 1, walks[first]
-            while last < len(block) and total + walks[last] <= _ARROW_WALKS:
-                total += walks[last]
-                last += 1
+        for first, last in _passes(counts.sum(axis=1).tolist()):
             # the pass's (field, vertex) pairs with particles, field-major
             fi, xi = np.nonzero(counts[first:last])
             codes = _pair_jumps(g, verts, look, srcs[xi],
@@ -467,7 +477,101 @@ def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
                 for p in range(lo, hi):
                     arrows[sx[p]] = set(fy[jb[p] - j0:jb[p + 1] - j0])
                 yield arrows
-            first = last
+
+
+# Most fields whose scans _read_arrows runs together. Every wave pays the
+# fixed numpy cost per jump step of a pass, so the fewer waves the better:
+# renorm_z2's decay (500 fields, B(0, 8) on Z^2, density 0.25, t = 64;
+# seeds 1-3) took 0.27-0.34 s at 32 fields a block, 0.089-0.098 s at 128
+# and 0.041-0.044 s with all 500 in flight (2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4). A field in flight holds a byte per vertex of B plus
+# the arrows it has read.
+_SCAN_FIELDS = 512
+
+
+def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
+    """Run one scan per field over the arrows of B, revealing a vertex's
+    particles only when a scan reads its arrows, and yield each scan's
+    return value in field order.
+
+    A vertex is named by its column, its index in sorted B. ``scan()``
+    makes one field's scan: a generator that yields the column of each
+    vertex whose arrows it reads and is sent them, as the ascending columns
+    of the vertices of B other than itself that its particles visit within
+    their lifespan (the ``_arrow_adjacency`` set, sorted, as columns).
+
+    The scans of up to ``_SCAN_FIELDS`` fields run together. A vertex with
+    no particles points nowhere, and a vertex read before answers from its
+    field's arrows, so a scan runs on until it reads a particle-bearing
+    vertex not yet revealed; there it suspends. Each wave reveals every
+    suspended (field, vertex) pair from the counter-based keys, in
+    ``_pair_jumps`` passes of at most ``_ARROW_WALKS`` walks, and resumes
+    those scans: no pair is revealed twice, and no particle no scan reads.
+    A field in flight keeps B's particle mask (one byte a vertex, from
+    ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks) and the
+    arrows it has revealed; each wave re-derives its own pairs' counts.
+    """
+    verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
+    vlist, nb = verts.tolist(), verts.size
+    look = _columns(verts)
+    fields = iter(fields)
+    while block := list(itertools.islice(fields, _SCAN_FIELDS)):
+        # has[f * nb + c]: block[f] has particles at verts[c]; the marks
+        # are derived at most 4 _ARROW_WALKS at a time
+        has, step = bytearray(), max(1, 4 * _ARROW_WALKS // max(nb, 1))
+        for lo in range(0, len(block), step):
+            seeds = np.array([fld.seeds(vlist) for fld in block[lo:lo + step]],
+                             dtype=np.uint64)
+            has += (_vertex_counts(seeds, verts, params.lam) != 0).tobytes()
+        scans = [scan() for _ in block]
+        known = [{} for _ in block]       # column -> revealed arrows
+        results = [None] * len(block)
+
+        def resume(f, sent):
+            """Send `sent` to scan f and answer its reads until it reads an
+            unrevealed particle-bearing vertex (returned), or returns."""
+            run, seen, row = scans[f], known[f], f * nb
+            try:
+                c = run.send(sent)
+                while not has[row + c] or c in seen:
+                    c = run.send(seen.get(c, ()))
+                return c
+            except StopIteration as stop:
+                results[f] = stop.value
+                scans[f] = known[f] = None
+                return None
+
+        wave = [(f, c) for f in range(len(block))
+                if (c := resume(f, None)) is not None]
+        while wave:
+            cols = _wave_arrows(g, verts, look, block, wave, params)
+            nxt = []
+            for (f, c), out in zip(wave, cols):
+                known[f][c] = out
+                if (c := resume(f, out)) is not None:
+                    nxt.append((f, c))
+            wave = nxt
+        yield from results
+
+
+def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, fields,
+                 wave, params: FrogParams) -> list[list[int]]:
+    """The arrows, as ascending column lists, of every (field index,
+    column) pair of `wave`, revealed in ``_pair_jumps`` passes."""
+    nb = verts.size
+    xs = verts[[c for _, c in wave]]
+    seeds = np.array([fields[f].source(x).seed & _MASK
+                      for (f, _), x in zip(wave, xs.tolist())],
+                     dtype=np.uint64)
+    counts = _vertex_counts(seeds, xs, params.lam)
+    arrows = []
+    for lo, hi in _passes(counts.tolist()):
+        codes = _pair_jumps(g, verts, look, xs[lo:hi], seeds[lo:hi],
+                            counts[lo:hi], params.t)
+        jb = np.searchsorted(codes, np.arange(hi - lo + 1) * nb).tolist()
+        cols = (codes % nb).tolist()
+        arrows += [cols[j:k] for j, k in zip(jb, jb[1:])]
+    return arrows
 
 
 def _columns(verts: np.ndarray) -> np.ndarray:

@@ -86,6 +86,8 @@ class Graph:
     def __post_init__(self):
         if self.boundary_mask[self.origin]:
             raise GraphError("origin lies on the truncation frontier")
+        # distances_from(g, origin) hands out dist itself; ball reads it
+        self.dist.flags.writeable = False
 
     # -- basic queries -------------------------------------------------
 
@@ -526,7 +528,8 @@ def sphere(g: Graph, x: int, r: int) -> set[int]:
 
 
 def distances_from(g: Graph, x: int) -> np.ndarray:
-    """Out-distance from x to every vertex (-1 when unreachable)."""
+    """Out-distance from x to every vertex (-1 when unreachable); from the
+    origin, the graph's own read-only ``dist``."""
     g.check_vertex(x)
     if x == g.origin:
         return g.dist

@@ -403,6 +403,97 @@ def test_good_vertex_decay_scan_matches_nested_loop():
     assert 0 in seen and replicas in seen and len(seen) > 3
 
 
+
+@pytest.mark.parametrize("cap", [1, 7, None])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.6, 2.0])
+def test_good_vertex_decay_waves_match_nested_loop(monkeypatch, density, cap):
+    # one field in flight, blocks of 7 fields (the last one short), and
+    # every field in one block
+    if cap is not None:
+        monkeypatch.setattr(frogs, "_SCAN_FIELDS", cap)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    a, replicas, seed, sizes = 5, 30, 17, (1, 4, 16, 64)
+    ref = nested_decay_fails(g, g.origin, a, density, sizes, replicas, seed)
+    got = good_vertex_decay(g, g.origin, a, density, sizes, replicas, seed)
+    assert {k: round(e.mean * replicas) for k, e in got.items()} == ref
+
+
+def scan_reads(g, center, a, density, sizes, replicas, seed):
+    """The (field seed, vertex) pairs with particles whose arrows the
+    nested loop's scan reads, up to each field's first good candidate,
+    and the walks at those pairs."""
+    B = ball(g, center, a)
+    order = sorted(B, key=lambda v: (int(g.dist[v]), v))
+    need = math.ceil(len(B) / 4.0)
+    params = FrogParams(density, float(a * a))
+    fields = [ParticleField(g, Stream(seed, "decay", r).key)
+              for r in range(replicas)]
+    pairs, walks = set(), 0
+    for fld, arrows in zip(fields, frogs._arrow_adjacency(g, B, fields,
+                                                          params)):
+        read = set()
+
+        def out(x):
+            read.add(x)
+            return sorted(arrows[x])
+
+        for x in order[:max(sizes)]:
+            if len(frogs._reach({x}, out, lambda r: len(r) >= need)) >= need:
+                break
+        for x in read:
+            eta = fld.count_at(x, density)
+            if eta:
+                pairs.add((fld.seed, x))
+                walks += eta
+    return pairs, walks
+
+
+@pytest.mark.parametrize("density", [0.25, 0.6, 2.0])
+def test_good_vertex_decay_reveals_only_what_its_scans_read(monkeypatch,
+                                                            density):
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    a, replicas, seed, sizes = 5, 40, 23, (4, 16, 64)
+    want, want_walks = scan_reads(g, g.origin, a, density, sizes, replicas,
+                                  seed)
+    monkeypatch.setattr(frogs, "_SCAN_FIELDS", 9)
+    revealed, walks = [], 0
+    pair_jumps = frogs._pair_jumps
+
+    def spy(g, verts, look, xs, seeds, counts, t):
+        nonlocal walks
+        revealed.extend(zip(seeds.tolist(), xs.tolist()))
+        walks += int(counts.sum())
+        return pair_jumps(g, verts, look, xs, seeds, counts, t)
+
+    monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    good_vertex_decay(g, g.origin, a, density, sizes, replicas, seed)
+    assert len(revealed) == len(set(revealed))     # no pair twice
+    assert set(revealed) == want and walks == want_walks > 0
+
+
+def test_good_vertex_decay_input_checks():
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    for replicas in (0, -3):
+        with pytest.raises(ValueError, match="replicas"):
+            good_vertex_decay(g, g.origin, 5, 0.5, (4,), replicas, 1)
+    with pytest.raises(ValueError, match="sizes"):
+        good_vertex_decay(g, g.origin, 5, 0.5, (4, -1), 10, 1)
+    # size 0 is the empty candidate set, which every field fails
+    assert good_vertex_decay(g, g.origin, 5, 0.5, (0,), 10, 1)[0].mean == 1.0
+
+
+@pytest.mark.parametrize("a", [12, 20])
+def test_good_vertex_decay_rejects_a_ball_on_the_frontier(a):
+    # the radius-12 box's frontier is the sphere of radius 12
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    with pytest.raises(GraphError, match="frontier"):
+        good_vertex_decay(g, g.origin, a, 0.5, (4,), 10, 1)
+    with pytest.raises(GraphError, match="frontier"):
+        good_vertex_decay(g, 1, 11, 0.5, (4,), 10, 1)
+    assert good_vertex_decay(g, g.origin, 11, 0.5, (4,), 10, 1)[4].replicas \
+        == 10
+
+
 # Recorded on the cascade loop that block_open ran before it moved onto
 # frogs._reach: one replica of the renormalization fields (seed 1; a = 8,
 # net_extent = 2). Per net site in order: (open, len(phase2._cache) after

@@ -477,6 +477,52 @@ def test_pair_jumps_column_lookup(shape):
     assert got.tolist() == ref and ref
 
 
+
+@pytest.mark.parametrize("fields_cap,walks_cap", [(1, 2048), (3, 5), (512, 1)])
+def test_read_arrows_matches_arrow_adjacency(monkeypatch, fields_cap,
+                                             walks_cap):
+    # one field in flight, blocks of three fields with waves split into
+    # passes of at most 5 walks, and one block with a pass per pair
+    monkeypatch.setattr(frogs, "_SCAN_FIELDS", fields_cap)
+    monkeypatch.setattr(frogs, "_ARROW_WALKS", walks_cap)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    B = ball(g, 40, 5)
+    verts = sorted(B)
+    p = {s: ParticleField(g, s) for s in range(1, 6)}
+    fields = [p[1], SpliceField(ball(g, 40, 2), p[2], p[3]), p[4], p[5]]
+    params = FrogParams(0.7, 9.0)
+    ref = [{verts.index(x): sorted(verts.index(y) for y in ys)
+            for x, ys in arrows.items()}
+           for arrows in frogs._arrow_adjacency(g, B, fields, params)]
+
+    def scan():
+        # every vertex read twice, in a different order per pass
+        got = {}
+        for c in [*range(len(verts)), *range(len(verts) - 1, -1, -1)]:
+            out = list((yield c))
+            assert got.setdefault(c, out) == out
+        return got
+
+    revealed = []
+    pair_jumps = frogs._pair_jumps
+
+    def spy(g, verts, look, xs, seeds, counts, t):
+        assert counts.sum() <= walks_cap or counts.size == 1
+        revealed.extend(zip(seeds.tolist(), xs.tolist()))
+        return pair_jumps(g, verts, look, xs, seeds, counts, t)
+
+    monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    assert list(frogs._read_arrows(g, B, iter(fields), params, scan)) == ref
+    # each pair with particles revealed once, the others never
+    want = {(fld.source(x).seed, x) for fld in fields for x in verts
+            if fld.count_at(x, params.lam)}
+    assert len(revealed) == len(set(revealed)) and set(revealed) == want
+    revealed.clear()
+    empty = frogs._read_arrows(g, B, fields, FrogParams(0.0, 9.0), scan)
+    assert list(empty) == [dict.fromkeys(range(len(verts)), [])] * 4
+    assert revealed == []
+
+
 def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
     g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
     B = ball(g, 0, 20)

@@ -35,6 +35,17 @@ def test_lattice_box_radius40_count_matches_bfs(z2_box40):
     assert z2_box40.vertex_count == len(dist) == 3281
 
 
+
+def test_origin_distances_are_read_only():
+    # distances_from(g, origin) is g.dist itself, which ball reads
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=6))
+    d = distances_from(g, g.origin)
+    with pytest.raises(ValueError):
+        d[50] = 0
+    assert len(ball(g, g.origin, 1)) == 5
+    other = distances_from(g, 3)
+    other[50] = 0                      # any other source gives a fresh array
+
 def test_regular_tree_counts():
     g = build_graph(GraphSpec("regular_tree", degree=3, depth=2))
     assert g.vertex_count == 10
