@@ -18,8 +18,8 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import (FrogParams, ParticleField, _arrow_adjacency, _reach,
-                    _read_arrows, explore_cluster)
+from .frogs import (FrogParams, ParticleField, _reach, _read_arrows,
+                    explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
 from .stats import Estimate, from_binomial, from_samples
@@ -298,19 +298,28 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
     half = FrogParams(lam / 2.0, t)
     r = net.a // 3
     balls = {s: idx.ball(s, r) for s in sites}
-    arrows = next(_arrow_adjacency(g, set().union(*balls.values()), [phase1],
-                                   half))
+    verts = sorted(set().union(*balls.values()))
+    [arrows] = _read_arrows(g, verts, [phase1], half, _read_all)
+    arrows = {verts[c]: [verts[y] for y in out] for c, out in arrows.items()}
     return {s: _site_open(idx, net, s, B, arrows, half, phase2)
             for s, B in balls.items()}
 
 
+def _read_all(_, has):
+    """A ``frogs._read_arrows`` scan that reads every particle-bearing
+    vertex in one wave and returns their arrows by column."""
+    cols = [c for c, h in enumerate(has) if h]
+    return dict(zip(cols, (yield cols)))
+
+
 def _site_open(idx: _CoordIndex, net: NetConfig, site, B: set, arrows: dict,
                half: FrogParams, phase2: ParticleField) -> bool:
-    """block_open for one site with small ball B, given first-wave arrows
-    over a superset of B."""
+    """block_open for one site with small ball B, given the ascending
+    first-wave arrows of the particle-bearing vertices of a superset of
+    B."""
     # a set filled in ascending order iterates as the one a pass over B
     # alone builds, so the second wave reveals in the same order
-    inner = {x: {y for y in sorted(arrows[x]) if y in B} for x in B}
+    inner = {x: {y for y in arrows.get(x, ()) if y in B} for x in B}
     quota = len(B) / 4.0
     goods = []
     for x in sorted(B):
@@ -351,8 +360,6 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
         raise ValueError(f"candidate set sizes must be >= 0, got {sizes}")
     B = ball(g, center, a)
     verts = sorted(B)
-    if g.boundary_mask[verts].any():
-        raise GraphError("the decay ball must avoid the truncation frontier")
     # the size-k candidate set is order[:k], so one scan of the largest
     # set per field finds the first good candidate for every size
     order = sorted(B, key=lambda v: (int(g.dist[v]), v))
@@ -364,25 +371,29 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     # replica r's field has the seed Stream(seed, "decay", r).key
     fields = (ParticleField(g, s)
               for s in derive_keys(seed, "decay", count=replicas).tolist())
-    for first in _read_arrows(g, B, fields, params,
-                              lambda: _first_good(scan, len(B), need)):
+    for first in _read_arrows(g, verts, fields, params,
+                              lambda _, has: _first_good(has, scan, need)):
         for k in fails:
             fails[k] += first >= k
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
 
 
-def _first_good(scan, nb: int, need: int):
-    """One field's decay scan, as a ``frogs._read_arrows`` scan over a ball
-    of nb vertices: the index in `scan` of the first candidate column whose
-    reach along the arrows has at least need vertices (inf if none). Each
-    reach is ``frogs._reach({x}, out, lambda r: len(r) >= need)`` with
-    out(x) read by a yield."""
+def _first_good(has, scan, need: int):
+    """One field's decay scan, as a ``frogs._read_arrows`` scan with
+    particle mask has: the index in `scan` of the first candidate column
+    whose reach along the arrows has at least need vertices (inf if none).
+    Each reach is ``frogs._reach({x}, out, lambda r: len(r) >= need)``
+    with out(x) read by a one-column yield, once per vertex."""
+    known: dict[int, list[int]] = {}
     for i, start in enumerate(scan):
-        reached = bytearray(nb)
+        reached = bytearray(len(has))
         reached[start] = 1
         size, stack = 1, [start]
         while stack and size < need:
-            for w in (yield stack.pop()):
+            x = stack.pop()
+            if has[x] and x not in known:
+                [known[x]] = yield [x]
+            for w in known.get(x, ()):
                 if not reached[w]:
                     reached[w] = 1
                     size += 1

@@ -400,14 +400,14 @@ def restricted_activation(g: Graph, S, params: FrogParams,
     return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
 
 
-# Most particle walks one lockstep pass of _arrow_adjacency or
-# _read_arrows samples. A pass pays a fixed numpy cost per jump step (about
-# 90 steps at t = 64), so small passes are slow; large ones raise peak
-# memory. It bounds block_open's first wave (one pass per replica, about
-# 340 walks on renorm_z2), arrow_closure's batches and, at high densities,
-# a decay wave. The value was chosen on renorm_z2 when full decay passes
-# dominated its walks (bench/run.py, 10 s runs at seeds 23-25;
-# 2-vCPU x86-64 host, Python 3.11, numpy 2.4): 2.31-2.86 /s with
+# Most particle walks one lockstep pass of _wave_arrows samples. A pass
+# pays a fixed numpy cost per jump step (about 90 steps at t = 64), so
+# small passes are slow; large ones raise peak memory. It bounds
+# block_open's first wave (one pass per replica, about 340 walks on
+# renorm_z2), the closure waves of arrow_closure and good_vertices and,
+# at high densities, a decay wave. The value was chosen on renorm_z2 when
+# full decay passes dominated its walks (bench/run.py, 10 s runs at seeds
+# 23-25; 2-vCPU x86-64 host, Python 3.11, numpy 2.4): 2.31-2.86 /s with
 # 38.76-38.90 MB peak RSS at 1024, 3.13-3.26 /s with 38.79-38.93 MB at
 # 2048 and 3.17-3.48 /s with 39.11-39.40 MB at 3072.
 _ARROW_WALKS = 2048
@@ -427,130 +427,74 @@ def _passes(walks):
         first = last
 
 
-def _arrow_adjacency(g: Graph, B, fields, params: FrogParams, sources=None):
-    """Yield, field by field, the arrows of B under each field: a dict
-    mapping every x of sources (a subset of B, default all of B) to the
-    vertices of B other than x that x's particles visit within their
-    lifespan.
-
-    Equal to reading ``field.particles(x, params)`` for every x, but each
-    (field, x) pair resolves to the ParticleField that answers it
-    (``source``, so splices batch too) and its particles are revealed from
-    the counter-based keys directly: marks ``derive_keys(seed, "eta", x)``,
-    counts ``poisson_counts``, trajectories ``lockstep_walks`` on
-    ``derive_keys(seed, "traj", x, i)``. Fields are read lazily, in blocks
-    of about ``_ARROW_WALKS`` expected walks (lambda |sources| a field) and
-    at most 4 ``_ARROW_WALKS`` marks, and run in passes of at most
-    ``_ARROW_WALKS`` walks (a field with more runs alone). A pass keeps one
-    code per jump that lands in B, so its memory is O(walks + such jumps),
-    whatever |B|; the column lookup of ``_pair_jumps`` takes 4 bytes per id
-    in B's id span. No trajectory is stored or cached.
-    """
-    verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
-    srcs = verts if sources is None else np.array(
-        sorted(int(x) for x in sources), dtype=np.int64)
-    slist = srcs.tolist()
-    look = _columns(verts)
-    fields = iter(fields)
-    # below lambda = 1/4 the mark bound, not the walk bound, sizes a block
-    per_block = max(1, int(_ARROW_WALKS / (max(params.lam, 0.25)
-                                           * max(srcs.size, 1))))
-    while block := list(itertools.islice(fields, per_block)):
-        seeds = np.array([f.seeds(slist) for f in block], dtype=np.uint64)
-        counts = _vertex_counts(seeds, srcs, params.lam)
-        for first, last in _passes(counts.sum(axis=1).tolist()):
-            # the pass's (field, vertex) pairs with particles, field-major
-            fi, xi = np.nonzero(counts[first:last])
-            codes = _pair_jumps(g, verts, look, srcs[xi],
-                                seeds[first + fi, xi], counts[first + fi, xi],
-                                params.t)
-            # each field's pairs, then each pair's codes, as index runs
-            pb = np.searchsorted(fi, np.arange(last - first + 1)).tolist()
-            jb = np.searchsorted(codes, np.arange(xi.size + 1)
-                                 * verts.size).tolist()
-            sx = srcs[xi].tolist()
-            for lo, hi in zip(pb, pb[1:]):
-                arrows: dict[int, set[int]] = {x: set() for x in slist}
-                # one field's landing vertices at a time as Python ints
-                j0 = jb[lo]
-                fy = verts[codes[j0:jb[hi]] % verts.size].tolist()
-                for p in range(lo, hi):
-                    arrows[sx[p]] = set(fy[jb[p] - j0:jb[p + 1] - j0])
-                yield arrows
-
-
 # Most fields whose scans _read_arrows runs together. Every wave pays the
 # fixed numpy cost per jump step of a pass, so the fewer waves the better:
 # renorm_z2's decay (500 fields, B(0, 8) on Z^2, density 0.25, t = 64;
 # seeds 1-3) took 0.27-0.34 s at 32 fields a block, 0.089-0.098 s at 128
 # and 0.041-0.044 s with all 500 in flight (2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4). A field in flight holds a byte per vertex of B plus
-# the arrows it has read.
+# 3.11, numpy 2.4). good_vertices runs a field per candidate, so all 145
+# of B(0, 8) are in flight. A field in flight holds a byte per vertex of
+# B plus the arrows its scan has read.
 _SCAN_FIELDS = 512
 
 
 def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     """Run one scan per field over the arrows of B, revealing a vertex's
     particles only when a scan reads its arrows, and yield each scan's
-    return value in field order.
+    return value in field order. B must avoid the truncation frontier,
+    where walks are absorbed.
 
-    A vertex is named by its column, its index in sorted B. ``scan()``
-    makes one field's scan: a generator that yields the column of each
-    vertex whose arrows it reads and is sent them, as the ascending columns
-    of the vertices of B other than itself that its particles visit within
-    their lifespan (the ``_arrow_adjacency`` set, sorted, as columns).
+    A vertex is named by its column, its index in sorted B. ``scan(i,
+    has)`` makes the scan of the i-th field, where has[c] says whether the
+    field has particles at the vertex of column c: a generator that yields
+    lists of particle-bearing columns it has not read yet and is sent
+    their arrows, in the same order, each the ascending columns of the
+    vertices of B other than itself that its particles visit within their
+    lifespan. A scan keeps the arrows it has read; a vertex with no
+    particles points nowhere.
 
-    The scans of up to ``_SCAN_FIELDS`` fields run together. A vertex with
-    no particles points nowhere, and a vertex read before answers from its
-    field's arrows, so a scan runs on until it reads a particle-bearing
-    vertex not yet revealed; there it suspends. Each wave reveals every
-    suspended (field, vertex) pair from the counter-based keys, in
-    ``_pair_jumps`` passes of at most ``_ARROW_WALKS`` walks, and resumes
-    those scans: no pair is revealed twice, and no particle no scan reads.
-    A field in flight keeps B's particle mask (one byte a vertex, from
-    ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks) and the
-    arrows it has revealed; each wave re-derives its own pairs' counts.
+    The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
+    reveals every suspended scan's list with one ``_wave_arrows`` call,
+    so no particle is revealed that no scan reads. A field in flight keeps
+    B's particle mask (one byte a vertex, from ``_vertex_counts`` calls of
+    at most 4 ``_ARROW_WALKS`` marks); each wave re-derives its own pairs'
+    counts.
     """
     verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
+    if g.boundary_mask[verts].any():
+        raise GraphError("B must avoid the truncation frontier")
     vlist, nb = verts.tolist(), verts.size
     look = _columns(verts)
     fields = iter(fields)
+    done = 0                                  # fields of earlier blocks
     while block := list(itertools.islice(fields, _SCAN_FIELDS)):
-        # has[f * nb + c]: block[f] has particles at verts[c]; the marks
-        # are derived at most 4 _ARROW_WALKS at a time
-        has, step = bytearray(), max(1, 4 * _ARROW_WALKS // max(nb, 1))
+        # the marks are derived at most 4 _ARROW_WALKS at a time
+        has, step = [], max(1, 4 * _ARROW_WALKS // max(nb, 1))
         for lo in range(0, len(block), step):
             seeds = np.array([fld.seeds(vlist) for fld in block[lo:lo + step]],
                              dtype=np.uint64)
-            has += (_vertex_counts(seeds, verts, params.lam) != 0).tobytes()
-        scans = [scan() for _ in block]
-        known = [{} for _ in block]       # column -> revealed arrows
+            has += [row.tobytes()
+                    for row in _vertex_counts(seeds, verts, params.lam) != 0]
+        scans = [scan(done + f, has[f]) for f in range(len(block))]
+        done += len(block)
         results = [None] * len(block)
+        reads = {}                            # field -> the columns it reads
 
-        def resume(f, sent):
-            """Send `sent` to scan f and answer its reads until it reads an
-            unrevealed particle-bearing vertex (returned), or returns."""
-            run, seen, row = scans[f], known[f], f * nb
+        def advance(f, sent):
             try:
-                c = run.send(sent)
-                while not has[row + c] or c in seen:
-                    c = run.send(seen.get(c, ()))
-                return c
+                reads[f] = scans[f].send(sent)
             except StopIteration as stop:
                 results[f] = stop.value
-                scans[f] = known[f] = None
-                return None
 
-        wave = [(f, c) for f in range(len(block))
-                if (c := resume(f, None)) is not None]
-        while wave:
-            cols = _wave_arrows(g, verts, look, block, wave, params)
-            nxt = []
-            for (f, c), out in zip(wave, cols):
-                known[f][c] = out
-                if (c := resume(f, out)) is not None:
-                    nxt.append((f, c))
-            wave = nxt
+        for f in range(len(block)):
+            advance(f, None)
+        while reads:
+            wave, reads = reads, {}
+            pairs = [(f, c) for f, cols in wave.items() for c in cols]
+            arrows = iter(_wave_arrows(g, verts, look, block, pairs, params)
+                          if pairs else ())
+            for f, cols in wave.items():
+                advance(f, list(itertools.islice(arrows, len(cols))))
         yield from results
 
 
@@ -637,48 +581,62 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
 
     Chain vertices stay in B but the participating trajectories are free to
     leave B and return; a vertex with no particles only points to itself.
-    Only the particles of reached vertices are revealed: the first read of
-    an unrevealed vertex reveals every reached vertex not yet revealed, in
-    one batch. With stop_size, returns the first stop_size vertices reached.
+    Only the particles of reached vertices are revealed (``_closure_scan``).
+    With stop_size (at least 1), returns the first stop_size vertices
+    reached. B must avoid the truncation frontier.
     """
     B = g.vertex_set(B)
     if start not in B:
         raise GraphError("start must belong to B")
-    verts = sorted(B)                        # sorted once, not per batch
-    reached = {start}
-    arrows: dict[int, set[int]] = {}
-
-    def out(x):
-        if x not in arrows:
-            fresh = [v for v in reached if v not in arrows]
-            arrows.update(next(_arrow_adjacency(g, verts, [field], params,
-                                                sources=fresh)))
-        return arrows[x]
-
-    return _reach(reached, out, None if stop_size is None
-                  else lambda r: len(r) >= stop_size)
+    if stop_size is not None and stop_size < 1:
+        raise ValueError(f"stop_size must be >= 1, got {stop_size}")
+    verts = sorted(B)
+    [reached] = _read_arrows(g, verts, [field], params, lambda _, has: (
+        _closure_scan(has, verts.index(start),
+                      math.inf if stop_size is None else stop_size)))
+    return {verts[c] for c in reached}
 
 
-def good_vertices(g: Graph, B, params: FrogParams, rng: Stream,
-                  *, stop_after: int | None = None) -> set[int]:
+def good_vertices(g: Graph, B, params: FrogParams, rng: Stream) -> set[int]:
     """Vertices of B whose B-restricted activation covers >= |B|/4.
 
-    Each candidate explores a fresh independent particle field, matching the
-    sequential refreshed-exploration semantics. stop_after returns early
-    once that many good vertices are found (existence checks).
+    Each candidate x explores a fresh independent particle field, keyed
+    ``rng.child("goodv", x)``, matching the sequential refreshed-exploration
+    semantics. Every candidate's closure scan runs in one ``_read_arrows``
+    call and stops once it covers the quarter; the first good vertex is
+    ``min(good)``. B must avoid the truncation frontier.
     """
     B = g.vertex_set(B)
+    verts = sorted(B)
     quota = len(B) / 4.0
     need = math.ceil(quota) if quota > 1 else 1
-    good = set()
-    for x in sorted(B):
-        fld = ParticleField(g, rng.child("goodv", x).key)
-        A = arrow_closure(g, B, x, params, fld, stop_size=need)
-        if len(A) >= quota:
-            good.add(x)
-            if stop_after is not None and len(good) >= stop_after:
-                break
-    return good
+    fields = (ParticleField(g, rng.child("goodv", x).key) for x in verts)
+    reach = _read_arrows(g, verts, fields, params,
+                         lambda c, has: _closure_scan(has, c, need))
+    return {x for x, reached in zip(verts, reach) if len(reached) >= quota}
+
+
+def _closure_scan(has, start: int, stop: float):
+    """One field's arrow closure, as a ``_read_arrows`` scan: the columns
+    ``_reach({start}, out, lambda r: len(r) >= stop)`` reaches, for out(c)
+    the arrows of column c. The first read of a particle-bearing vertex
+    not yet read reads every reached particle-bearing vertex not yet read,
+    as one batch."""
+    arrows: dict[int, list[int]] = {}
+    reached = {start}
+    stack = [start]
+    while stack and len(reached) < stop:
+        x = stack.pop()
+        if has[x] and x not in arrows:
+            fresh = [v for v in reached if has[v] and v not in arrows]
+            arrows.update(zip(fresh, (yield fresh)))
+        for w in arrows.get(x, ()):
+            if w not in reached:
+                reached.add(w)
+                if len(reached) >= stop:
+                    break
+                stack.append(w)
+    return reached
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def jump_picker(g: Graph):
 # sweep_tree12 run at t = 1. Many independent walks run in lockstep_walks
 # instead: the replica walks of range_statistics, good_set_G_A and the
 # exit-conditional jump counts (frogs._exit_conditional_stats), every
-# arrow walk of frogs._arrow_adjacency and the particle walks of every
+# arrow walk of frogs._wave_arrows and the particle walks of every
 # stay-inside closure wave of at least frogs._STAY_BATCH_WALKS expected
 # walks (frogs._stay_batch). So of renorm_z2's t = 64 walks only the
 # phase-two cascade's reach this loop, and of phi_window_z2's t = 1 walks

@@ -1,6 +1,7 @@
 import pytest
 
-from frogsim import GraphSpec, build_graph
+from frogsim import GraphSpec, build_graph, frogs
+from frogsim.experiments import _read_all
 
 
 # A directed weighted graph with non-dyadic weights and a sink (vertex 4)
@@ -71,3 +72,14 @@ def bfs_oracle(neighbors, start, radius=None):
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def read_all_arrows(g, B, fields, params):
+    """The arrows of B under each of `fields`, as {x: the set of vertices
+    of B other than x that x's particles visit} for every x of B, read
+    through frogs._read_arrows with block_open's read-everything scan."""
+    verts = sorted(B)
+    return [{x: {verts[y] for y in got.get(c, ())}
+             for c, x in enumerate(verts)}
+            for got in frogs._read_arrows(g, verts, fields, params,
+                                          _read_all)]

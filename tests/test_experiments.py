@@ -14,6 +14,8 @@ from frogsim import frogs
 from frogsim.experiments import _CoordIndex, block_open, good_vertex_decay
 from frogsim.stats import Estimate
 
+from conftest import read_all_arrows
+
 
 def test_edge_open_probability_closed_form():
     # independent evaluation of the two-sided first-jump product
@@ -367,7 +369,7 @@ def nested_decay_fails(g, center, a, density, sizes, replicas, seed):
     fields = [ParticleField(g, Stream(seed, "decay", r).key)
               for r in range(replicas)]
     params = FrogParams(density, float(a * a))
-    for arrows in frogs._arrow_adjacency(g, B, fields, params):
+    for arrows in read_all_arrows(g, B, fields, params):
         good_found = set()
         for k in sorted(sizes):
             ok = any(x in good_found for x in order[:k])
@@ -429,8 +431,7 @@ def scan_reads(g, center, a, density, sizes, replicas, seed):
     fields = [ParticleField(g, Stream(seed, "decay", r).key)
               for r in range(replicas)]
     pairs, walks = set(), 0
-    for fld, arrows in zip(fields, frogs._arrow_adjacency(g, B, fields,
-                                                          params)):
+    for fld, arrows in zip(fields, read_all_arrows(g, B, fields, params)):
         read = set()
 
         def out(x):

@@ -15,6 +15,8 @@ from frogsim import frogs
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
 
+from conftest import read_all_arrows
+
 
 def make_out_tree(tmp_path, degree=3, depth=5):
     lines = ["frogsim-graph v1 directed"]
@@ -318,9 +320,8 @@ def test_good_vertices_exist_in_active_regime():
     found = 0
     trials = 50
     for s in range(trials):
-        got = good_vertices(g, B, FrogParams(1.0, 64.0), Stream(60, s),
-                            stop_after=1)
-        found += bool(got)
+        found += bool(good_vertices(g, B, FrogParams(1.0, 64.0),
+                                    Stream(60, s)))
     assert found >= 0.9 * trials
 
 
@@ -334,7 +335,8 @@ def test_arrow_closure_reflexive_and_contained(z2_box20):
 # Recorded on the per-particle arrow loop, before the arrows were built in
 # batches: Z^2 box of radius 24.
 GOLDEN_GOOD_VERTICES = {
-    # B = ball(0, 8), (lambda, t) = (1, 64), rng Stream(60, s), stop_after=1
+    # B = ball(0, 8), (lambda, t) = (1, 64), rng Stream(60, s): the first
+    # good vertex, [min(good)]
     "stop1": [[0], [0], [1], [0], [0]],
     # B = ball(0, 3), (lambda, t) = (0.5, 6), rng Stream(61, s)
     "all": [[2, 23], [22], [2, 6, 14, 17, 22], [0, 7, 8, 9, 14],
@@ -351,8 +353,7 @@ GOLDEN_ARROW_CLOSURE = [
 def test_good_vertices_and_arrow_closure_golden():
     g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
     B8, B3 = ball(g, 0, 8), ball(g, 0, 3)
-    assert [sorted(good_vertices(g, B8, FrogParams(1.0, 64.0), Stream(60, s),
-                                 stop_after=1))
+    assert [[min(good_vertices(g, B8, FrogParams(1.0, 64.0), Stream(60, s)))]
             for s in range(5)] == GOLDEN_GOOD_VERTICES["stop1"]
     assert [sorted(good_vertices(g, B3, FrogParams(0.5, 6.0), Stream(61, s)))
             for s in range(5)] == GOLDEN_GOOD_VERTICES["all"]
@@ -376,13 +377,13 @@ def reference_arrows(B, pick, params):
 
 
 @pytest.mark.parametrize("cap", [1, 40, 300, 4096])
-def test_arrow_adjacency_matches_particles(monkeypatch, cap):
-    # caps that split the fields into one-field blocks, several passes per
-    # block, and one pass for all
+def test_read_arrows_matches_particles(monkeypatch, cap):
+    # caps that put one field in flight with a pass per walk, and every
+    # field in flight with several passes per wave, or one pass
     monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
+    monkeypatch.setattr(frogs, "_SCAN_FIELDS", cap)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=6))
-    B = ball(g, 3, 4) | {v for v in range(g.vertex_count)
-                         if g.boundary_mask[v]}   # frontier vertices too
+    B = ball(g, 3, 4)
     window, core = ball(g, 3, 2), ball(g, 0, 1)
     params = FrogParams(1.5, 5.0)
     p = {s: ParticleField(g, s) for s in (1, -7, 2**70 + 3, 11, 12, 5)}
@@ -394,50 +395,63 @@ def test_arrow_adjacency_matches_particles(monkeypatch, cap):
                   else p[-7] if x in window else p[5]))
     cases.append((p[5], lambda x: p[5]))
     fields = [field for field, _ in cases]
-    got = list(frogs._arrow_adjacency(g, B, iter(fields), params))
+    got = read_all_arrows(g, B, iter(fields), params)
     assert len(got) == len(cases)
     for arrows, (_, pick) in zip(got, cases):
         assert arrows == reference_arrows(B, pick, params)
-    empty = frogs._arrow_adjacency(g, B, fields[:2], FrogParams(0.0, 5.0))
-    assert list(empty) == [{x: set() for x in B}] * 2
-    sources = sorted(B)[::3]
-    part = frogs._arrow_adjacency(g, B, iter(fields), params, sources=sources)
-    for arrows, (_, pick) in zip(part, cases):
-        ref = reference_arrows(B, pick, params)
-        assert arrows == {x: ref[x] for x in sources}
+    empty = read_all_arrows(g, B, fields[:2], FrogParams(0.0, 5.0))
+    assert empty == [{x: set() for x in B}] * 2
+    # frontier vertices, which _read_arrows rejects, at the wave level
+    edge = B | {v for v in range(g.vertex_count) if g.boundary_mask[v]}
+    with pytest.raises(GraphError, match="must avoid the truncation frontier"):
+        read_all_arrows(g, edge, fields, params)
+    verts = np.array(sorted(edge), dtype=np.int64)
+    nb = verts.size
+    wave = [(f, c) for f in range(len(fields)) for c in range(nb)]
+    cols = frogs._wave_arrows(g, verts, frogs._columns(verts), fields, wave,
+                              params)
+    for f, (_, pick) in enumerate(cases):
+        assert {x: {int(verts[y]) for y in out} for x, out in zip(
+            verts.tolist(), cols[f * nb:(f + 1) * nb])} \
+            == reference_arrows(edge, pick, params)
 
 
-def test_arrow_adjacency_pass_size_does_not_change_arrows(monkeypatch):
+def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
     # a radius-8 ball off the origin, so B's id span holds vertices outside
     # B; lambda = 0.25 and 2 bracket the decay and block_open densities
     g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
     B = ball(g, 40, 8)
+    verts = np.array(sorted(B), dtype=np.int64)
+    look, nb = frogs._columns(verts), verts.size
     p = {s: ParticleField(g, s) for s in range(1, 6)}
     fields = [p[1], p[2], SpliceField(ball(g, 40, 3), p[3], p[4]), p[5]]
-    sources = sorted(B)[::7]
+    every = [(f, c) for f in range(len(fields)) for c in range(nb)]
+    some = [(f, c) for f, c in every if c % 7 == 0]
     runs = {}
     for lam in (0.25, 2.0):
         params = FrogParams(lam, 16.0)
-        # 80 at lambda = 0.25 makes two-field blocks, one of them split
-        # into two passes
+        # a pass per walk, passes that split a field's pairs, and one
+        # pass for all
         for cap in (1, 37, 80, 2048, 10**6):
             monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
             runs[lam, cap] = (
-                list(frogs._arrow_adjacency(g, B, iter(fields), params)),
-                list(frogs._arrow_adjacency(g, B, iter(fields), params,
-                                            sources=sources)))
+                frogs._wave_arrows(g, verts, look, fields, every, params),
+                frogs._wave_arrows(g, verts, look, fields, some, params))
         full, part = runs[lam, 2048]
-        assert len(full) == len(part) == len(fields)
-        assert part == [{x: arrows[x] for x in sources} for arrows in full]
-        assert any(arrows[x] for arrows in full for x in arrows)
+        assert len(full) == len(every) and len(part) == len(some)
+        assert part == [full[f * nb + c] for f, c in some]
+        assert any(full)
         for cap in (1, 37, 80, 10**6):
             assert runs[lam, cap] == runs[lam, 2048]
     # the per-particle reference, on the splice and one plain field
     params = FrogParams(0.25, 16.0)
     inner = ball(g, 40, 3)
-    assert runs[0.25, 37][0][2] == reference_arrows(
-        B, lambda x: p[3] if x in inner else p[4], params)
-    assert runs[0.25, 37][0][0] == reference_arrows(B, lambda x: p[1], params)
+    full = runs[0.25, 37][0]
+    for f, pick in ((2, lambda x: p[3] if x in inner else p[4]),
+                    (0, lambda x: p[1])):
+        assert {x: {int(verts[y]) for y in out} for x, out in zip(
+            verts.tolist(), full[f * nb:(f + 1) * nb])} \
+            == reference_arrows(B, pick, params)
 
 
 def pair_jumps_reference(g, B, xs, seeds, counts, t):
@@ -479,8 +493,8 @@ def test_pair_jumps_column_lookup(shape):
 
 
 @pytest.mark.parametrize("fields_cap,walks_cap", [(1, 2048), (3, 5), (512, 1)])
-def test_read_arrows_matches_arrow_adjacency(monkeypatch, fields_cap,
-                                             walks_cap):
+def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
+                                                 walks_cap):
     # one field in flight, blocks of three fields with waves split into
     # passes of at most 5 walks, and one block with a pass per pair
     monkeypatch.setattr(frogs, "_SCAN_FIELDS", fields_cap)
@@ -489,18 +503,23 @@ def test_read_arrows_matches_arrow_adjacency(monkeypatch, fields_cap,
     B = ball(g, 40, 5)
     verts = sorted(B)
     p = {s: ParticleField(g, s) for s in range(1, 6)}
-    fields = [p[1], SpliceField(ball(g, 40, 2), p[2], p[3]), p[4], p[5]]
+    inner = ball(g, 40, 2)
+    fields = [p[1], SpliceField(inner, p[2], p[3]), p[4], p[5]]
+    picks = [lambda x: p[1], lambda x: p[2] if x in inner else p[3],
+             lambda x: p[4], lambda x: p[5]]
     params = FrogParams(0.7, 9.0)
-    ref = [{verts.index(x): sorted(verts.index(y) for y in ys)
-            for x, ys in arrows.items()}
-           for arrows in frogs._arrow_adjacency(g, B, fields, params)]
+    seen = []
 
-    def scan():
-        # every vertex read twice, in a different order per pass
-        got = {}
-        for c in [*range(len(verts)), *range(len(verts) - 1, -1, -1)]:
-            out = list((yield c))
-            assert got.setdefault(c, out) == out
+    def scan(i, has):
+        # every particle-bearing column, read in descending order in
+        # lists of 1, 2, 3, ... columns
+        cols = [c for c in range(len(verts) - 1, -1, -1) if has[c]]
+        got, size = {}, 1
+        while cols:
+            read, cols = cols[:size], cols[size:]
+            got.update(zip(read, (yield read)))
+            size += 1
+        seen.append(i)
         return got
 
     revealed = []
@@ -512,14 +531,20 @@ def test_read_arrows_matches_arrow_adjacency(monkeypatch, fields_cap,
         return pair_jumps(g, verts, look, xs, seeds, counts, t)
 
     monkeypatch.setattr(frogs, "_pair_jumps", spy)
-    assert list(frogs._read_arrows(g, B, iter(fields), params, scan)) == ref
+    got = list(frogs._read_arrows(g, B, iter(fields), params, scan))
+    assert sorted(seen) == [0, 1, 2, 3]
+    for arrows, pick in zip(got, picks):
+        ref = reference_arrows(B, pick, params)
+        assert {verts[c]: {verts[y] for y in out} for c, out in arrows.items()} \
+            == {x: ref[x] for x in B if pick(x).count_at(x, params.lam)}
+        assert all(out == sorted(out) for out in arrows.values())
     # each pair with particles revealed once, the others never
     want = {(fld.source(x).seed, x) for fld in fields for x in verts
             if fld.count_at(x, params.lam)}
     assert len(revealed) == len(set(revealed)) and set(revealed) == want
     revealed.clear()
     empty = frogs._read_arrows(g, B, fields, FrogParams(0.0, 9.0), scan)
-    assert list(empty) == [dict.fromkeys(range(len(verts)), [])] * 4
+    assert list(empty) == [{}] * 4
     assert revealed == []
 
 
@@ -528,40 +553,84 @@ def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
     B = ball(g, 0, 20)
     params = FrogParams(0.3, 2.0)
     fld = ParticleField(g, 4)
-    arrows = next(frogs._arrow_adjacency(g, B, [fld], params))
+    arrows = reference_arrows(B, lambda x: fld, params)
     revealed = []
-    builder = frogs._arrow_adjacency
+    pair_jumps = frogs._pair_jumps
 
-    def spy(g, B, fields, params, sources=None):
-        revealed.append(sorted(sources))
-        return builder(g, B, fields, params, sources)
+    def spy(g, verts, look, xs, seeds, counts, t):
+        revealed.extend(xs.tolist())
+        return pair_jumps(g, verts, look, xs, seeds, counts, t)
 
-    monkeypatch.setattr(frogs, "_arrow_adjacency", spy)
+    monkeypatch.setattr(frogs, "_pair_jumps", spy)
     for x in sorted(B)[::40]:
         full = frogs._reach({x}, arrows.__getitem__)
         revealed.clear()
         assert arrow_closure(g, B, x, params, fld) == full
-        waves = [v for wave in revealed for v in wave]
-        assert sorted(waves) == sorted(full)       # each vertex once
+        # each particle-bearing reached vertex once
+        assert sorted(revealed) == sorted(
+            v for v in full if fld.count_at(v, params.lam))
         for k in (1, 2, 5):
             revealed.clear()
             got = arrow_closure(g, B, x, params, fld, stop_size=k)
             assert x in got and got <= full and len(got) == min(k, len(full))
-            assert {v for wave in revealed for v in wave} <= got
+            assert set(revealed) <= got
             if k == 1:
                 assert got == {x} and revealed == []
 
 
-def test_arrow_adjacency_memory_does_not_grow_with_B_squared():
+@pytest.mark.parametrize("splice", [False, True])
+def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
+                                                 splice):
+    g, B = z2_box20, ball(z2_box20, 0, 3)
+    params = FrogParams(0.5, 6.0)
+    if splice:
+        # each candidate's field answers from another seed off ball(0, 1)
+        plain, core = frogs.ParticleField, ball(g, 0, 1)
+        monkeypatch.setattr(frogs, "ParticleField", lambda g, key: SpliceField(
+            core, plain(g, key), plain(g, key ^ 1)))
+    rng = Stream(61, 2)
+    want = set()
+    for x in sorted(B):
+        fld = frogs.ParticleField(g, rng.child("goodv", x).key)
+        arrows = reference_arrows(B, fld.source, params)
+        if len(frogs._reach({x}, arrows.__getitem__)) >= len(B) / 4:
+            want.add(x)
+    assert 0 < len(want) < len(B)
+    assert good_vertices(g, B, params, rng) == want
+
+
+def test_arrow_closure_rejects_stop_size_below_one(z2_box20):
+    B = ball(z2_box20, 0, 3)
+    fld = ParticleField(z2_box20, 8)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="stop_size"):
+            arrow_closure(z2_box20, B, 0, FrogParams(1.0, 1.0), fld,
+                          stop_size=k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, B: good_vertices(g, B, FrogParams(1.0, 4.0), Stream(3)),
+    lambda g, B: arrow_closure(g, B, 0, FrogParams(1.0, 4.0),
+                               ParticleField(g, 3)),
+])
+def test_arrow_readers_reject_the_truncation_frontier(call):
+    # the radius-10 box's frontier is the sphere of radius 10
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=10))
+    with pytest.raises(GraphError, match="must avoid the truncation frontier"):
+        call(g, ball(g, 0, 12))
+    call(g, ball(g, 0, 9))
+
+
+def test_read_arrows_memory_does_not_grow_with_B_squared():
     # a boolean (pair with particles) x |B| matrix would take about
-    # 0.39 * |B|^2 bytes here (|B| = 3281: 4.2 MB); the arrows dict of
-    # |B| sets takes about 1 MB
+    # 0.39 * |B|^2 bytes here (|B| = 3281: 4.2 MB); the arrows of |B|
+    # vertices take about 1 MB
     g = build_graph(GraphSpec("lattice_box", d=2, radius=45))
     B = ball(g, 0, 40)
     fld = ParticleField(g, 9)
     tracemalloc.start()
     try:
-        arrows = next(frogs._arrow_adjacency(g, B, [fld], FrogParams(0.5, 1.0)))
+        [arrows] = read_all_arrows(g, B, [fld], FrogParams(0.5, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
