@@ -18,11 +18,10 @@ import numpy as np
 
 from .graphs import Graph, GraphError, ball
 from .frogs import (FrogParams, ParticleField, explore_cluster,
-                    _exit_conditional_stats, _replica_closures,
-                    _check_window)
+                    _exit_conditional_stats, _replica_closures)
 from .rng import Stream, derive_keys
-from .stats import Estimate, from_binomial, from_samples
-from .walks import exit_probability_exact, walk_batch
+from .stats import Estimate, check_replicas, from_binomial, from_samples
+from .walks import check_horizon, exit_probability_exact, walk_batch
 
 
 # ---------------------------------------------------------------------------
@@ -40,20 +39,14 @@ def replica_survival(g: Graph, params: FrogParams, n: int, key: int, *,
                      particle_budget: int | None) -> bool | None:
     """One replica of the survival event on the field with key `key`: True
     if the cluster reaches distance >= n from the origin (for n = 0:
-    activates a second vertex), False if it dies out first, None (censored)
-    if the particle budget runs out first, even when the origin's own
-    particles exceed it. A budget of None never censors."""
-    fld = ParticleField(g, key)
-    if n == 0:
-        cl = explore_cluster(g, params, fld, vertex_budget=2,
-                             particle_budget=particle_budget)
-        if len(cl.activated) > 1:
-            return True
-    else:
-        cl = explore_cluster(g, params, fld, radius=n, schedule="lifo",
-                             particle_budget=particle_budget)
-        if cl.stop_reason == "radius_reached":
-            return True
+    activates a second vertex, which lies at distance >= 1), False if it
+    dies out first, None (censored) if the particle budget runs out first,
+    even when the origin's own particles exceed it. A budget of None never
+    censors."""
+    cl = explore_cluster(g, params, ParticleField(g, key), radius=max(n, 1),
+                         schedule="lifo", particle_budget=particle_budget)
+    if cl.stop_reason == "radius_reached":
+        return True
     return None if cl.stop_reason == "particle_budget" else False
 
 
@@ -68,6 +61,8 @@ def survival_probability(g: Graph, params: FrogParams, n: int, replicas: int,
     the same seed ride the monotone coupling: estimates are non-decreasing
     per seed by exact set inclusion.
     """
+    if n < 0:
+        raise ValueError(f"survival radius must be >= 0, got {n}")
     if n > g.max_radius:
         raise GraphError(f"survival radius {n} exceeds truncation radius")
     outcomes = [replica_survival(g, params, n, Stream(seed, "survival", r).key,
@@ -88,6 +83,7 @@ class ClusterTail:
 
 def cluster_size_tail(g: Graph, params: FrogParams, nmax: int, replicas: int,
                       seed: int, *, particle_budget: int = 500_000) -> ClusterTail:
+    check_replicas(replicas)
     sizes = []
     censored = 0
     for r in range(replicas):
@@ -134,9 +130,7 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     Only the reach indicator is Monte Carlo; the per-vertex exit factor
     comes from the killed-walk series, which removes most of the variance.
     """
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("S must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     if params.lam == 0 or params.t == 0:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     table = exit_probability_exact(g, S, params.t, tol)
@@ -149,9 +143,7 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
 def mean_exiters(g: Graph, S, params: FrogParams, replicas: int,
                  seed: int) -> Estimate:
     """Direct estimate of E |N(S)|, the dual form of phi(S)."""
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("window must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     vals = [sum(exits[x] for x in reached) for reached, _, exits in
             _replica_closures(g, S, params, seed, "exiters", replicas)]
     return from_samples(vals, seed, "exiter-count")
@@ -167,9 +159,7 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     vertex with no accepted exits falls back to its geometric cap. Its
     sampling error enters the reported stderr through the delta method.
     """
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("S must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     if params.lam == 0 or params.t == 0:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     table = exit_probability_exact(g, S, params.t, tol)
@@ -231,8 +221,9 @@ def sharpness_constants(delta_deg: int, lam: float, t: float,
     """
     if delta_deg < 1:
         raise GraphError("Delta must be >= 1")
-    if lam < 0 or t < 0:
-        raise ValueError("lambda and t must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    check_horizon(t)
     if lam == 0.0 or t == 0.0:
         return SharpnessConstants(0.0, math.inf, math.inf, 0.0, math.inf)
     delta = -math.expm1(-(lam / delta_deg) * t * math.exp(-t))
@@ -307,13 +298,10 @@ class CriticalBracket:
             raise ValueError("bracket needs lo < hi")
 
 
-def _survival_at(g, parameter, value, fixed_value, n, replicas, seed, budget):
-    if parameter == "lambda":
-        params = FrogParams(value, fixed_value)
-    else:
-        params = FrogParams(fixed_value, value)
-    return survival_probability(g, params, n, replicas, seed,
-                                particle_budget=budget)
+def _params_at(parameter: str, value: float, fixed_value: float) -> FrogParams:
+    """The parameters with the free one ("lambda" or "t") at value."""
+    return (FrogParams(value, fixed_value) if parameter == "lambda"
+            else FrogParams(fixed_value, value))
 
 
 def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
@@ -334,26 +322,27 @@ def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
     if not lo < hi:
         raise ValueError("need lo < hi")
 
-    def confident_side(value, reps):
+    def confident_side(value):
+        params, reps = _params_at(parameter, value, fixed_value), replicas
         while True:
-            est = _survival_at(g, parameter, value, fixed_value, n, reps,
-                               seed, particle_budget).estimate
+            est = survival_probability(g, params, n, reps, seed,
+                                       particle_budget=particle_budget).estimate
             gap = est.mean - threshold
             if abs(gap) >= 3.0 * max(est.stderr, 1e-12) or est.stderr == 0.0:
-                return (1 if gap > 0 else -1), reps
+                return 1 if gap > 0 else -1
             if reps >= max_replicas:
-                return 0, reps
+                return 0
             reps *= 2
 
-    side_lo, _ = confident_side(lo, replicas)
-    side_hi, _ = confident_side(hi, replicas)
+    side_lo = confident_side(lo)
+    side_hi = confident_side(hi)
     if side_lo >= 0 or side_hi <= 0:
         return CriticalBracket(lo, hi, parameter, fixed_value, False,
                                "no confident crossing inside the search interval")
     a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
-        side, _ = confident_side(mid, replicas)
+        side = confident_side(mid)
         if side == 0:
             return CriticalBracket(a, b, parameter, fixed_value, False,
                                    f"noise floor reached at {mid:.6g}")
@@ -390,11 +379,12 @@ def tilde_critical_scan(g: Graph, parameter: str, fixed_value: float,
     """
     if parameter not in ("lambda", "t"):
         raise ValueError("parameter must be 'lambda' or 't'")
+    if not radii:
+        raise ValueError("radii must be non-empty")
     delta_deg = g.max_interior_degree()
     rows = []
     for value in grid:
-        params = (FrogParams(value, fixed_value) if parameter == "lambda"
-                  else FrogParams(fixed_value, value))
+        params = _params_at(parameter, value, fixed_value)
         consts = sharpness_constants(delta_deg, params.lam, params.t)
         best: Estimate | None = None
         best_r = radii[0]
@@ -445,6 +435,11 @@ def russo_inequality_check(g: Graph, radius: int, params: FrogParams,
     """
     if variant not in ("lambda", "t"):
         raise ValueError("variant must be 'lambda' or 't'")
+    if not dstep > 0:
+        raise ValueError(f"dstep must be > 0, got {dstep}")
+    if (params.lam if variant == "lambda" else params.t) == 0:
+        raise ValueError(f"the {variant} variant divides by {variant}, "
+                         "which must be > 0")
     n = radius + 1   # event: cluster leaves the ball of the given radius
     if variant == "lambda":
         bumped = FrogParams(params.lam + dstep, params.t)
@@ -498,8 +493,9 @@ def gw_oracle(lam: float, t: float, tol: float = 1e-12) -> GWOracle:
     monotone iteration from 0. The total activated mass has an exponential
     moment exactly when lam t < 1.
     """
-    if lam < 0 or t < 0:
-        raise ValueError("lambda and t must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    check_horizon(t)
 
     def f(s: float) -> float:
         return math.exp(lam * math.expm1(t * (s - 1.0)))
@@ -557,11 +553,12 @@ def good_set_G_A(g: Graph, A, t: float, alpha: float, replicas: int,
 
     Walk r from x uses ``Stream(seed, "GA", x, r)``; each x's replicas run
     as one ``walk_batch``."""
-    A = set(int(a) for a in A)
+    A = g.vertex_set(A)
     if not A:
         raise GraphError("A must be non-empty")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    check_replicas(replicas)
     thresh = (1.0 - rho) / (4.0 * K)
     members = set()
     probs = {}

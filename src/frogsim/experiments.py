@@ -22,8 +22,8 @@ from .frogs import (FrogParams, ParticleField, _reach, _read_arrows,
                     explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
-from .stats import Estimate, from_binomial, from_samples
-from .walks import exit_probability_exact, jump_picker
+from .stats import Estimate, check_replicas, from_binomial, from_samples
+from .walks import check_horizon, exit_probability_exact, jump_picker
 
 
 @dataclass
@@ -111,7 +111,7 @@ def write_report(report: ExperimentReport, outdir) -> tuple[Path, Path]:
 def edge_open_probability(delta_deg: int, lam: float, t: float) -> float:
     """Closed-form per-edge open probability on a Delta-regular graph:
     (1 - exp(-lam (1 - e^{-t}) / Delta))^2."""
-    one_side = -math.expm1(-lam * -math.expm1(-t) / delta_deg)
+    one_side = -math.expm1(-lam * -math.expm1(-check_horizon(t)) / delta_deg)
     return one_side * one_side
 
 
@@ -225,16 +225,15 @@ class NetConfig:
     """Sublattice block structure on a planar box.
 
     Net sites are the spacing-a sublattice inside the box; net edges join
-    the eight adjacent sites (all within graph distance 4*beta*a for
-    beta = 1, and a valid block net: site percolation on that adjacency is
-    comfortably subcritical at 3/4). Balls of radius a//3 around distinct
-    sites are disjoint.
+    the eight adjacent sites (all within graph distance 4a, and a valid
+    block net: site percolation on that adjacency is comfortably
+    subcritical at 3/4). Balls of radius a//3 around distinct sites are
+    disjoint.
     """
 
     a: int
     net_extent: int          # net sites live in the l1 ball of this many steps
     box_radius: int | None = None
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.a < 3:
@@ -354,8 +353,7 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     ball. Nesting makes the probabilities non-increasing in |A| per seed.
     The ball must avoid the truncation frontier, where walks are absorbed.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    check_replicas(replicas)
     if any(k < 0 for k in sizes):
         raise ValueError(f"candidate set sizes must be >= 0, got {sizes}")
     B = ball(g, center, a)

@@ -26,8 +26,8 @@ import numpy as np
 from .graphs import Graph, GraphError, ball, distance_to_complement
 from .rng import (_INV_2_53, _MASK, Stream, derive_key, derive_keys,
                   poisson_counts, poisson_inverse_cdf)
-from .stats import Estimate, from_samples
-from .walks import Trajectory, lockstep_walks, walk_positions
+from .stats import Estimate, check_replicas, from_samples
+from .walks import Trajectory, check_horizon, lockstep_walks, walk_positions
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class FrogParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        check_horizon(self.t)
 
 
 class ParticleField:
@@ -67,7 +66,8 @@ class ParticleField:
         traj = self._cache.get(key)
         if traj is None:
             stream = Stream(self.seed, "traj", x, i)
-            jumps, absorbed = walk_positions(self.graph, x, t, stream)
+            jumps, absorbed = walk_positions(self.graph, x, check_horizon(t),
+                                             stream)
             traj = Trajectory(x, tuple(jumps), t, absorbed)
             self._cache[key] = traj
         return traj
@@ -215,14 +215,6 @@ class RestrictedActivation:
     harpoon: dict[int, bool]
     stay_sets: dict[int, tuple[int, ...]]
     exiters: int
-
-
-def _check_window(g: Graph, S) -> set[int]:
-    S = g.vertex_set(S)
-    for v in S:
-        if g.is_boundary(v):
-            raise GraphError("window must avoid the truncation frontier")
-    return S
 
 
 def _reach(reached: set, out, done=None) -> set:
@@ -390,9 +382,7 @@ def _particle_keys(seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray):
 
 def restricted_activation(g: Graph, S, params: FrogParams,
                           field: ParticleField) -> RestrictedActivation:
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("window must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     [(reached, stay_sets, exit_counts)] = _stay_closure(g, S, g.origin,
                                                         params, [field])
     harpoon = {x: (x in reached) for x in S}
@@ -460,9 +450,7 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     at most 4 ``_ARROW_WALKS`` marks); each wave re-derives its own pairs'
     counts.
     """
-    verts = np.array(sorted(int(v) for v in B), dtype=np.int64)
-    if g.boundary_mask[verts].any():
-        raise GraphError("B must avoid the truncation frontier")
+    verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
     vlist, nb = verts.tolist(), verts.size
     look = _columns(verts)
     fields = iter(fields)
@@ -585,9 +573,7 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
     With stop_size (at least 1), returns the first stop_size vertices
     reached. B must avoid the truncation frontier.
     """
-    B = g.vertex_set(B)
-    if start not in B:
-        raise GraphError("start must belong to B")
+    B = g.interior_set(B, containing=start)
     if stop_size is not None and stop_size < 1:
         raise ValueError(f"stop_size must be >= 1, got {stop_size}")
     verts = sorted(B)
@@ -663,9 +649,7 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
     stay-activated vertices, counted per particle (start vertex excluded);
     every child occurrence becomes one next-generation parent.
     """
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("window must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     r = max(int(g.dist[x]) for x in S)
     sizes = [1]
     parents = [g.origin]
@@ -674,7 +658,7 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
     for gen in range(max_generations):
         children: list[int] = []
         for p_idx, v in enumerate(parents):
-            if g.is_boundary(v):
+            if g.boundary_mask[v]:
                 clipped += 1
                 continue
             window = ball(g, v, r)
@@ -705,9 +689,7 @@ def sphere_activation_profile(g: Graph, S, params: FrogParams, replicas: int,
                               rng: Stream) -> dict[int, Estimate]:
     """E|A_r| for each interior-depth shell S_r = {x in S : d(x, S^c) = r},
     where A_r collects shell vertices activated by stay-inside chains."""
-    S = _check_window(g, S)
-    if g.origin not in S:
-        raise GraphError("window must contain the origin")
+    S = g.interior_set(S, containing=g.origin)
     depth = distance_to_complement(g, S)
     shells: dict[int, list[int]] = {}
     for x, d in depth.items():
@@ -736,10 +718,9 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
     directed distance from x to S^c and Delta the maximum out-degree.
     Replica r walks on ``rng.child("exitcond", r)``.
     """
-    S = _check_window(g, S)
-    if x not in S:
-        raise GraphError("x must belong to S")
-    return _exit_conditional_stats(g, S, [x], t, replicas, [rng.key])[0]
+    S = g.interior_set(S, containing=x)
+    return _exit_conditional_stats(g, S, [x], check_horizon(t), replicas,
+                                   [rng.key])[0]
 
 
 # Most walks one lockstep pass of _exit_conditional_stats runs (a vertex
@@ -755,6 +736,7 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
     exits if it visits a vertex outside S; its jump count is its number of
     steps. The vertices run in lockstep passes of about ``_EXIT_WALKS``
     walks."""
+    check_replicas(replicas)
     depth = distance_to_complement(g, S)
     delta = g.max_interior_degree()
     bounds = []
@@ -765,7 +747,7 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
         bounds.append((delta ** d_x) * (t + d_x))
     inside = np.zeros(g.vertex_count, dtype=bool)
     inside[list(S)] = True
-    per_pass = max(1, _EXIT_WALKS // max(replicas, 1))
+    per_pass = max(1, _EXIT_WALKS // replicas)
     samples = []
     for lo in range(0, len(xs), per_pass):
         block = np.array(xs[lo:lo + per_pass], dtype=np.int64)

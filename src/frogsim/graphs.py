@@ -118,8 +118,18 @@ class Graph:
         self.check_vertex(*xs)
         return set(map(int, xs))
 
-    def is_boundary(self, x: int) -> bool:
-        return bool(self.boundary_mask[x])
+    def interior_set(self, xs, containing: int | None = None) -> set[int]:
+        """The window xs as ``vertex_set`` gives it, checked to avoid the
+        truncation frontier (where walks are absorbed) and, when given, to
+        contain the vertex `containing`. The one check of every window."""
+        S = self.vertex_set(xs)
+        if self.boundary_mask[list(S)].any():
+            raise GraphError("window must avoid the truncation frontier")
+        if containing is not None:
+            self.check_vertex(containing)
+            if containing not in S:
+                raise GraphError(f"window must contain vertex {containing}")
+        return S
 
     @property
     def boundary_set(self) -> frozenset:

@@ -6,6 +6,12 @@ import math
 from dataclasses import dataclass
 
 
+def check_replicas(n: int) -> None:
+    """Raise ValueError unless n >= 1: the one replica-count check."""
+    if n < 1:
+        raise ValueError(f"replicas must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class Estimate:
     mean: float
@@ -15,8 +21,7 @@ class Estimate:
     method: str = "mc"
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("an estimate needs at least one replica")
+        check_replicas(self.replicas)
         if self.stderr < 0:
             raise ValueError("stderr must be >= 0")
 
@@ -26,6 +31,7 @@ class Estimate:
 
 def from_samples(values, seed: int, method: str = "mc") -> Estimate:
     n = len(values)
+    check_replicas(n)
     mean = sum(values) / n
     if n > 1:
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
@@ -37,5 +43,6 @@ def from_samples(values, seed: int, method: str = "mc") -> Estimate:
 
 def from_binomial(successes: int, n: int, seed: int,
                   method: str = "mc-binomial") -> Estimate:
+    check_replicas(n)
     p = successes / n
     return Estimate(p, math.sqrt(p * (1.0 - p) / n), n, seed, method)

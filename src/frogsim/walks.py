@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import Graph, GraphError, ball
 from .rng import _INV_2_53, Stream, derive_keys, uniforms_at
-from .stats import Estimate, from_samples
+from .stats import Estimate, check_replicas, from_binomial, from_samples
 
 DEFAULT_TOL = 1e-10
 # longest horizon of the exact series: exp(-t) stays a normal double
@@ -36,6 +36,15 @@ class SeriesToleranceError(RuntimeError):
 class LeakageBudgetError(RuntimeError):
     """Truncation-frontier mass exceeded the caller's leakage budget: the
     horizon is too long for the graph's truncation radius."""
+
+
+def check_horizon(t: float) -> float:
+    """t, if it is a lifespan: finite and >= 0; else ValueError. The one
+    horizon check of every horizon-taking function (the exact series also
+    cap t at SERIES_T_MAX, in ``_series_terms``)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return t
 
 
 def max_terms_for(t: float) -> int:
@@ -72,9 +81,7 @@ class KilledWalkTable:
 
 def sample_jump_count(t: float, rng: Stream) -> int:
     """Number of jumps by time t: a Poisson(t) draw."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return rng.poisson(t)
+    return rng.poisson(check_horizon(t))
 
 
 def jump_picker(g: Graph):
@@ -194,6 +201,7 @@ def walk_batch(g: Graph, x, t: float, keys: np.ndarray):
     ``walk_positions(g, x[i], t, s)`` for a fresh ``Stream`` s with key
     ``keys[i]``; the steps come from ``lockstep_walks``.
     """
+    check_horizon(t)
     keys = np.asarray(keys, dtype=np.uint64)
     starts = np.broadcast_to(np.asarray(x, dtype=np.int64), keys.shape)
     boundary = g.boundary_mask
@@ -303,9 +311,7 @@ def _exact_elapsed(keys: np.ndarray, k: int) -> np.ndarray:
 
 def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
     g.check_vertex(x)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    jumps, absorbed = walk_positions(g, x, t, rng)
+    jumps, absorbed = walk_positions(g, x, check_horizon(t), rng)
     return Trajectory(x, tuple(jumps), t, absorbed)
 
 
@@ -331,8 +337,9 @@ def discrete_walk(g: Graph, x: int, steps: int, rng: Stream) -> list[int]:
 
 def _series_terms(t: float, max_terms: int | None) -> int:
     """The term budget of a series at horizon t (``max_terms_for(t)`` by
-    default); raises SeriesToleranceError beyond SERIES_T_MAX."""
-    if t > SERIES_T_MAX:
+    default). Every series passes here: t must pass ``check_horizon``, and
+    beyond SERIES_T_MAX raises SeriesToleranceError."""
+    if check_horizon(t) > SERIES_T_MAX:
         raise SeriesToleranceError(
             f"uniformization underflows for t > {SERIES_T_MAX:g}")
     return max_terms_for(t) if max_terms is None else max_terms
@@ -426,20 +433,16 @@ def _row_series(g: Graph, x: int, weights: np.ndarray):
 
 def exit_probability_exact(g: Graph, S, t: float, tol: float = DEFAULT_TOL,
                            max_terms: int | None = None) -> KilledWalkTable:
-    """Exact P_x(tau_{S^c} <= t) for all x in S.
+    """Exact P_x(tau_{S^c} <= t) for all x in S, for t in [0, SERIES_T_MAX].
 
     The jump chain restricted to S is sub-stochastic (exit mass is killed,
     rows are not renormalized); survival in S is the Poisson-weighted sum of
-    its powers applied to the all-ones vector.
+    its powers applied to the all-ones vector. S must avoid the truncation
+    frontier.
     """
-    S = sorted(g.vertex_set(S))
+    S = sorted(g.interior_set(S))
     if not S:
         raise GraphError("S must be non-empty")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    for v in S:
-        if g.is_boundary(v):
-            raise GraphError("S must lie in the interior (frontier is killing)")
     pmf, tail = _poisson_weights(t, tol, max_terms)
     surv = _weighted_powers(pmf, _kernel_slice(g, np.array(S)),
                             np.ones(len(S)))
@@ -452,18 +455,19 @@ def hitting_probability_exact(g: Graph, x: int, y: int, t: float,
                               tol: float = DEFAULT_TOL,
                               max_terms: int | None = None,
                               max_leakage: float | None = None) -> float:
-    """Exact P_x(tau_y <= t) via the killed-at-y series.
+    """Exact P_x(tau_y <= t) via the killed-at-y series, for t in [0,
+    SERIES_T_MAX].
 
     Exact for the truncated graph; relative to the untruncated one the value
     undercounts by at most the frontier mass, which `max_leakage` can cap
     (raises LeakageBudgetError beyond it).
     """
     g.check_vertex(x, y)
+    pmf, tail = _poisson_weights(t, tol, max_terms)
     if x == y:
         return 1.0
     if t == 0:
         return 0.0
-    pmf, tail = _poisson_weights(t, tol, max_terms)
     dom, Q, ix = _local_kernel(g, x, pmf.size, kill={y})
     surv = _weighted_powers(pmf, Q, np.ones(len(dom)))[ix]
     if max_leakage is not None:
@@ -492,6 +496,7 @@ class HeatKernelRow:
 
 def heat_kernel_row(g: Graph, x: int, t: float, tol: float = DEFAULT_TOL,
                     max_terms: int | None = None) -> HeatKernelRow:
+    """p_t(x, .) on the ball the series reaches, for t in [0, SERIES_T_MAX]."""
     pmf, tail = _poisson_weights(t, tol, max_terms)
     dom, acc = _row_series(g, x, pmf)
     leak = float(acc[g.boundary_mask[dom]].sum())
@@ -515,7 +520,8 @@ def heat_kernel_exact(g: Graph, x: int, y: int, t: float,
                       tol: float = DEFAULT_TOL,
                       max_terms: int | None = None,
                       max_leakage: float | None = None) -> float:
-    """p_t(x, y) on the truncated graph, error below tol.
+    """p_t(x, y) on the truncated graph, error below tol, for t in [0,
+    SERIES_T_MAX].
 
     Raises LeakageBudgetError when the frontier absorbs more mass than
     `max_leakage` allows, instead of silently returning a value distorted
@@ -531,7 +537,8 @@ def truncated_green(g: Graph, x: int, y: int, t: float,
                     tol: float = DEFAULT_TOL,
                     max_terms: int | None = None,
                     max_leakage: float | None = None) -> float:
-    """G_t(x,y) = integral of p_s(x,y) over s in [0,t].
+    """G_t(x,y) = integral of p_s(x,y) over s in [0,t], for t in [0,
+    SERIES_T_MAX].
 
     Each Poisson weight integrates in closed form to a Gamma tail:
     int_0^t e^{-s} s^k / k! ds = P(Poisson(t) >= k+1), and those tails sum
@@ -539,8 +546,6 @@ def truncated_green(g: Graph, x: int, y: int, t: float,
     end-of-horizon frontier mass, as for the heat kernel.
     """
     g.check_vertex(x, y)
-    if t < 0:
-        raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
     if max_leakage is not None:
@@ -568,8 +573,7 @@ def range_statistics(g: Graph, x: int, t: float, replicas: int, rng: Stream,
 
     Replica r walks on ``rng.child("range", r)``; the replicas run as one
     ``walk_batch``."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    check_replicas(replicas)
     target = None if B is None else (set(B) - set(H))
     sizes = []
     restricted = []
@@ -585,10 +589,7 @@ def range_statistics(g: Graph, x: int, t: float, replicas: int, rng: Stream,
         for a in alphas:
             if len(R) <= a * t:
                 tails[a] += 1
-    tail_est = {a: Estimate(c / replicas,
-                            math.sqrt(max(c / replicas * (1 - c / replicas), 0.0)
-                                      / replicas),
-                            replicas, rng.key, "mc-binomial")
+    tail_est = {a: from_binomial(c, replicas, rng.key)
                 for a, c in tails.items()}
     return RangeStats(from_samples(restricted, rng.key),
                       from_samples(sizes, rng.key), tail_est)
@@ -605,7 +606,7 @@ def self_intersection_profile(g: Graph, x: int, t: float, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    terms = int(t // (2 * m))
+    terms = int(check_horizon(t) // (2 * m))
     counts = []
     for r in range(replicas):
         if terms == 0:

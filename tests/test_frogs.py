@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
                      SpliceField, Stream, arrow_closure, ball, build_graph,
                      ep_exploration_sample, exit_conditional_jumps,
-                     explore_cluster, from_samples, good_vertices,
-                     restricted_activation, sphere_activation_profile)
+                     explore_cluster, from_samples, good_set_G_A,
+                     good_vertices, restricted_activation,
+                     sphere_activation_profile)
 from frogsim import frogs
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
@@ -162,17 +163,6 @@ def test_singleton_window_exiters(z2_box20):
     assert abs(est.mean - expect) <= 3 * est.stderr
 
 
-def test_window_must_hold_origin_and_avoid_frontier(tree8):
-    with pytest.raises(GraphError):
-        restricted_activation(tree8, {1, 2}, FrogParams(1, 1),
-                              ParticleField(tree8, 0))
-    bad = {0} | {v for v in range(tree8.vertex_count)
-                 if tree8.boundary_mask[v]}
-    with pytest.raises(GraphError):
-        restricted_activation(tree8, bad, FrogParams(1, 1),
-                              ParticleField(tree8, 0))
-
-
 @pytest.mark.parametrize("call", [
     lambda g, w: restricted_activation(g, w, FrogParams(1, 1),
                                        ParticleField(g, 0)),
@@ -182,6 +172,7 @@ def test_window_must_hold_origin_and_avoid_frontier(tree8):
     lambda g, w: arrow_closure(g, w, 0, FrogParams(1, 1),
                                ParticleField(g, 0)),
     lambda g, w: good_vertices(g, w, FrogParams(1, 1), Stream(0)),
+    lambda g, w: good_set_G_A(g, w, 1.0, 0.1, 3, 0, rho=0.5, K=1.0),
 ])
 def test_vertex_sets_reject_non_integer_ids(tree8, call):
     # int() used to truncate 2.5 to the vertex 2 without a word

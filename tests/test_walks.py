@@ -130,12 +130,6 @@ def test_exit_probability_monotone_under_enlargement(tree8):
         assert t_small.exit_prob[x] >= t_big.exit_prob[x] - 1e-12
 
 
-def test_exit_probability_rejects_frontier(z2_box20):
-    S = {0} | set(np.flatnonzero(z2_box20.boundary_mask)[:1].tolist())
-    with pytest.raises(GraphError):
-        exit_probability_exact(z2_box20, S, 1.0)
-
-
 SERIES_VERTEX_CALLS = [
     pytest.param(lambda g, v: exit_probability_exact(g, {0, v}, 1.0),
                  id="exit-window"),
