@@ -288,20 +288,32 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
     particle wave, and the second wave seeded on that conquered set covers
     all eight neighboring balls through the ball-plus-targets window.
 
-    The first wave of every site is revealed in one arrow pass over the
-    union of the small balls; a site's arrows are that pass's landings
-    restricted to its own ball, so they equal a pass over the ball alone.
-    The second wave reveals phase2's particles one vertex at a time, site
-    by site in the order given."""
-    t = net.lifespan
-    half = FrogParams(lam / 2.0, t)
+    Each wave's particles are revealed by one ``frogs._read_arrows`` wave:
+    the first over the union of the small balls, the second over the union
+    of the sites' windows. A site reads those landings restricted to its
+    own ball or window, which equal a read of that set alone. Every window
+    must avoid the truncation frontier (GraphError otherwise)."""
+    half = FrogParams(lam / 2.0, net.lifespan)
     r = net.a // 3
     balls = {s: idx.ball(s, r) for s in sites}
-    verts = sorted(set().union(*balls.values()))
-    [arrows] = _read_arrows(g, verts, [phase1], half, _read_all)
-    arrows = {verts[c]: [verts[y] for y in out] for c, out in arrows.items()}
-    return {s: _site_open(idx, net, s, B, arrows, half, phase2)
+    bhats = {s: set().union(*(idx.ball((s[0] + ox * net.a, s[1] + oy * net.a),
+                                       r) for ox, oy in _NET_NEIGHBORS))
+             for s in sites}
+    inner = set().union(*balls.values())
+    first = _all_arrows(g, inner, phase1, half)
+    second = _all_arrows(g, inner.union(*bhats.values()), phase2, half)
+    return {s: _site_open(B, bhats[s], first, second)
             for s, B in balls.items()}
+
+
+def _all_arrows(g: Graph, B: set, field: ParticleField,
+                params: FrogParams) -> dict:
+    """The arrows of B under field from one ``frogs._read_arrows`` pass,
+    as {x: the ascending vertices of B other than x that x's particles
+    visit} for every particle-bearing x of B."""
+    verts = sorted(B)
+    [arrows] = _read_arrows(g, verts, [field], params, _read_all)
+    return {verts[c]: [verts[y] for y in out] for c, out in arrows.items()}
 
 
 def _read_all(_, has):
@@ -311,14 +323,13 @@ def _read_all(_, has):
     return dict(zip(cols, (yield cols)))
 
 
-def _site_open(idx: _CoordIndex, net: NetConfig, site, B: set, arrows: dict,
-               half: FrogParams, phase2: ParticleField) -> bool:
-    """block_open for one site with small ball B, given the ascending
-    first-wave arrows of the particle-bearing vertices of a superset of
-    B."""
+def _site_open(B: set, bhat: set, first: dict, second: dict) -> bool:
+    """block_open for one site with small ball B and neighboring balls
+    bhat, given the ascending arrows of each wave over supersets of B and
+    of B | bhat."""
     # a set filled in ascending order iterates as the one a pass over B
-    # alone builds, so the second wave reveals in the same order
-    inner = {x: {y for y in arrows.get(x, ()) if y in B} for x in B}
+    # alone builds, so the reach sets and goods list match it
+    inner = {x: {y for y in first.get(x, ()) if y in B} for x in B}
     quota = len(B) / 4.0
     goods = []
     for x in sorted(B):
@@ -328,16 +339,11 @@ def _site_open(idx: _CoordIndex, net: NetConfig, site, B: set, arrows: dict,
     if not goods:
         return False
     goods.sort(key=lambda item: (-item[0], item[1]))
-    bhat: set[int] = set()
-    for ox, oy in _NET_NEIGHBORS:
-        bhat |= idx.ball((site[0] + ox * net.a, site[1] + oy * net.a),
-                         net.a // 3)
     window = B | bhat
 
     def out(x):
         # the second wave wakes window vertices only
-        _, trajs = phase2.particles(x, half)
-        return (v for tr in trajs for v in tr.jumps if v in window)
+        return (y for y in second.get(x, ()) if y in window)
 
     # bhat lies inside the window, so every target visited is reached
     return any(bhat.issubset(_reach(set(reached), out, bhat.issubset))
@@ -407,9 +413,9 @@ def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
                  lam: float, seed: int, rep: int) -> dict:
     """Openness of every net site in replica rep, from one block_open call
     (looked up as a module global, so a wrapper sees the replica's work
-    start): its first wave is one arrow pass over every site's ball. The
-    replica's two fields (and the trajectories they cache) are released
-    on return."""
+    start): its first wave is one arrow pass over every site's ball and
+    its second one over every site's window. The replica's two fields are
+    released on return."""
     phase1 = ParticleField(g, Stream(seed, "phase1", rep).key)
     phase2 = ParticleField(g, Stream(seed, "phase2", rep).key)
     return block_open(g, idx, net, sites, lam, phase1, phase2)

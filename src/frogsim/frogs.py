@@ -235,13 +235,18 @@ def _reach(reached: set, out, done=None) -> set:
     return reached
 
 
-# Fewest expected walks (lambda times the (field, vertex) pairs of a wave)
-# that _stay_closure reveals as one numpy batch; smaller waves read
-# field.particles. At t = 1 on a Z^2 box (window B(5)) a batched wave of
-# 4-128 walks cost 250-650 us and the per-walk loop 18-27 us a walk, so
-# the two met between 16 and 24 walks (2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4). Deciding on the expected count needs no numpy work, and
-# keeps single-field callers on field.particles for their first waves.
+# The small-wave rule of both lockstep revealers: a smaller wave reads
+# field.particles pair by pair. _stay_closure batches a wave of at least
+# this many expected walks (lambda times its (field, vertex) pairs, which
+# may hold no particles); _wave_arrows one of at least this many pairs
+# (each bears a particle in _read_arrows). At t = 1 on a Z^2 box (window
+# B(5)) a batched wave of 4-128 walks cost 250-650 us and the per-walk
+# loop 18-27 us a walk, so the two met between 16 and 24 walks. At t = 64
+# (arrows of B(0, 8); density 0.25 and 2) a _pair_jumps pass of 1-64
+# pairs cost 2.5-5.2 ms and field.particles 0.11-0.16 ms a pair, so the
+# two met between 24 and 48 pairs (2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4). Deciding on the wave's size needs no numpy work, and keeps
+# single-field callers on field.particles for their first waves.
 _STAY_BATCH_WALKS = 24
 
 
@@ -392,10 +397,11 @@ def restricted_activation(g: Graph, S, params: FrogParams,
 
 # Most particle walks one lockstep pass of _wave_arrows samples. A pass
 # pays a fixed numpy cost per jump step (about 90 steps at t = 64), so
-# small passes are slow; large ones raise peak memory. It bounds
-# block_open's first wave (one pass per replica, about 340 walks on
-# renorm_z2), the closure waves of arrow_closure and good_vertices and,
-# at high densities, a decay wave. The value was chosen on renorm_z2 when
+# small passes are slow; large ones raise peak memory. It bounds each of
+# block_open's two waves (one pass each per replica on renorm_z2: about
+# 340 walks over the small balls and 950 over the sites' windows), the
+# closure waves of arrow_closure and good_vertices and, at high
+# densities, a decay wave. The value was chosen on renorm_z2 when
 # full decay passes dominated its walks (bench/run.py, 10 s runs at seeds
 # 23-25; 2-vCPU x86-64 host, Python 3.11, numpy 2.4): 2.31-2.86 /s with
 # 38.76-38.90 MB peak RSS at 1024, 3.13-3.26 /s with 38.79-38.93 MB at
@@ -444,11 +450,12 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     particles points nowhere.
 
     The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
-    reveals every suspended scan's list with one ``_wave_arrows`` call,
-    so no particle is revealed that no scan reads. A field in flight keeps
-    B's particle mask (one byte a vertex, from ``_vertex_counts`` calls of
-    at most 4 ``_ARROW_WALKS`` marks); each wave re-derives its own pairs'
-    counts.
+    reveals every suspended scan's list with one ``_wave_arrows`` call
+    (lockstep passes, or ``field.particles`` for a wave of fewer than
+    ``_STAY_BATCH_WALKS`` pairs), so no particle is revealed that no scan
+    reads. A field in flight keeps B's particle mask (one byte a vertex,
+    from ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks);
+    each wave re-derives its own pairs' counts.
     """
     verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
     vlist, nb = verts.tolist(), verts.size
@@ -489,7 +496,13 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
 def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, fields,
                  wave, params: FrogParams) -> list[list[int]]:
     """The arrows, as ascending column lists, of every (field index,
-    column) pair of `wave`, revealed in ``_pair_jumps`` passes."""
+    column) pair of `wave`. A wave of at least ``_STAY_BATCH_WALKS`` pairs
+    is revealed in ``_pair_jumps`` passes; a smaller one reads
+    ``field.particles`` pair by pair."""
+    if len(wave) < _STAY_BATCH_WALKS:
+        v0, span = (int(verts[0]) if verts.size else 0), look.size - 1
+        return [_particle_arrows(look, v0, span, fields[f], int(verts[c]),
+                                 params) for f, c in wave]
     nb = verts.size
     xs = verts[[c for _, c in wave]]
     seeds = np.array([fields[f].source(x).seed & _MASK
@@ -504,6 +517,18 @@ def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, fields,
         cols = (codes % nb).tolist()
         arrows += [cols[j:k] for j, k in zip(jb, jb[1:])]
     return arrows
+
+
+def _particle_arrows(look: np.ndarray, v0: int, span: int, field, x: int,
+                     params: FrogParams) -> list[int]:
+    """The ascending columns (``look`` over the id span v0..v0 + span - 1,
+    as ``_columns`` builds it) of the vertices other than x that x's
+    particles under field visit, read through ``field.particles``."""
+    _, trajs = field.particles(x, params)
+    landed = {v - v0 for tr in trajs for v in tr.jumps}
+    landed.discard(x - v0)
+    cols = look[[i for i in landed if 0 <= i < span]].tolist()
+    return sorted(c for c in cols if c >= 0)
 
 
 def _columns(verts: np.ndarray) -> np.ndarray:

@@ -109,15 +109,16 @@ def jump_picker(g: Graph):
 # x86-64 host, Python 3.11, numpy 2.4). The particle walks of
 # sweep_tree12 run at t = 1. Many independent walks run in lockstep_walks
 # instead: the replica walks of range_statistics, good_set_G_A and the
-# exit-conditional jump counts (frogs._exit_conditional_stats), every
-# arrow walk of frogs._wave_arrows and the particle walks of every
-# stay-inside closure wave of at least frogs._STAY_BATCH_WALKS expected
-# walks (frogs._stay_batch). So of renorm_z2's t = 64 walks only the
-# phase-two cascade's reach this loop, and of phi_window_z2's t = 1 walks
-# only those of the closures' small last waves. A lockstep jump step costs
-# about 23 us of numpy calls plus 18 ns a walk (same host in a fast spell;
-# its speed swings about 2x), holding times included: they are numpy
-# exponentials, checked against the exact sum only near t.
+# exit-conditional jump counts (frogs._exit_conditional_stats), and the
+# particle walks of every arrow wave of at least frogs._STAY_BATCH_WALKS
+# pairs (frogs._wave_arrows) and of every stay-inside closure wave of at
+# least that many expected walks (frogs._stay_batch). So of renorm_z2's
+# t = 64 walks only those of the decay's small last waves reach this loop
+# (both of block_open's waves are passes), and of phi_window_z2's t = 1
+# walks only those of the closures' small last waves. A lockstep jump
+# step costs about 23 us of numpy calls plus 18 ns a walk (same host in a
+# fast spell; its speed swings about 2x), holding times included: they
+# are numpy exponentials, checked against the exact sum only near t.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048
@@ -574,7 +575,9 @@ def range_statistics(g: Graph, x: int, t: float, replicas: int, rng: Stream,
     Replica r walks on ``rng.child("range", r)``; the replicas run as one
     ``walk_batch``."""
     check_replicas(replicas)
-    target = None if B is None else (set(B) - set(H))
+    g.check_vertex(x)
+    H = g.vertex_set(H)
+    target = None if B is None else g.vertex_set(B) - H
     sizes = []
     restricted = []
     tails = {a: 0 for a in alphas}
@@ -585,7 +588,7 @@ def range_statistics(g: Graph, x: int, t: float, replicas: int, rng: Stream,
         R.add(x)
         sizes.append(len(R))
         restricted.append(len(R & target) if target is not None
-                          else len(R) - len(R & set(H)))
+                          else len(R) - len(R & H))
         for a in alphas:
             if len(R) <= a * t:
                 tails[a] += 1
@@ -624,6 +627,13 @@ def self_intersection_profile(g: Graph, x: int, t: float, m: int,
 
 
 def self_intersection_bound(t: float, m: int, rho: float) -> float:
-    """t rho^m / (2m (1 - rho^m)), the spectral pair-collision bound."""
+    """t rho^m / (2m (1 - rho^m)), the spectral pair-collision bound, for
+    a horizon t, a subsampling step m >= 1 and a spectral radius rho in
+    (0, 1)."""
+    check_horizon(t)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     rm = rho ** m
     return t * rm / (2 * m * (1.0 - rm))

@@ -83,3 +83,21 @@ def read_all_arrows(g, B, fields, params):
              for c, x in enumerate(verts)}
             for got in frogs._read_arrows(g, verts, fields, params,
                                           _read_all)]
+
+
+def spy_wave_arrows(monkeypatch):
+    """Record every pair that frogs._wave_arrows reveals, by a lockstep
+    pass or through field.particles, as (field seed, vertex, particle
+    count); returns the list the records are appended to."""
+    revealed = []
+    wave_arrows = frogs._wave_arrows
+
+    def spy(g, verts, look, fields, wave, params):
+        for f, c in wave:
+            x = int(verts[c])
+            revealed.append((fields[f].source(x).seed, x,
+                             fields[f].count_at(x, params.lam)))
+        return wave_arrows(g, verts, look, fields, wave, params)
+
+    monkeypatch.setattr(frogs, "_wave_arrows", spy)
+    return revealed

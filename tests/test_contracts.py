@@ -128,6 +128,8 @@ CLOSED_FORMS = [
     pytest.param(lambda g, t: est.gw_oracle(1.0, t), id="gw_oracle"),
     pytest.param(lambda g, t: exp.edge_open_probability(4, 1.0, t),
                  id="edge_open_probability"),
+    pytest.param(lambda g, t: walks.self_intersection_bound(t, 2, 0.5),
+                 id="self_intersection_bound"),
 ]
 
 
@@ -246,3 +248,36 @@ def test_parameter_checks(box):
             call(3, math.nan, 1.0)
     with pytest.raises(TypeError):
         NetConfig(a=8, net_extent=1, beta=1.0)    # the option did nothing
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, 1.0, True, -1, 10**9])
+def test_range_statistics_checks_its_vertex_ids(box, bad):
+    # B=[1.5] silently gave a restricted mean of 0.0, and x = 0.5 walked
+    # from vertex 0
+    for kw in ({"B": [bad]}, {"H": [bad]}, {"B": [0, 1], "H": [bad]}):
+        with pytest.raises(GraphError, match="invalid vertex"):
+            walks.range_statistics(box, 0, 2.0, 5, Stream(1), **kw)
+    with pytest.raises(GraphError, match="invalid vertex"):
+        walks.range_statistics(box, bad, 2.0, 5, Stream(1))
+
+
+def test_range_statistics_takes_numpy_ids(box):
+    B, H = ball(box, 0, 2), ball(box, 0, 1)
+    want = walks.range_statistics(box, 0, 2.0, 50, Stream(1), B=B, H=H)
+    got = walks.range_statistics(box, np.int64(0), 2.0, 50, Stream(1),
+                                 B=np.array(sorted(B)),
+                                 H=np.array(sorted(H)))
+    assert got == want and want.restricted.mean > 0
+
+
+@pytest.mark.parametrize("m, rho, match", [
+    (0, 0.5, "m must be >= 1"), (-2, 0.5, "m must be >= 1"),
+    (1, 1.0, "rho must lie in"), (1, 0.0, "rho must lie in"),
+    (1, -0.5, "rho must lie in"), (1, 1.5, "rho must lie in"),
+    (1, math.nan, "rho must lie in"),
+])
+def test_self_intersection_bound_checks_m_and_rho(m, rho, match):
+    # (1.0, 1, 1.0) ended in ZeroDivisionError
+    with pytest.raises(ValueError, match=match):
+        walks.self_intersection_bound(1.0, m, rho)
+    assert walks.self_intersection_bound(1.0, 1, 0.5) == 0.5

@@ -11,10 +11,11 @@ from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
                      linear_growth_experiment, nonamenable_pipeline,
                      renormalization_experiment, write_report)
 from frogsim import frogs
-from frogsim.experiments import _CoordIndex, block_open, good_vertex_decay
+from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, block_open,
+                                 good_vertex_decay)
 from frogsim.stats import Estimate
 
-from conftest import read_all_arrows
+from conftest import read_all_arrows, spy_wave_arrows
 
 
 def test_edge_open_probability_closed_form():
@@ -457,17 +458,10 @@ def test_good_vertex_decay_reveals_only_what_its_scans_read(monkeypatch,
     want, want_walks = scan_reads(g, g.origin, a, density, sizes, replicas,
                                   seed)
     monkeypatch.setattr(frogs, "_SCAN_FIELDS", 9)
-    revealed, walks = [], 0
-    pair_jumps = frogs._pair_jumps
-
-    def spy(g, verts, look, xs, seeds, counts, t):
-        nonlocal walks
-        revealed.extend(zip(seeds.tolist(), xs.tolist()))
-        walks += int(counts.sum())
-        return pair_jumps(g, verts, look, xs, seeds, counts, t)
-
-    monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    spied = spy_wave_arrows(monkeypatch)
     good_vertex_decay(g, g.origin, a, density, sizes, replicas, seed)
+    revealed = [(seed, x) for seed, x, _ in spied]
+    walks = sum(eta for _, _, eta in spied)
     assert len(revealed) == len(set(revealed))     # no pair twice
     assert set(revealed) == want and walks == want_walks > 0
 
@@ -498,7 +492,8 @@ def test_good_vertex_decay_rejects_a_ball_on_the_frontier(a):
 # Recorded on the cascade loop that block_open ran before it moved onto
 # frogs._reach: one replica of the renormalization fields (seed 1; a = 8,
 # net_extent = 2). Per net site in order: (open, len(phase2._cache) after
-# the site). The cache length counts the second-wave particles revealed.
+# the site). The cache length counts the second-wave particles that the
+# lazy cascade (lazy_block_open) reveals.
 GOLDEN_BLOCK_OPEN = {
     (4.0, 0): [(True, 160), (True, 230), (True, 245), (True, 292),
                (True, 439), (True, 470), (True, 503), (True, 560),
@@ -514,18 +509,61 @@ GOLDEN_BLOCK_OPEN = {
                (False, 470)],
 }
 
+def lazy_block_open(idx, net, site, lam, phase1, phase2):
+    """block_open for one site with both waves read one particle at a
+    time through field.particles: the reference. The second wave is the
+    lazy cascade, frogs._reach over phase2's particles restricted to the
+    window, revealing a vertex's particles when the reach pops it."""
+    half = FrogParams(lam / 2.0, net.lifespan)
+    r = net.a // 3
+    B = idx.ball(site, r)
+    inner = {}
+    for x in B:
+        _, trajs = phase1.particles(x, half)
+        # filled in ascending order, as block_open's arrows are
+        inner[x] = {y for y in sorted({v for tr in trajs for v in tr.jumps})
+                    if y in B and y != x}
+    goods = []
+    for x in sorted(B):
+        reached = frogs._reach({x}, inner.__getitem__)
+        if len(reached) >= len(B) / 4.0:
+            goods.append((len(reached), x, reached))
+    goods.sort(key=lambda item: (-item[0], item[1]))
+    bhat = set()
+    for ox, oy in _NET_NEIGHBORS:
+        bhat |= idx.ball((site[0] + ox * net.a, site[1] + oy * net.a), r)
+    window = B | bhat
+
+    def out(x):
+        _, trajs = phase2.particles(x, half)
+        return (v for tr in trajs for v in tr.jumps if v in window)
+
+    return any(bhat.issubset(frogs._reach(set(reached), out, bhat.issubset))
+               for _, _, reached in goods)
+
 
 @pytest.mark.parametrize("lam,rep", sorted(GOLDEN_BLOCK_OPEN))
 def test_block_open_golden(lam, rep):
     net = NetConfig(a=8, net_extent=2)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
     idx = _CoordIndex(g)
-    p1 = ParticleField(g, Stream(1, "phase1", rep).key)
-    p2 = ParticleField(g, Stream(1, "phase2", rep).key)
-    got = [(block_open(g, idx, net, [s], lam, p1, p2)[s], len(p2._cache))
-           for s in net.net_sites()]
-    assert got == GOLDEN_BLOCK_OPEN[(lam, rep)]
-    assert len(p1._cache) == 0       # the first wave is revealed in batches
+    sites = net.net_sites()
+
+    def fields():
+        return (ParticleField(g, Stream(1, "phase1", rep).key),
+                ParticleField(g, Stream(1, "phase2", rep).key))
+
+    q1, q2 = fields()
+    want = [(lazy_block_open(idx, net, s, lam, q1, q2), len(q2._cache))
+            for s in sites]
+    assert want == GOLDEN_BLOCK_OPEN[(lam, rep)]
+    p1, p2 = fields()
+    got = [block_open(g, idx, net, [s], lam, p1, p2)[s] for s in sites]
+    assert got == [opened for opened, _ in want]
+    assert len(p2._cache) == 0    # every second wave is one arrow pass
+    p1, p2 = fields()
+    assert list(block_open(g, idx, net, sites, lam, p1, p2).values()) == got
+    assert len(p1._cache) == len(p2._cache) == 0
 
 
 def replica_block_open(g, idx, net, lam, p1, p2, per_site):
@@ -538,23 +576,32 @@ def replica_block_open(g, idx, net, lam, p1, p2, per_site):
 
 @pytest.mark.parametrize("a,extent", [(6, 1), (6, 2), (8, 1), (8, 2)])
 def test_block_open_replica_call_equals_site_calls(a, extent):
-    # one first-wave pass over every ball opens the same sites and makes
-    # the second wave reveal the same particles as a pass per ball
+    # one pass per wave over every site opens the same sites as a call
+    # per site and as the lazy reference; no second-wave particle is
+    # read one at a time
     net = NetConfig(a=a, net_extent=extent)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
     idx = _CoordIndex(g)
+    sites = net.net_sites()
     opened = set()
+
+    def fields():
+        return (ParticleField(g, Stream(a, "phase1", extent).key),
+                ParticleField(g, Stream(a, "phase2", extent).key))
+
     for lam in (1.0, 2.0, 4.0):
         runs = []
         for per_site in (False, True):
-            p1 = ParticleField(g, Stream(a, "phase1", extent).key)
-            p2 = ParticleField(g, Stream(a, "phase2", extent).key)
+            p1, p2 = fields()
             state = replica_block_open(g, idx, net, lam, p1, p2, per_site)
-            assert list(state) == net.net_sites()
-            assert len(p1._cache) == 0
-            runs.append((state, len(p2._cache)))
-        assert runs[0] == runs[1]
-        opened |= set(runs[0][0].values())
+            assert list(state) == sites
+            assert len(p2._cache) == 0
+            assert per_site or len(p1._cache) == 0
+            runs.append(state)
+        q1, q2 = fields()
+        assert runs[0] == runs[1] == {
+            s: lazy_block_open(idx, net, s, lam, q1, q2) for s in sites}
+        opened |= set(runs[0].values())
     assert opened == {False, True}
 
 
@@ -562,13 +609,40 @@ def test_block_open_replica_call_equals_site_calls_on_splice():
     net = NetConfig(a=8, net_extent=1)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
     idx = _CoordIndex(g)
+    sites = net.net_sites()
     inner = ball(g, g.origin, 10)
+
+    def fields():
+        p = {s: ParticleField(g, Stream(3, "splice", s).key) for s in range(4)}
+        return p, SpliceField(inner, p[0], p[1]), SpliceField(inner, p[2], p[3])
+
     runs = []
     for per_site in (False, True):
-        p = {s: ParticleField(g, Stream(3, "splice", s).key) for s in range(4)}
-        p1, p2 = SpliceField(inner, p[0], p[1]), SpliceField(inner, p[2], p[3])
-        state = replica_block_open(g, idx, net, 2.0, p1, p2, per_site)
-        assert len(p[0]._cache) == len(p[1]._cache) == 0
-        runs.append((state, len(p[2]._cache), len(p[3]._cache)))
-    assert runs[0] == runs[1]
-    assert runs[0][1] > 0 and runs[0][2] > 0
+        p, p1, p2 = fields()
+        runs.append(replica_block_open(g, idx, net, 2.0, p1, p2, per_site))
+        assert len(p[2]._cache) == len(p[3]._cache) == 0
+        assert per_site or len(p[0]._cache) == len(p[1]._cache) == 0
+    q, q1, q2 = fields()
+    assert runs[0] == runs[1] == {
+        s: lazy_block_open(idx, net, s, 2.0, q1, q2) for s in sites}
+    # the lazy second wave reads particles on both sides of the splice
+    assert len(q[2]._cache) > 0 and len(q[3]._cache) > 0
+
+
+@pytest.mark.parametrize("box_radius", [25, 26])
+def test_block_open_windows_must_avoid_the_frontier(box_radius):
+    # a = 8, net_extent = 1: the small balls reach l1 radius 10 and the
+    # outer sites' neighboring balls l1 radius 26, on or past the
+    # frontier (the default box radius is 28)
+    net = NetConfig(a=8, net_extent=1, box_radius=box_radius)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=box_radius))
+    idx = _CoordIndex(g)
+    p1, p2 = ParticleField(g, 1), ParticleField(g, 2)
+    with pytest.raises(GraphError, match="must avoid the truncation frontier"):
+        block_open(g, idx, net, net.net_sites(), 2.0, p1, p2)
+    with pytest.raises(GraphError, match="must avoid the truncation frontier"):
+        block_open(g, idx, net, [(8, 0)], 2.0, p1, p2)
+    with pytest.raises(GraphError, match="must avoid the truncation frontier"):
+        renormalization_experiment(net, 2.0, 1, 1, decay_replicas=5)
+    # the centre site's window reaches l1 radius 18
+    assert block_open(g, idx, net, [(0, 0)], 2.0, p1, p2) == {(0, 0): True}

@@ -16,7 +16,7 @@ from frogsim import frogs
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
 
-from conftest import read_all_arrows
+from conftest import read_all_arrows, spy_wave_arrows
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -445,6 +445,41 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
             == reference_arrows(B, pick, params)
 
 
+def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
+    # the same pairs read through field.particles (the rule's small-wave
+    # path) and through _pair_jumps passes, on every other vertex of a ball
+    # so that B's id span holds vertices outside B
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
+    B = set(sorted(ball(g, 40, 5))[::2])
+    verts = np.array(sorted(B), dtype=np.int64)
+    look = frogs._columns(verts)
+    wave = [(f, c) for f in range(3) for c in range(0, verts.size, 2)]
+
+    def fields():
+        p = [ParticleField(g, s) for s in range(1, 5)]
+        return p, [p[0], SpliceField(ball(g, 40, 2), p[1], p[2]), p[3]]
+
+    for lam, t in ((0.25, 64.0), (2.0, 16.0), (0.0, 8.0)):
+        params = FrogParams(lam, t)
+        runs = []
+        for rule in (0, math.inf):
+            monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", rule)
+            p, flds = fields()
+            runs.append(frogs._wave_arrows(g, verts, look, flds, wave, params))
+            # only the small-wave path caches trajectories on the fields
+            assert any(q._cache for q in p) == (rule == math.inf and lam > 0)
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == len(wave) and any(runs[0]) == (lam > 0)
+    monkeypatch.undo()
+    # the default rule reads a wave of 23 pairs one walk at a time and one
+    # of 24 in a pass
+    for size in (frogs._STAY_BATCH_WALKS - 1, frogs._STAY_BATCH_WALKS):
+        p, flds = fields()
+        frogs._wave_arrows(g, verts, look, flds, wave[:size],
+                           FrogParams(2.0, 16.0))
+        assert any(q._cache for q in p) == (size < frogs._STAY_BATCH_WALKS)
+
+
 def pair_jumps_reference(g, B, xs, seeds, counts, t):
     """_pair_jumps' codes from walk_batch, one pair at a time: p |B| + the
     rank in B of each vertex of B other than xs[p] that pair p's particles
@@ -513,16 +548,16 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
         seen.append(i)
         return got
 
-    revealed = []
     pair_jumps = frogs._pair_jumps
 
     def spy(g, verts, look, xs, seeds, counts, t):
         assert counts.sum() <= walks_cap or counts.size == 1
-        revealed.extend(zip(seeds.tolist(), xs.tolist()))
         return pair_jumps(g, verts, look, xs, seeds, counts, t)
 
     monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    spied = spy_wave_arrows(monkeypatch)
     got = list(frogs._read_arrows(g, B, iter(fields), params, scan))
+    revealed = [(seed, x) for seed, x, _ in spied]
     assert sorted(seen) == [0, 1, 2, 3]
     for arrows, pick in zip(got, picks):
         ref = reference_arrows(B, pick, params)
@@ -533,10 +568,10 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
     want = {(fld.source(x).seed, x) for fld in fields for x in verts
             if fld.count_at(x, params.lam)}
     assert len(revealed) == len(set(revealed)) and set(revealed) == want
-    revealed.clear()
+    spied.clear()
     empty = frogs._read_arrows(g, B, fields, FrogParams(0.0, 9.0), scan)
     assert list(empty) == [{}] * 4
-    assert revealed == []
+    assert spied == []
 
 
 def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
@@ -545,28 +580,21 @@ def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
     params = FrogParams(0.3, 2.0)
     fld = ParticleField(g, 4)
     arrows = reference_arrows(B, lambda x: fld, params)
-    revealed = []
-    pair_jumps = frogs._pair_jumps
-
-    def spy(g, verts, look, xs, seeds, counts, t):
-        revealed.extend(xs.tolist())
-        return pair_jumps(g, verts, look, xs, seeds, counts, t)
-
-    monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    spied = spy_wave_arrows(monkeypatch)
     for x in sorted(B)[::40]:
         full = frogs._reach({x}, arrows.__getitem__)
-        revealed.clear()
+        spied.clear()
         assert arrow_closure(g, B, x, params, fld) == full
         # each particle-bearing reached vertex once
-        assert sorted(revealed) == sorted(
+        assert sorted(v for _, v, _ in spied) == sorted(
             v for v in full if fld.count_at(v, params.lam))
         for k in (1, 2, 5):
-            revealed.clear()
+            spied.clear()
             got = arrow_closure(g, B, x, params, fld, stop_size=k)
             assert x in got and got <= full and len(got) == min(k, len(full))
-            assert set(revealed) <= got
+            assert {v for _, v, _ in spied} <= got
             if k == 1:
-                assert got == {x} and revealed == []
+                assert got == {x} and spied == []
 
 
 @pytest.mark.parametrize("splice", [False, True])
