@@ -208,14 +208,19 @@ def _logsumexp2(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def sharpness_constants(delta_deg: int, lam: float, t: float,
-                        *, rel_tol: float = 1e-12) -> SharpnessConstants:
+# sharpness_constants stops at a term this small against the partial sum
+# (once the ratio certificate holds): the rest is below its resolution
+_SERIES_REL_TOL = 1e-12
+
+
+def sharpness_constants(delta_deg: int, lam: float,
+                        t: float) -> SharpnessConstants:
     """Evaluate (delta, K, C, c) for out-degree Delta and parameters (lam, t).
 
     delta = 1 - exp(-(lam/Delta) t e^{-t}); K = Delta/delta. C sums a
     geometric-vs-factorial series, evaluated in log space because individual
     terms reach e^100 and beyond; truncation stops once the term ratio
-    certificate M e t/(r+1) < 1/2 holds and the term is below rel_tol of the
+    certificate M e t/(r+1) < 1/2 holds and the term is below 1e-12 of the
     partial sum. c = 1/C, with the convention C = infinity (c = 0) when
     lam = 0 or t = 0.
     """
@@ -249,7 +254,7 @@ def sharpness_constants(delta_deg: int, lam: float, t: float,
                     + (r - t))
         log_total = _logsumexp2(log_total, log_term)
         ratio = M * math.e * t / (r + 1)
-        if ratio < 0.5 and log_term <= math.log(rel_tol) + _logsumexp2(log_head, log_total):
+        if ratio < 0.5 and log_term <= math.log(_SERIES_REL_TOL) + _logsumexp2(log_head, log_total):
             break
         r += 1
         if r > 10_000_000:
@@ -304,14 +309,19 @@ def _params_at(parameter: str, value: float, fixed_value: float) -> FrogParams:
             else FrogParams(fixed_value, value))
 
 
+# critical_bisection's replica doubling stops here: a survival estimate
+# near the threshold then has a stderr of at most 0.002
+_BISECTION_MAX_REPLICAS = 64_000
+
+
 def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
                        replicas: int, threshold: float, tol: float, seed: int,
-                       *, lo: float, hi: float, max_replicas: int = 64000,
+                       *, lo: float, hi: float,
                        particle_budget: int = 500_000) -> CriticalBracket:
     """Bisect the free parameter on the survival estimate crossing threshold.
 
     A bisection step is taken only when the estimate is >= 3 stderr away
-    from the threshold; otherwise replicas double up to a cap, and if noise
+    from the threshold; otherwise replicas double up to 64 000, and if noise
     still dominates the widest confident bracket is returned rather than a
     false point.
     """
@@ -330,7 +340,7 @@ def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
             gap = est.mean - threshold
             if abs(gap) >= 3.0 * max(est.stderr, 1e-12) or est.stderr == 0.0:
                 return 1 if gap > 0 else -1
-            if reps >= max_replicas:
+            if reps >= _BISECTION_MAX_REPLICAS:
                 return 0
             reps *= 2
 

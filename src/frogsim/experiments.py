@@ -23,7 +23,7 @@ from .frogs import (FrogParams, ParticleField, _reach, _read_arrows,
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
 from .stats import Estimate, check_replicas, from_binomial, from_samples
-from .walks import check_horizon, exit_probability_exact, jump_picker
+from .walks import check_horizon, discrete_walk, exit_probability_exact
 
 
 @dataclass
@@ -57,21 +57,16 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def csv_rows(self) -> list[dict]:
-        graph = str(self.inputs.get("graph", ""))
-        lam = self.inputs.get("lambda", "")
-        t = self.inputs.get("t", "")
-        n = self.inputs.get("n", "")
+        row = {"experiment": self.name, "seed": self.seed,
+               "graph": str(self.inputs.get("graph", "")),
+               **{k: self.inputs.get(k, "") for k in ("lambda", "t", "n")}}
         rows = []
         for metric, val in sorted(self.metrics.items()):
-            if isinstance(val, Estimate):
-                rows.append(dict(experiment=self.name, graph=graph, **{
-                    "lambda": lam}, t=t, n=n, replicas=val.replicas,
-                    seed=self.seed, metric=metric, mean=val.mean,
-                    stderr=val.stderr))
-            else:
-                rows.append(dict(experiment=self.name, graph=graph, **{
-                    "lambda": lam}, t=t, n=n, replicas=1, seed=self.seed,
-                    metric=metric, mean=float(val), stderr=0.0))
+            mean, stderr, replicas = (
+                (val.mean, val.stderr, val.replicas)
+                if isinstance(val, Estimate) else (float(val), 0.0, 1))
+            rows.append({**row, "replicas": replicas, "metric": metric,
+                         "mean": mean, "stderr": stderr})
         return rows
 
 
@@ -115,15 +110,28 @@ def edge_open_probability(delta_deg: int, lam: float, t: float) -> float:
     return one_side * one_side
 
 
-def _first_jump_open(field: ParticleField, params: FrogParams,
-                     x: int, y: int) -> bool:
-    eta, trajs = field.particles(x, params)
-    return any(tr.jumps and tr.jumps[0] == y for tr in trajs)
+def _open_edges(field: ParticleField, params: FrogParams, edges) -> list:
+    """The edges (x, y) of `edges`, in order, across which both x and y
+    send a first jump under field. The field stores nothing, so each
+    vertex's first jumps are kept here: its particles are read once."""
+    firsts: dict[int, set[int]] = {}
+
+    def jumps_to(x: int, y: int) -> bool:
+        if x not in firsts:
+            _, trajs = field.particles(x, params)
+            firsts[x] = {tr.jumps[0] for tr in trajs if tr.jumps}
+        return y in firsts[x]
+
+    return [(x, y) for x, y in edges if jumps_to(x, y) and jumps_to(y, x)]
+
+
+# Most (edge, edge) observations of the correlation probe: its 3-stderr
+# check then resolves a correlation of 3 / sqrt(20 000) = 0.02.
+_INDEPENDENCE_PAIRS = 20_000
 
 
 def bernoulli_edge_coupling(g: Graph, params: FrogParams, replicas: int,
                             seed: int, *, edge_trials: int = 100_000,
-                            independence_pairs: int = 20_000,
                             inclusion_seeds: int = 5) -> ExperimentReport:
     """Declare an edge open when both endpoints send a first jump across it
     within the lifespan; validate the product closed form, cross-edge
@@ -136,22 +144,17 @@ def bernoulli_edge_coupling(g: Graph, params: FrogParams, replicas: int,
     """
     if g.directed:
         raise GraphError("edge coupling needs an undirected graph")
-    interior = g.interior_mask
     delta_deg = g.max_interior_degree()
-    edges = []
-    for x in range(g.vertex_count):
-        if not interior[x] or g.degree(x) != delta_deg:
-            continue
-        for y in g.out_neighbors(x):
-            y = int(y)
-            if x < y and interior[y] and g.degree(y) == delta_deg:
-                edges.append((x, y))
+    # the edges between interior vertices of full degree
+    full = g.interior_mask & (np.diff(g.indptr) == delta_deg)
+    edges = [(x, y) for x in np.flatnonzero(full).tolist()
+             for y in g.out_neighbors(x).tolist() if x < y and full[y]]
     if not edges:
         raise GraphError("no interior edges of full degree")
 
     p_closed = edge_open_probability(delta_deg, params.lam, params.t)
-    per_rep = len(edges)
-    need_reps = replicas if replicas >= 1 else max(1, -(-edge_trials // per_rep))
+    need_reps = (replicas if replicas >= 1
+                 else max(1, -(-edge_trials // len(edges))))
     opens = 0
     trials = 0
     # vertex-disjoint edge pairs for the correlation probe
@@ -161,19 +164,27 @@ def bernoulli_edge_coupling(g: Graph, params: FrogParams, replicas: int,
         e1, e2 = edges[i], edges[i + pair_step // 2]
         if len({*e1, *e2}) == 4:
             pairs.append((e1, e2))
-    pair_obs: list[tuple[int, int]] = []
-    for r in range(need_reps):
+    pair_obs: list[tuple[bool, bool]] = []
+    inclusion_ok = True
+    # field r serves replica r < need_reps and inclusion seed r
+    for r in range(max(need_reps, inclusion_seeds)):
         fld = ParticleField(g, Stream(seed, "edges", r).key)
-        opened = {}
-        for (x, y) in edges:
-            o = (_first_jump_open(fld, params, x, y)
-                 and _first_jump_open(fld, params, y, x))
-            opened[(x, y)] = o
-            opens += o
-            trials += 1
-        if len(pair_obs) < independence_pairs:
-            for e1, e2 in pairs:
-                pair_obs.append((opened[e1], opened[e2]))
+        opened = _open_edges(fld, params, edges)
+        if r < need_reps:
+            opens += len(opened)
+            trials += len(edges)
+            if len(pair_obs) < _INDEPENDENCE_PAIRS:
+                is_open = set(opened)
+                pair_obs += [(e1 in is_open, e2 in is_open)
+                             for e1, e2 in pairs]
+        if r < inclusion_seeds:
+            adj: dict[int, list[int]] = {}
+            for x, y in opened:
+                adj.setdefault(x, []).append(y)
+                adj.setdefault(y, []).append(x)
+            open_cluster = _reach({g.origin}, lambda v: adj.get(v, ()))
+            frog = explore_cluster(g, params, fld, particle_budget=5_000_000)
+            inclusion_ok &= open_cluster <= frog.activated
     rate = from_binomial(opens, trials, seed)
 
     a = np.array([u for u, _ in pair_obs], dtype=float)
@@ -183,20 +194,6 @@ def bernoulli_edge_coupling(g: Graph, params: FrogParams, replicas: int,
     else:
         corr = 0.0
     corr_se = 1.0 / math.sqrt(len(pair_obs))
-
-    inclusion_ok = True
-    for s in range(inclusion_seeds):
-        fld = ParticleField(g, Stream(seed, "edges", s).key)
-        adj: dict[int, list[int]] = {}
-        for (x, y) in edges:
-            if (_first_jump_open(fld, params, x, y)
-                    and _first_jump_open(fld, params, y, x)):
-                adj.setdefault(x, []).append(y)
-                adj.setdefault(y, []).append(x)
-        open_cluster = _reach({g.origin}, lambda v: adj.get(v, ()))
-        frog = explore_cluster(g, params, fld, particle_budget=5_000_000)
-        if not open_cluster <= frog.activated:
-            inclusion_ok = False
     dev = abs(rate.mean - p_closed)
     checks = {
         "rate_matches_closed_form_3se": dev <= 3.0 * max(rate.stderr, 1e-12),
@@ -264,7 +261,8 @@ class _CoordIndex:
         if g.coords is None:
             raise GraphError("experiment needs a lattice graph with coordinates")
         self._g = g
-        self._map = {tuple(int(c) for c in p): i for i, p in enumerate(g.coords)}
+        self._map = dict(zip(map(tuple, g.coords.tolist()),
+                             range(g.vertex_count)))
         self._balls: dict[tuple, set[int]] = {}
 
     def vid(self, p) -> int:
@@ -421,9 +419,13 @@ def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
     return block_open(g, idx, net, sites, lam, phase1, phase2)
 
 
+# The good-vertex decay's candidate set sizes: three points for its slope
+# check, all below the 145 vertices of the ball at the default a = 8
+_DECAY_SIZES = (4, 16, 64)
+
+
 def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
                                seed: int, *, decay_density: float = 0.25,
-                               decay_sizes=(4, 16, 64),
                                decay_replicas: int = 500,
                                max_vertices: int = GraphSpec.max_vertices
                                ) -> ExperimentReport:
@@ -458,7 +460,7 @@ def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
             cluster_fracs.append(0.0)
     open_freq = from_samples(per_rep_fraction, seed, "open-fraction")
     site_freqs = {s: c / replicas for s, c in open_counts.items()}
-    decay = good_vertex_decay(g, g.origin, net.a, decay_density, decay_sizes,
+    decay = good_vertex_decay(g, g.origin, net.a, decay_density, _DECAY_SIZES,
                               decay_replicas, Stream(seed, "decay").key)
     dec_means = [decay[k].mean for k in sorted(decay)]
     strict = all(a > b for a, b in zip(dec_means, dec_means[1:]))
@@ -548,10 +550,14 @@ def annulus_blocking_probability(g: Graph, inner: int, outer: int,
     return math.exp(-params.lam * total)
 
 
+# Inner radius of the blocking annulus (its closed form is exact at any):
+# well clear of the origin, inside a ladder of the default length 240
+_BLOCKING_INNER = 50
+
+
 def linear_growth_experiment(width: int, length: int, params: FrogParams,
                              replicas: int, seed: int,
                              *, distances=(50, 100, 200),
-                             blocking_inner: int = 50,
                              particle_budget: int = 2_000_000,
                              max_vertices: int = GraphSpec.max_vertices
                              ) -> ExperimentReport:
@@ -568,8 +574,8 @@ def linear_growth_experiment(width: int, length: int, params: FrogParams,
                                   particle_budget=particle_budget)
         ests[n] = sv.estimate
         censored += sv.censored
-    outer = blocking_inner + max(4, int(math.ceil(2 * params.t)) + 2)
-    blocking = annulus_blocking_probability(g, blocking_inner, outer, params)
+    outer = _BLOCKING_INNER + max(4, int(math.ceil(2 * params.t)) + 2)
+    blocking = annulus_blocking_probability(g, _BLOCKING_INNER, outer, params)
     means = [ests[n].mean for n in sorted(ests)]
     checks = {
         "survival_nonincreasing_in_n": all(a >= b for a, b in
@@ -581,7 +587,7 @@ def linear_growth_experiment(width: int, length: int, params: FrogParams,
     return ExperimentReport(
         "linear_growth",
         {"graph": g.family, "lambda": params.lam, "t": params.t,
-         "n": max(distances), "blocking_annulus": (blocking_inner, outer),
+         "n": max(distances), "blocking_annulus": (_BLOCKING_INNER, outer),
          "censored": censored},
         metrics, checks, seed)
 
@@ -601,31 +607,26 @@ def escape_probability(g: Graph, A, horizon: int, replicas: int,
     starts = sorted(A)
     w = g.pi[starts]
     cum = np.cumsum(w / w.sum())
-    boundary = g.walk_tables()[2]
-    pick = jump_picker(g)
     hits = 0
     for r in range(replicas):
         st = Stream(seed, "escape", r)
         x = starts[int(np.searchsorted(cum, st.uniform()))]
-        cur = x
-        returned = False
-        for _ in range(horizon):
-            if boundary[cur]:
-                break
-            cur = pick(cur, st.uniform())
-            if cur in A:
-                returned = True
-                break
-        hits += not returned
+        path = discrete_walk(g, x, horizon, st, stop=A)
+        hits += not any(v in A for v in path[1:])
     return from_binomial(hits, replicas, seed)
+
+
+# The escape check's ball A: a few steps, small next to the graph's radius
+_ESCAPE_RADIUS = 3
+# rho_hat at or above this is taken as amenable: the lifespan bound grows
+# without limit as 1 - rho goes to 0
+_AMENABLE_CUTOFF = 0.995
 
 
 def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
                          seed: int, *, survival_radius: int | None = None,
                          spectral_nmax: int | None = None,
-                         escape_radius: int = 3,
                          escape_horizon: int = 150,
-                         amenable_cutoff: float = 0.995,
                          particle_budget: int = 2_000_000) -> ExperimentReport:
     """Estimate the spectral radius and stationary control, evaluate the
     sufficient-lifespan bound, then bracket the empirical critical lifespan
@@ -640,7 +641,7 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
         spectral_nmax = 2 * min(20, max(2, g.max_radius - 1))
     spec_est = spectral_radius_estimate(g, g.origin, spectral_nmax)
     rho = spec_est.estimate
-    if rho >= amenable_cutoff:
+    if rho >= _AMENABLE_CUTOFF:
         raise GraphError(
             f"estimated spectral radius {rho:.4f} is too close to 1: "
             "amenable input rejected")
@@ -662,7 +663,7 @@ def nonamenable_pipeline(g: Graph, lam: float, t_list, replicas: int,
     bracket_hi = min(confident) if confident else math.inf
     below = [t for t in surv if t < bracket_hi]
     bracket_lo = max(below) if below else 0.0
-    esc = escape_probability(g, ball(g, g.origin, escape_radius),
+    esc = escape_probability(g, ball(g, g.origin, _ESCAPE_RADIUS),
                              escape_horizon, replicas, Stream(seed, "esc").key)
     checks = {
         "empirical_bracket_below_bound": bracket_hi <= bound.bound,

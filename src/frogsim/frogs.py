@@ -44,33 +44,28 @@ class FrogParams:
 class ParticleField:
     """Lazy deterministic particle configuration over a graph.
 
-    Re-querying a vertex returns the identical (count, trajectories) tuple.
-    Distinct ParticleFields with the same seed on the same graph replay the
+    A field stores nothing: particle i of vertex x is a pure function of
+    (seed, x, i), sampled from its own counter-based stream on every read.
+    Re-querying a vertex returns an equal (count, trajectories) tuple, and
+    distinct ParticleFields with the same seed on the same graph replay the
     same randomness, which is what the schedule-invariance and coupling
-    tests exercise.
+    tests exercise. A caller that reads a vertex twice keeps what it needs.
     """
 
-    __slots__ = ("graph", "seed", "_cache")
+    __slots__ = ("graph", "seed")
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = int(seed)
-        self._cache: dict = {}
 
     def count_at(self, x: int, lam: float) -> int:
         u = (derive_key(self.seed, "eta", x) >> 11) * _INV_2_53
         return poisson_inverse_cdf(lam, u)
 
     def trajectory(self, x: int, i: int, t: float) -> Trajectory:
-        key = (x, i, t)
-        traj = self._cache.get(key)
-        if traj is None:
-            stream = Stream(self.seed, "traj", x, i)
-            jumps, absorbed = walk_positions(self.graph, x, check_horizon(t),
-                                             stream)
-            traj = Trajectory(x, tuple(jumps), t, absorbed)
-            self._cache[key] = traj
-        return traj
+        jumps, absorbed = walk_positions(self.graph, x, check_horizon(t),
+                                         Stream(self.seed, "traj", x, i))
+        return Trajectory(x, tuple(jumps), t, absorbed)
 
     def particles(self, x: int, params: FrogParams):
         eta = self.count_at(x, params.lam)
@@ -662,9 +657,13 @@ class EPSample:
     clipped_parents: int = 0
 
 
+# Most parents of a generation of ep_exploration_sample: a supercritical
+# exploration grows geometrically, so past this it stops, budget_exhausted
+_EP_PARENT_BUDGET = 20_000
+
+
 def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
-                          *, max_generations: int = 60,
-                          parent_budget: int = 20000) -> EPSample:
+                          *, max_generations: int = 60) -> EPSample:
     """Branching exploration that dominates the frog cluster when the
     window functional is subcritical.
 
@@ -703,7 +702,7 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
         sizes.append(len(children))
         if not children:
             break
-        if len(children) > parent_budget:
+        if len(children) > _EP_PARENT_BUDGET:
             exhausted = True
             break
         parents = children

@@ -494,13 +494,17 @@ def build_graph(spec: GraphSpec) -> Graph:
     raise GraphError(f"unknown graph family {spec.family!r}")
 
 
-def _validate(g: Graph, rel_tol: float = 1e-12) -> None:
+# pi(x) and x's outgoing weight sum add the same floats in other orders
+_PI_REL_TOL = 1e-12
+
+
+def _validate(g: Graph) -> None:
     if np.any(np.diff(g.indptr) <= 0):
         raise GraphError("every vertex needs a non-empty out-neighbor list")
     w = g.weights if g.weights is not None else np.ones_like(g.indices, float)
     sums = np.zeros(g.vertex_count)
     np.add.at(sums, np.repeat(np.arange(g.vertex_count), np.diff(g.indptr)), w)
-    if not np.allclose(sums, g.pi, rtol=rel_tol, atol=0):
+    if not np.allclose(sums, g.pi, rtol=_PI_REL_TOL, atol=0):
         raise GraphError("pi(x) does not match outgoing weight sums")
     if not g.directed:
         # w(x, y) must equal w(y, x) for every stored edge

@@ -11,16 +11,15 @@ exact.
 Draw k of a stream (k = 1, 2, ...) is splitmix64's output mix of
 ``key + k * _GOLDEN`` mod 2^64, a pure function of the key and k. Stream
 bits come from two implementations of that one sequence: ``Stream.u64``
-computes the next draw on Python ints, and ``Stream.peek_uniforms``
-computes the next n at once on ``uint64`` numpy arrays, which wrap mod 2^64
-exactly as ``& _MASK`` does. ``uniform`` and ``exponential`` are fixed
-formulas on one draw, the block returns the same uniforms, and
-``Stream.skip`` consumes the draws a block reader used, so every caller
-reads a stream in the same order and the couplings hold across them. The
-third implementation is ``uniforms_at``, which computes draw k of many
-streams at once from their keys; with ``derive_keys`` (the keys of
-``count`` sibling streams, folded on arrays) it lets a batch sampler
-advance thousands of independent streams in lockstep.
+computes the next draw on Python ints, and ``uniforms_at`` computes draw k
+of many streams at once from their keys on ``uint64`` numpy arrays, which
+wrap mod 2^64 exactly as ``& _MASK`` does. ``uniform`` and ``exponential``
+are fixed formulas on one draw; ``Stream.peek_uniforms`` reads the next n
+uniforms of one stream through ``uniforms_at``, and ``Stream.skip``
+consumes the draws a block reader used, so every caller reads a stream in
+the same order and the couplings hold across them. With ``derive_keys``
+(the keys of ``count`` sibling streams, folded on arrays) ``uniforms_at``
+lets a batch sampler advance thousands of independent streams in lockstep.
 ``derive_key`` hashes each distinct string label once per process and
 keeps the code in a module dict.
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -197,10 +197,8 @@ class Stream:
         """The next n uniforms, equal to n successive ``uniform()`` calls,
         computed on numpy arrays. The stream does not advance: ``skip``
         consumes however many of them the caller used."""
-        x = np.arange(1, n + 1, dtype=np.uint64)
-        x *= _NP_GOLDEN
-        x += np.uint64(self._state)
-        return _np_uniforms(x).tolist()
+        return uniforms_at(np.array([self._state], dtype=np.uint64), 1,
+                           count=n)[:, 0].tolist()
 
     def skip(self, k: int) -> None:
         """Consume k draws, as k ``u64()`` calls would."""
@@ -247,7 +245,8 @@ _U_CAP = 1.0 - 1e-12
 
 
 def poisson_inverse_cdf(lam: float, u: float) -> int:
-    """Smallest k with P(Poisson(lam) <= k) >= u.
+    """Smallest k with P(Poisson(lam) <= k) >= u: a left binary search of
+    min(u, 1 - 1e-12) in ``_poisson_cdf_table(lam)``.
 
     Monotone in lam for fixed u, which the particle-field couplings rely on.
     u is capped at 1 - 1e-12: past that the accumulated CDF saturates below
@@ -255,45 +254,30 @@ def poisson_inverse_cdf(lam: float, u: float) -> int:
     shifts at most the 1e-12 extreme quantile). Accurate for lam up to ~700
     (below the exp underflow threshold).
     """
-    if lam == 0.0:
-        return 0
-    if lam > POISSON_LAM_MAX:
-        raise ValueError(
-            f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
-    u = min(u, _U_CAP)
-    p = math.exp(-lam)
-    cdf = p
-    k = 0
-    while cdf < u:
-        k += 1
-        p *= lam / k
-        cdf += p
-    return k
+    return bisect_left(_poisson_cdf_table(lam), min(u, _U_CAP))
 
 
 @functools.lru_cache(maxsize=32)
-def _poisson_cdf_table(lam: float) -> np.ndarray:
-    """The running CDF values of ``poisson_inverse_cdf(lam, .)``, computed
-    by its recurrence, up to the first one at or above ``_U_CAP`` (which
-    every lam in [0, POISSON_LAM_MAX] reaches)."""
-    p = math.exp(-lam)
-    cdf = p
-    table = [cdf]
-    k = 0
+def _poisson_cdf_table(lam: float) -> tuple[float, ...]:
+    """The running CDF values P(Poisson(lam) <= k), k = 0, 1, ..., summed
+    by the recurrence p_k = p_{k-1} lam / k, up to the first one at or
+    above ``_U_CAP`` (which every lam in [0, POISSON_LAM_MAX] reaches).
+    A tuple, which ``bisect`` searches faster than an array."""
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(
+            f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
+    p = cdf = math.exp(-lam)
+    table, k = [cdf], 0
     while cdf < _U_CAP:
         k += 1
         p *= lam / k
         cdf += p
         table.append(cdf)
-    return np.array(table)
+    return tuple(table)
 
 
 def poisson_counts(lam: float, u: np.ndarray) -> np.ndarray:
     """``poisson_inverse_cdf(lam, u)`` for every u of an array, as int64:
-    a left binary search of min(u, 1 - 1e-12) in the table of the same
-    running CDF values the loop compares u with."""
-    if lam > POISSON_LAM_MAX:
-        raise ValueError(
-            f"poisson_inverse_cdf unstable for lam > {POISSON_LAM_MAX:g}")
+    the same left binary search of min(u, 1 - 1e-12) in the same table."""
     return np.searchsorted(_poisson_cdf_table(lam), np.minimum(u, _U_CAP),
                            side="left")

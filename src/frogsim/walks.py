@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from math import log1p
 
@@ -316,9 +317,10 @@ def sample_trajectory(g: Graph, x: int, t: float, rng: Stream) -> Trajectory:
     return Trajectory(x, tuple(jumps), t, absorbed)
 
 
-def discrete_walk(g: Graph, x: int, steps: int, rng: Stream) -> list[int]:
+def discrete_walk(g: Graph, x: int, steps: int, rng: Stream,
+                  stop=frozenset()) -> list[int]:
     """Jump-chain positions X(0..k), truncated at the first frontier hit
-    (k = steps when the walk stays interior)."""
+    or the first jump onto a vertex of `stop` (k = steps otherwise)."""
     boundary = g.walk_tables()[2]
     pick = jump_picker(g)
     path = [x]
@@ -328,6 +330,8 @@ def discrete_walk(g: Graph, x: int, steps: int, rng: Stream) -> list[int]:
             break
         cur = pick(cur, rng.uniform())
         path.append(cur)
+        if cur in stop:
+            break
     return path
 
 
@@ -617,12 +621,7 @@ def self_intersection_profile(g: Graph, x: int, t: float, m: int,
             continue
         path = discrete_walk(g, x, m * terms, rng.child("selfint", r))
         sub = path[::m]
-        eq = 0
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                if sub[i] == sub[j]:
-                    eq += 1
-        counts.append(eq)
+        counts.append(sum(c * (c - 1) // 2 for c in Counter(sub).values()))
     return from_samples(counts, rng.key)
 
 

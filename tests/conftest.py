@@ -101,3 +101,24 @@ def spy_wave_arrows(monkeypatch):
 
     monkeypatch.setattr(frogs, "_wave_arrows", spy)
     return revealed
+
+
+def spy_trajectories(monkeypatch):
+    """Record the distinct (field seed, vertex, particle index) of every
+    trajectory read through ParticleField.trajectory, which every single
+    particle read goes through; returns the set the records are added to."""
+    read = set()
+    trajectory = frogs.ParticleField.trajectory
+
+    def spy(field, x, i, t):
+        read.add((field.seed, x, i))
+        return trajectory(field, x, i, t)
+
+    monkeypatch.setattr(frogs.ParticleField, "trajectory", spy)
+    return read
+
+
+def reads_of(read, field):
+    """How many of the (seed, vertex, index) records of `read` are
+    particles of the ParticleField `field`."""
+    return sum(1 for seed, _, _ in read if seed == field.seed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -220,6 +221,29 @@ def test_cli_other_experiments_run(tmp_path):
                                "replicas=40", "seed=4",
                                f"out={tmp_path/'ab'}"])
     assert run(cfg2) == 0
+
+
+# sha256 of results.csv from tiny runs on regular_tree degree 3, depth 6,
+# seed 11: these experiments' CLI output, byte for byte
+CLI_GOLDENS = {
+    "bernoulli_coupling": (
+        ["lambda=1.5", "t=1.0", "replicas=4"],
+        "4bff38b8ab3b5da65f7547669e7be407bc1cb23b626f2557840cbad4907a10eb"),
+    "abelian": (
+        ["lambda=2.0", "t=2.0", "replicas=5"],
+        "0da78ad8886c7ebcbd956a20e09e937493c78542109ada48699dd78a2a039f69"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CLI_GOLDENS))
+def test_cli_results_golden(tmp_path, experiment):
+    args, digest = CLI_GOLDENS[experiment]
+    cfg = parse_config(None, [f"experiment={experiment}",
+                              "family=regular_tree", "degree=3", "depth=6",
+                              "seed=11", *args, f"out={tmp_path}"])
+    assert run(cfg) == 0
+    csv = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == digest
 
 
 @pytest.mark.parametrize("t_list,bad", [("1,abc", ["'abc'"]),

@@ -15,7 +15,8 @@ from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, block_open,
                                  good_vertex_decay)
 from frogsim.stats import Estimate
 
-from conftest import read_all_arrows, spy_wave_arrows
+from conftest import (read_all_arrows, reads_of, spy_trajectories,
+                      spy_wave_arrows)
 
 
 def test_edge_open_probability_closed_form():
@@ -35,6 +36,28 @@ def test_bernoulli_edge_coupling_checks(tree8):
                                   edge_trials=40_000, inclusion_seeds=3)
     assert rep.passed(), rep.checks
     assert rep.metrics["open_rate"].replicas >= 40_000
+
+
+@pytest.mark.parametrize("replicas", [2, 7])
+def test_edge_coupling_reads_each_vertex_once_per_replica(monkeypatch, tree8,
+                                                          replicas):
+    # the field stores nothing, so the coupling keeps each vertex's first
+    # jumps; the inclusion check reuses the open edges of the replicas it
+    # shares a field with and reads its other fields once too
+    reads = []
+    particles = ParticleField.particles
+
+    def spy(field, x, params):
+        reads.append((field.seed, x))
+        return particles(field, x, params)
+
+    monkeypatch.setattr(ParticleField, "particles", spy)
+    rep = bernoulli_edge_coupling(tree8, FrogParams(2.0, 1.0), replicas, 9,
+                                  inclusion_seeds=4)
+    assert rep.metrics["open_rate"].replicas > 0
+    assert len(reads) == len(set(reads)) > 0
+    assert {seed for seed, _ in reads} == {
+        Stream(9, "edges", r).key for r in range(max(replicas, 4))}
 
 
 def test_bernoulli_coupling_rejects_directed(tmp_path):
@@ -491,9 +514,9 @@ def test_good_vertex_decay_rejects_a_ball_on_the_frontier(a):
 
 # Recorded on the cascade loop that block_open ran before it moved onto
 # frogs._reach: one replica of the renormalization fields (seed 1; a = 8,
-# net_extent = 2). Per net site in order: (open, len(phase2._cache) after
-# the site). The cache length counts the second-wave particles that the
-# lazy cascade (lazy_block_open) reveals.
+# net_extent = 2). Per net site in order: (open, the distinct phase2
+# particles read by then). The count is of the second-wave particles that
+# the lazy cascade (lazy_block_open) reveals.
 GOLDEN_BLOCK_OPEN = {
     (4.0, 0): [(True, 160), (True, 230), (True, 245), (True, 292),
                (True, 439), (True, 470), (True, 503), (True, 560),
@@ -543,27 +566,29 @@ def lazy_block_open(idx, net, site, lam, phase1, phase2):
 
 
 @pytest.mark.parametrize("lam,rep", sorted(GOLDEN_BLOCK_OPEN))
-def test_block_open_golden(lam, rep):
+def test_block_open_golden(monkeypatch, lam, rep):
     net = NetConfig(a=8, net_extent=2)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
     idx = _CoordIndex(g)
     sites = net.net_sites()
+    read = spy_trajectories(monkeypatch)
 
     def fields():
+        read.clear()
         return (ParticleField(g, Stream(1, "phase1", rep).key),
                 ParticleField(g, Stream(1, "phase2", rep).key))
 
     q1, q2 = fields()
-    want = [(lazy_block_open(idx, net, s, lam, q1, q2), len(q2._cache))
+    want = [(lazy_block_open(idx, net, s, lam, q1, q2), reads_of(read, q2))
             for s in sites]
     assert want == GOLDEN_BLOCK_OPEN[(lam, rep)]
     p1, p2 = fields()
     got = [block_open(g, idx, net, [s], lam, p1, p2)[s] for s in sites]
     assert got == [opened for opened, _ in want]
-    assert len(p2._cache) == 0    # every second wave is one arrow pass
+    assert reads_of(read, p2) == 0    # every second wave is one arrow pass
     p1, p2 = fields()
     assert list(block_open(g, idx, net, sites, lam, p1, p2).values()) == got
-    assert len(p1._cache) == len(p2._cache) == 0
+    assert not read
 
 
 def replica_block_open(g, idx, net, lam, p1, p2, per_site):
@@ -575,7 +600,7 @@ def replica_block_open(g, idx, net, lam, p1, p2, per_site):
 
 
 @pytest.mark.parametrize("a,extent", [(6, 1), (6, 2), (8, 1), (8, 2)])
-def test_block_open_replica_call_equals_site_calls(a, extent):
+def test_block_open_replica_call_equals_site_calls(monkeypatch, a, extent):
     # one pass per wave over every site opens the same sites as a call
     # per site and as the lazy reference; no second-wave particle is
     # read one at a time
@@ -584,8 +609,10 @@ def test_block_open_replica_call_equals_site_calls(a, extent):
     idx = _CoordIndex(g)
     sites = net.net_sites()
     opened = set()
+    read = spy_trajectories(monkeypatch)
 
     def fields():
+        read.clear()
         return (ParticleField(g, Stream(a, "phase1", extent).key),
                 ParticleField(g, Stream(a, "phase2", extent).key))
 
@@ -595,8 +622,8 @@ def test_block_open_replica_call_equals_site_calls(a, extent):
             p1, p2 = fields()
             state = replica_block_open(g, idx, net, lam, p1, p2, per_site)
             assert list(state) == sites
-            assert len(p2._cache) == 0
-            assert per_site or len(p1._cache) == 0
+            assert reads_of(read, p2) == 0
+            assert per_site or reads_of(read, p1) == 0
             runs.append(state)
         q1, q2 = fields()
         assert runs[0] == runs[1] == {
@@ -605,14 +632,16 @@ def test_block_open_replica_call_equals_site_calls(a, extent):
     assert opened == {False, True}
 
 
-def test_block_open_replica_call_equals_site_calls_on_splice():
+def test_block_open_replica_call_equals_site_calls_on_splice(monkeypatch):
     net = NetConfig(a=8, net_extent=1)
     g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
     idx = _CoordIndex(g)
     sites = net.net_sites()
     inner = ball(g, g.origin, 10)
+    read = spy_trajectories(monkeypatch)
 
     def fields():
+        read.clear()
         p = {s: ParticleField(g, Stream(3, "splice", s).key) for s in range(4)}
         return p, SpliceField(inner, p[0], p[1]), SpliceField(inner, p[2], p[3])
 
@@ -620,13 +649,13 @@ def test_block_open_replica_call_equals_site_calls_on_splice():
     for per_site in (False, True):
         p, p1, p2 = fields()
         runs.append(replica_block_open(g, idx, net, 2.0, p1, p2, per_site))
-        assert len(p[2]._cache) == len(p[3]._cache) == 0
-        assert per_site or len(p[0]._cache) == len(p[1]._cache) == 0
+        assert reads_of(read, p[2]) == reads_of(read, p[3]) == 0
+        assert per_site or reads_of(read, p[0]) == reads_of(read, p[1]) == 0
     q, q1, q2 = fields()
     assert runs[0] == runs[1] == {
         s: lazy_block_open(idx, net, s, 2.0, q1, q2) for s in sites}
     # the lazy second wave reads particles on both sides of the splice
-    assert len(q[2]._cache) > 0 and len(q[3]._cache) > 0
+    assert reads_of(read, q[2]) > 0 and reads_of(read, q[3]) > 0
 
 
 @pytest.mark.parametrize("box_radius", [25, 26])

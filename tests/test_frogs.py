@@ -16,7 +16,7 @@ from frogsim import frogs
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
 
-from conftest import read_all_arrows, spy_wave_arrows
+from conftest import read_all_arrows, spy_trajectories, spy_wave_arrows
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -455,29 +455,33 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
     look = frogs._columns(verts)
     wave = [(f, c) for f in range(3) for c in range(0, verts.size, 2)]
 
+    read = spy_trajectories(monkeypatch)
+
     def fields():
+        read.clear()
         p = [ParticleField(g, s) for s in range(1, 5)]
-        return p, [p[0], SpliceField(ball(g, 40, 2), p[1], p[2]), p[3]]
+        return [p[0], SpliceField(ball(g, 40, 2), p[1], p[2]), p[3]]
 
     for lam, t in ((0.25, 64.0), (2.0, 16.0), (0.0, 8.0)):
         params = FrogParams(lam, t)
         runs = []
         for rule in (0, math.inf):
             monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", rule)
-            p, flds = fields()
+            flds = fields()
             runs.append(frogs._wave_arrows(g, verts, look, flds, wave, params))
-            # only the small-wave path caches trajectories on the fields
-            assert any(q._cache for q in p) == (rule == math.inf and lam > 0)
+            # only the small-wave path reads single trajectories
+            assert bool(read) == (rule == math.inf and lam > 0)
         assert runs[0] == runs[1]
         assert len(runs[0]) == len(wave) and any(runs[0]) == (lam > 0)
     monkeypatch.undo()
+    read = spy_trajectories(monkeypatch)
     # the default rule reads a wave of 23 pairs one walk at a time and one
     # of 24 in a pass
     for size in (frogs._STAY_BATCH_WALKS - 1, frogs._STAY_BATCH_WALKS):
-        p, flds = fields()
+        flds = fields()
         frogs._wave_arrows(g, verts, look, flds, wave[:size],
                            FrogParams(2.0, 16.0))
-        assert any(q._cache for q in p) == (size < frogs._STAY_BATCH_WALKS)
+        assert bool(read) == (size < frogs._STAY_BATCH_WALKS)
 
 
 def pair_jumps_reference(g, B, xs, seeds, counts, t):
@@ -655,6 +659,22 @@ def test_read_arrows_memory_does_not_grow_with_B_squared():
         tracemalloc.stop()
     assert len(arrows) == len(B)
     assert peak < 0.5 * 0.39 * len(B) ** 2
+
+
+def test_explore_cluster_memory_per_particle_is_bounded(tree12):
+    # a field stores no trajectory, so a run holds only its own bookkeeping
+    # (pending particles, activation order, activated set): about 100 bytes
+    # a particle here; a field that kept each revealed walk held over 300
+    tree12.walk_tables()                  # built on a graph's first walk
+    field = ParticleField(tree12, 12345)
+    tracemalloc.start()
+    try:
+        cl = explore_cluster(tree12, FrogParams(3.0, 2.0), field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cl.stop_reason == "exhausted" and cl.total_particles == 3911
+    assert peak < 160 * cl.total_particles
 
 
 # -- exploration process -------------------------------------------------

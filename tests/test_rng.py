@@ -210,15 +210,29 @@ def test_derive_keys_results_are_arrays():
         derive_keys(1, np.array([1]), 2.5)
 
 
+def inverse_cdf_loop(lam, u):
+    """The Poisson inverse CDF by its recurrence, run until the running
+    CDF reaches min(u, 1 - 1e-12): the reference of the table searches."""
+    u = min(u, 1.0 - 1e-12)
+    p = math.exp(-lam)
+    cdf, k = p, 0
+    while cdf < u:
+        k += 1
+        p *= lam / k
+        cdf += p
+    return k
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.25, 30.0, 700.0])
 def test_poisson_counts_match_inverse_cdf(lam):
     edges = [0.0, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 0.5, 1e-300]
     rand = [Stream(3, "pc", repr(lam)).uniform() for _ in range(2000)]
     # u on a CDF value itself: the loop stops there (cdf >= u)
-    steps = _poisson_cdf_table(lam).tolist()[:50] if lam else []
+    steps = list(_poisson_cdf_table(lam))[:50] if lam else []
     u = np.array(edges + rand + steps)
-    assert poisson_counts(lam, u).tolist() == [poisson_inverse_cdf(lam, v)
-                                               for v in u.tolist()]
+    want = [inverse_cdf_loop(lam, v) for v in u.tolist()]
+    assert [poisson_inverse_cdf(lam, v) for v in u.tolist()] == want
+    assert poisson_counts(lam, u).tolist() == want
 
 
 def test_poisson_table_reaches_the_cap():

@@ -389,6 +389,12 @@ def test_walk_sampling_golden(name, tmp_path):
     s = Stream(5, "dw", name)
     assert discrete_walk(g, 0, 15, s) == path
     assert s._state == path_state
+    # a stop set ends the same walk on its first jump onto the set
+    for stop in ({path[0]}, set(path[2:4]), {-1}):
+        first = next((k for k, v in enumerate(path) if k and v in stop),
+                     len(path) - 1)
+        assert discrete_walk(g, 0, 15, Stream(5, "dw", name),
+                             stop=stop) == path[:first + 1]
 
 
 def test_walk_from_frontier_draws_nothing(tmp_path):
