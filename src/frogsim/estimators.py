@@ -100,7 +100,7 @@ def cluster_size_tail(g: Graph, params: FrogParams, nmax: int, replicas: int,
     tail = {n: above[n] / replicas for n in range(1, nmax + 1)}
     # fit the log tail over its statistically supported upper half: points
     # carried by fewer than ~10 replicas are one-sample steps, not decay
-    floor = max(10.0 / replicas, 2.0 / replicas)
+    floor = 10.0 / replicas
     supported = [n for n in range(2, nmax + 1) if tail[n] >= floor]
     slope, r2 = float("nan"), float("nan")
     if supported:
@@ -559,15 +559,20 @@ class GoodSetReport:
 def good_set_G_A(g: Graph, A, t: float, alpha: float, replicas: int,
                  seed: int, *, rho: float, K: float) -> GoodSetReport:
     """Estimate G_A = {x in A : P_x(|R(t) minus A| > alpha t) >= (1-rho)/4K}
-    and compare |G_A|/|A| with (1-rho)/2K.
+    and compare |G_A|/|A| with (1-rho)/2K, for a finite alpha > 0, a
+    spectral radius rho in (0, 1) and K > 0.
 
     Walk r from x uses ``Stream(seed, "GA", x, r)``; each x's replicas run
     as one ``walk_batch``."""
     A = g.vertex_set(A)
     if not A:
         raise GraphError("A must be non-empty")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    if not K > 0:
+        raise ValueError(f"K must be > 0, got {K}")
     check_replicas(replicas)
     thresh = (1.0 - rho) / (4.0 * K)
     members = set()

@@ -237,11 +237,15 @@ def _reach(reached: set, out, done=None) -> set:
 # (each bears a particle in _read_arrows). At t = 1 on a Z^2 box (window
 # B(5)) a batched wave of 4-128 walks cost 250-650 us and the per-walk
 # loop 18-27 us a walk, so the two met between 16 and 24 walks. At t = 64
-# (arrows of B(0, 8); density 0.25 and 2) a _pair_jumps pass of 1-64
-# pairs cost 2.5-5.2 ms and field.particles 0.11-0.16 ms a pair, so the
-# two met between 24 and 48 pairs (2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4). Deciding on the wave's size needs no numpy work, and keeps
-# single-field callers on field.particles for their first waves.
+# (arrows of B(0, 8) on renorm_z2's box; density 0.25 and 2) a
+# _pair_jumps pass of 1-64 pairs costs 0.6-1.3 ms, since it decides its
+# jumps in blocks, and field.particles 0.07-0.13 ms a pair, so the two
+# meet between 4 and 12 pairs (2-vCPU x86-64 host, Python 3.11, numpy
+# 2.4). The rule keeps the t = 1 value: renorm_z2's decay leaves 3-8
+# waves of 1-17 pairs a job below it (seeds 1-3), on which a rule of 8
+# would save under 1 ms. Deciding on the wave's size needs no numpy work,
+# and keeps single-field callers on field.particles for their first
+# waves.
 _STAY_BATCH_WALKS = 24
 
 
@@ -272,8 +276,7 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
                     for f, x in wave]
         else:
             if inside is None:
-                inside = np.zeros(g.vertex_count, dtype=bool)
-                inside[list(S)] = True
+                inside = _inside_mask(g, S)
             outs = _stay_batch(g, inside, fields, wave, params)
         nxt = []
         for (f, x), o in zip(wave, outs):
@@ -320,27 +323,39 @@ def _stay_out(eta: int, trajs, S):
             stay, eta - len(stay))
 
 
+def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
+    """The window S as a vertex mask, with one more True entry after the
+    last vertex: the -1 of an ended walk in a ``lockstep_walks`` block
+    reads it, so it never counts as a step out of S."""
+    inside = np.zeros(g.vertex_count + 1, dtype=bool)
+    inside[list(S)] = True
+    inside[-1] = True
+    return inside
+
+
 def _stay_batch(g: Graph, inside: np.ndarray, fields, wave,
                 params: FrogParams):
     """``_stay_out`` of every (field index, vertex) pair of `wave`, with
     the particles revealed from their counter-based keys in one lockstep
     pass. A walk stays if every vertex it visits is in the window S
-    (inside[v] says v is in S); S avoids the frontier, so an absorbed walk
+    (``_inside_mask(g, S)``); S avoids the frontier, so an absorbed walk
     leaves."""
     xs = np.array([x for _, x in wave], dtype=np.int64)
     seeds = np.array([fields[f].source(x).seed & _MASK for f, x in wave],
                      dtype=np.uint64)
     counts = _vertex_counts(seeds, xs, params.lam)
     pair, index, starts, keys = _particle_keys(seeds, xs, counts)
-    leaves = ~inside[starts]
-    walk, where = [pair[:0]], [pair[:0]]     # jumps of walks still inside
-    for live, cur in lockstep_walks(g, starts, params.t, keys):
-        leaves[live[~inside[cur]]] = True
-        keep = ~leaves[live]
-        walk.append(live[keep])
-        where.append(cur[keep])
+    # every block entry, walk by walk within a block, so each walk's
+    # landings come in jump order; the -1 after a walk's end is dropped
+    # with the walks that leave, once the pass has ended
+    walk, where = [pair[:0]], [starts[:0]]
+    for rows, pos in lockstep_walks(g, starts, params.t, keys):
+        walk.append(rows.repeat(len(pos)))
+        where.append(pos.T.ravel())
     walk, where = np.concatenate(walk), np.concatenate(where)
-    keep = ~leaves[walk]
+    leaves = ~inside[starts]
+    leaves[walk[~inside[where]]] = True
+    keep = (where >= 0) & ~leaves[walk]
     walk, where = walk[keep], where[keep]
     order = np.argsort(walk, kind="stable")  # by walk, then step
     codes = pair[walk[order]] * g.vertex_count + where[order]
@@ -391,16 +406,18 @@ def restricted_activation(g: Graph, S, params: FrogParams,
 
 
 # Most particle walks one lockstep pass of _wave_arrows samples. A pass
-# pays a fixed numpy cost per jump step (about 90 steps at t = 64), so
-# small passes are slow; large ones raise peak memory. It bounds each of
-# block_open's two waves (one pass each per replica on renorm_z2: about
-# 340 walks over the small balls and 950 over the sites' windows), the
-# closure waves of arrow_closure and good_vertices and, at high
-# densities, a decay wave. The value was chosen on renorm_z2 when
-# full decay passes dominated its walks (bench/run.py, 10 s runs at seeds
-# 23-25; 2-vCPU x86-64 host, Python 3.11, numpy 2.4): 2.31-2.86 /s with
-# 38.76-38.90 MB peak RSS at 1024, 3.13-3.26 /s with 38.79-38.93 MB at
-# 2048 and 3.17-3.48 /s with 39.11-39.40 MB at 3072.
+# pays a fixed numpy cost per block of jumps and per pick step (at t = 64,
+# 1-8 blocks and about 100 pick steps; see walks._BLOCK_HORIZON), so
+# small passes cost more a walk: 15 us a walk at 52 walks, 4.2 us at 992.
+# Large ones raise peak memory. It bounds each of block_open's two waves
+# (one pass each per replica on renorm_z2: about 340 walks over the small
+# balls and 950 over the sites' windows), the closure waves of
+# arrow_closure and good_vertices and, at high densities, a decay wave.
+# The value was chosen on renorm_z2 when full decay passes dominated its
+# walks (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4): 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
+# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
+# 39.11-39.40 MB at 3072.
 _ARROW_WALKS = 2048
 
 
@@ -543,31 +560,27 @@ def _pair_jumps(g: Graph, verts: np.ndarray, look: np.ndarray,
     """The sorted distinct codes p |verts| + c of the (p, verts[c]),
     verts[c] != xs[p], that a particle of pair p (field seed seeds[p],
     vertex xs[p], counts[p] particles) jumps to within time t; verts is
-    sorted and look is ``_columns(verts)``, which finds each landing
-    vertex's column in O(1). Codes are int32 while every one fits."""
+    sorted and look is ``_columns(verts)``.
+
+    The walks run as one ``lockstep_walks`` pass, and each of its blocks
+    (one jump below ``walks._BLOCK_HORIZON``, up to 8 192 walk-jumps from
+    it on) finds the columns of all its landing vertices with one lookup.
+    A pass keeps one code per jump that lands in B; codes are int32 while
+    every one fits."""
     pair, _, starts, keys = _particle_keys(seeds, xs, counts)
     nb = verts.size
     v0, span = (int(verts[0]) if nb else 0), look.size - 1
     base = pair * nb
     if xs.size * nb < 2**31:
         base = base.astype(np.int32)
-    # one buffer, doubled when full, sized for a code per jump of a walk
-    # that stays in B (at most t jumps, and a walk leaves B after about
-    # |B|): per-step arrays kept until the pass ends would fragment the heap
-    size = max(pair.size * int(min(t, nb) + 1), 16)
-    codes, n = np.empty(size, dtype=base.dtype), 0
-    for live, cur in lockstep_walks(g, starts, t, keys):
-        # ids off the span clip to -1 or span; both read the -1 after it
-        col = look[np.minimum(np.maximum(cur - v0, -1), span)]
-        hit = col >= 0
-        m = n + int(np.count_nonzero(hit))
-        if m > codes.size:
-            grown = np.empty(max(m, 2 * codes.size), dtype=codes.dtype)
-            grown[:n] = codes[:n]
-            codes = grown
-        np.add(base[live[hit]], col[hit], out=codes[n:m])
-        n = m
-    codes = codes[:n]
+    codes = [base[:0]]
+    for rows, pos in lockstep_walks(g, starts, t, keys):
+        # ids off the span, and the -1 of an ended walk, clip to -1 or
+        # span; both read the -1 after it
+        col = look[np.minimum(np.maximum(pos - v0, -1), span)]
+        codes.append((base[rows] + col)[col >= 0])
+    codes = np.concatenate(codes)
+    n = codes.size
     codes.sort()
     # distinct codes; not np.unique, whose first call imports numpy.ma (1 MB)
     first = np.empty(n, dtype=bool)
@@ -769,8 +782,7 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
         if d_x is None:
             raise GraphError("x cannot reach the complement of S")
         bounds.append((delta ** d_x) * (t + d_x))
-    inside = np.zeros(g.vertex_count, dtype=bool)
-    inside[list(S)] = True
+    inside = _inside_mask(g, S)
     per_pass = max(1, _EXIT_WALKS // replicas)
     samples = []
     for lo in range(0, len(xs), per_pass):
@@ -782,9 +794,11 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
         starts = block[which]
         exits = ~inside[starts]
         jumps = np.zeros(starts.size, dtype=np.int64)
-        for live, cur in lockstep_walks(g, starts, t, keys):
-            jumps[live] += 1
-            exits[live[~inside[cur]]] = True
+        for rows, pos in lockstep_walks(g, starts, t, keys):
+            jumps[rows] += len(pos)
+            if len(pos) > 1:                # less the -1 after a walk's end
+                jumps[rows] -= (pos < 0).sum(axis=0)
+            exits[rows[~inside[pos].all(axis=0)]] = True
         for i in range(block.size):
             rows = slice(i * replicas, (i + 1) * replicas)
             samples.append(jumps[rows][exits[rows]].tolist())

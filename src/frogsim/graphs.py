@@ -111,6 +111,21 @@ class Graph:
                     or not 0 <= x < self.vertex_count):
                 raise GraphError(f"invalid vertex {x}")
 
+    def check_vertices(self, xs) -> np.ndarray:
+        """The vertex ids xs (one id, a list or tuple of ids, or an integer
+        numpy array) as an int64 array, under the rule of ``check_vertex``
+        applied to each id; an array of any other dtype, bool included, is
+        rejected whole."""
+        if not isinstance(xs, np.ndarray):
+            self.check_vertex(*(xs if isinstance(xs, (list, tuple)) else [xs]))
+            return np.array(xs, dtype=np.int64)
+        if xs.dtype.kind not in "iu":
+            raise GraphError(f"invalid vertex array of dtype {xs.dtype}")
+        bad = (xs < 0) | (xs >= self.vertex_count)
+        if bad.any():
+            raise GraphError(f"invalid vertex {xs[bad].flat[0]}")
+        return xs.astype(np.int64)
+
     def vertex_set(self, xs) -> set[int]:
         """The vertex ids xs as a set of Python ints, each checked by
         ``check_vertex`` before it is converted."""

@@ -116,10 +116,19 @@ def jump_picker(g: Graph):
 # least that many expected walks (frogs._stay_batch). So of renorm_z2's
 # t = 64 walks only those of the decay's small last waves reach this loop
 # (both of block_open's waves are passes), and of phi_window_z2's t = 1
-# walks only those of the closures' small last waves. A lockstep jump
-# step costs about 23 us of numpy calls plus 18 ns a walk (same host in a
-# fast spell; its speed swings about 2x), holding times included: they
-# are numpy exponentials, checked against the exact sum only near t.
+# walks only those of the closures' small last waves.
+#
+# The same horizon sets the block length of lockstep_walks. Below it a
+# block is one jump, decided with the numpy calls of one lockstep step:
+# about 23 us plus 18 ns a walk (same host in a fast spell; its speed
+# swings about 2x), holding times included. At t = 1 most walks make 0-2
+# jumps, so a longer block would mostly decide jumps of ended walks. From
+# it on a block decides many jumps (``_block_jumps``), and only the pick
+# recurrence (6 numpy calls) and the running sum (1) run jump by jump. A renorm_z2 pass at
+# t = 64 then runs in 1-8 blocks and about 100 pick steps: medians of
+# 0.8 ms at 52 walks, 1.1 ms at 110, 2.0-2.3 ms at 286-352, 2.8-3.0 ms at
+# 488-554 and 4.1-4.2 ms at 934-992, where one full step per jump took
+# 3.0, 3.4, 4.2-4.7, 5.0-5.4 and 6.0-6.2 ms.
 _BLOCK_HORIZON = 8.0
 # most draws one block holds; longer walks refill
 _BLOCK_MAX = 2048
@@ -196,42 +205,77 @@ def _walk_blocked(pick, boundary, x: int, t: float, rng: Stream, n: int):
 def walk_batch(g: Graph, x, t: float, keys: np.ndarray):
     """One walk up to time t per stream key, sampled in lockstep.
 
-    x is one start vertex for every walk or an array of one per key.
-    Returns (positions, counts, absorbed): positions[i, :counts[i]] are the
-    jumps of walk i, padded with -1 to the longest walk, and absorbed[i]
-    says whether it stopped at the frontier. Walk i equals
-    ``walk_positions(g, x[i], t, s)`` for a fresh ``Stream`` s with key
-    ``keys[i]``; the steps come from ``lockstep_walks``.
+    x is one start vertex for every walk or an array of one per key, each
+    checked by ``g.check_vertices``. Returns (positions, counts, absorbed):
+    positions[i, :counts[i]] are the jumps of walk i, padded with -1 to the
+    longest walk, and absorbed[i] says whether it stopped at the frontier.
+    Walk i equals ``walk_positions(g, x[i], t, s)`` for a fresh ``Stream``
+    s with key ``keys[i]``; the jumps come from ``lockstep_walks``.
     """
     check_horizon(t)
     keys = np.asarray(keys, dtype=np.uint64)
-    starts = np.broadcast_to(np.asarray(x, dtype=np.int64), keys.shape)
+    starts = np.broadcast_to(g.check_vertices(x), keys.shape)
+    blocks = list(lockstep_walks(g, starts, t, keys))
+    positions = np.full((keys.size, sum(len(pos) for _, pos in blocks)), -1,
+                        dtype=np.int64)
+    j = 0
+    for rows, pos in blocks:
+        positions[rows, j:j + len(pos)] = pos.T
+        j += len(pos)
+    counts = (positions >= 0).sum(axis=1)
+    positions = positions[:, :counts.max(initial=0)]
     boundary = g.boundary_mask
-    absorbed = boundary[starts]
-    steps = list(lockstep_walks(g, starts, t, keys))
-    positions = np.full((keys.size, len(steps)), -1, dtype=np.int64)
-    for j, (rows, where) in enumerate(steps):
-        positions[rows, j] = where
-        absorbed[rows[boundary[where]]] = True
-    return positions, (positions >= 0).sum(axis=1), absorbed
+    absorbed = boundary[starts] | (boundary[positions]
+                                   & (positions >= 0)).any(axis=1)
+    return positions, counts, absorbed
+
+
+# Most draws one block of lockstep_walks reads (2 per jump of each walk),
+# so a block's arrays stay a few hundred kB. On renorm_z2's passes (t =
+# 64, 52-992 walks; same host) 2^13 draws took about 1 % longer and 2^15
+# about 14 % longer than 2^14, whose blocks stay in the processor cache.
+_BLOCK_DRAWS = 2 ** 14
+
+
+def _block_jumps(t: float, elapsed: np.ndarray) -> int:
+    """The jumps one block of lockstep_walks decides for the live walks
+    with elapsed times `elapsed` at horizon t: 1 below ``_BLOCK_HORIZON``,
+    else as many as ``_BLOCK_DRAWS`` draws hold, up to r + 4 sqrt(r) + 8
+    for the time r the slowest walk has left: it rarely makes more jumps
+    than that."""
+    if t < _BLOCK_HORIZON:
+        return 1
+    r = max(t - float(elapsed.min()), 0.0)
+    # min() with the cap first also maps an infinite t to the cap
+    return max(1, int(min(_BLOCK_DRAWS // (2 * elapsed.size),
+                          r + 4.0 * math.sqrt(r) + 8.0)))
 
 
 def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
-    """Yield (live, cur) after each jump of the walks from starts[i] up to
-    time t on the streams keys[i]: live holds the indices of the walks that
-    made that jump and cur where each landed. A walk ends at time t or on
-    its first frontier vertex; one that starts on the frontier never jumps.
+    """Yield (rows, pos) blocks of the jumps of the walks from starts[i] up
+    to time t on the streams keys[i]. rows holds the indices of the walks
+    that made the block's first jump, and pos[j, i] is where walk rows[i]
+    landed on the block's jump j, or -1 once that walk has ended. A walk
+    ends at time t or on its first frontier vertex; one that starts on the
+    frontier never jumps.
 
-    Jump j reads draw 2j of every stream and the holding time after it
-    draw 2j + 1, so all streams draw the same two counters at once (one
-    ``rng.uniforms_at`` pass per jump) and each walk equals
-    ``walk_positions`` on its stream. Each live walk carries its key along.
-    Holding times are ``-np.log1p(-u)``, summed in numpy; a walk whose sum
-    lies within a relative ``_EXACT_MARGIN`` per draw of t has
-    ``elapsed <= t`` decided by the exact sum of ``walk_positions``
-    (``_exact_elapsed``), so the two never disagree. The unweighted
-    pick is ``floor(u * deg)`` and the weighted one a vectorized
-    ``bisect_right`` on the cached row cumulative weights.
+    Jump j of a walk reads draw 2j of its stream and the holding time
+    after it draw 2j + 1, so all streams draw the same counters at once
+    and each walk equals ``walk_positions`` on its stream. A block of m
+    jumps (``_block_jumps``: 1 below ``_BLOCK_HORIZON``) reads its 2m
+    draws of every live walk in one ``rng.uniforms_at`` pass. Only the
+    pick recurrence and the running sum of the holding times then run jump
+    by jump, for every walk of the block: an ended walk walks on (``take``
+    clips a pick off a frontier row with no edges), and its positions are
+    masked afterwards. The unweighted pick is ``floor(u * deg)`` and the
+    weighted one a vectorized ``bisect_right`` on the cached row cumulative
+    weights.
+
+    Holding times are ``-np.log1p(-u)``, summed in stream order as
+    ``walk_positions`` sums them, so each running sum rounds the same. A
+    walk whose sum lies within a relative ``_EXACT_MARGIN`` per draw of t
+    has ``elapsed <= t`` decided by the exact sum of ``walk_positions``
+    (``_within``, row by row), so the two never disagree.
     """
     boundary = g.boundary_mask
     deg, cw = g.walk_arrays()
@@ -242,30 +286,50 @@ def lockstep_walks(g: Graph, starts: np.ndarray, t: float, keys: np.ndarray):
     cur, key = starts[live], keys[live]
     elapsed = -np.log1p(-uniforms_at(key, 1))
     k = 1                                      # draws each live walk has read
-    keep = _within(elapsed, t, key, k)
+    keep = _within(elapsed[None], t, key, k)[0]
     while True:
         live, cur, key, elapsed = live[keep], cur[keep], key[keep], elapsed[keep]
         if live.size == 0:
             return
-        u, hold = uniforms_at(key, k + 1, count=2)
-        if cw is None:
-            cur = indices[indptr[cur] + (u * deg[cur]).astype(np.int64)]
-        else:
-            lo, hi = indptr[cur], indptr[cur + 1]
-            thr = u * cw[hi - 1]
-            for _ in range(rounds):            # bisect_right within each row
-                mid = (lo + hi) >> 1
-                left = thr < cw[np.minimum(mid, cw.size - 1)]
-                searching = lo < hi
-                hi = np.where(searching & left, mid, hi)
-                lo = np.where(searching & ~left, mid + 1, lo)
-            cur = indices[lo]
-        yield live, cur
-        np.negative(hold, out=hold)
-        elapsed -= np.log1p(hold, out=hold)    # x - y is x + (-y) exactly
-        k += 2
-        keep = _within(elapsed, t, key, k)
-        keep &= ~boundary[cur]
+        m = _block_jumps(t, elapsed)
+        draws = uniforms_at(key, k + 1, count=2 * m)
+        pos = np.empty((m, live.size), dtype=indices.dtype)
+        for u, cur_next in zip(draws[::2], pos):
+            if cw is None:
+                indices.take(indptr[cur] + (u * deg[cur]).astype(np.int64),
+                             out=cur_next, mode="clip")
+            else:
+                lo, hi = indptr[cur], indptr[cur + 1]
+                thr = u * cw[hi - 1]
+                for _ in range(rounds):        # bisect_right within each row
+                    mid = (lo + hi) >> 1
+                    left = thr < cw[np.minimum(mid, cw.size - 1)]
+                    searching = lo < hi
+                    hi = np.where(searching & left, mid, hi)
+                    lo = np.where(searching & ~left, mid + 1, lo)
+                indices.take(lo, out=cur_next, mode="clip")
+            cur = cur_next
+        # held[j]: the elapsed time after the block's jump j and its hold,
+        # summed row by row: np.subtract.accumulate along the rows runs a
+        # strided loop per walk, 2.5-20 times slower at 1 000-4 000 walks
+        held = draws[1::2]
+        np.negative(held, out=held)
+        np.log1p(held, out=held)
+        np.subtract(elapsed, held[0], out=held[0])  # x - y is x + (-y) exactly
+        for j in range(1, m):
+            np.subtract(held[j - 1], held[j], out=held[j])
+        go = _within(held, t, key, k + 2)      # go[j]: jump j + 1 is made
+        # elapsed only grows, so go stays False once a walk's time is up;
+        # a walk that hit the frontier walks on, so its hits are carried
+        hit = boundary[pos]
+        if m > 1 and hit.any():
+            np.logical_or.accumulate(hit, out=hit)
+        go &= ~hit
+        if m > 1:
+            pos[1:][~go[:-1]] = -1
+        yield live, pos
+        keep, cur, elapsed = go[-1], pos[-1], held[-1]
+        k += 2 * m
 
 
 # np.log1p and math.log1p (the exponential of walk_positions) may differ
@@ -285,16 +349,18 @@ _EXACT_MARGIN = 2.0 ** -52
 
 def _within(elapsed: np.ndarray, t: float, keys: np.ndarray,
             k: int) -> np.ndarray:
-    """elapsed <= t for walks that have read k draws, decided as
-    ``walk_positions`` decides it. Strict ``<`` keeps t = inf off the exact
-    path."""
+    """elapsed <= t, decided as ``walk_positions`` decides it, for the
+    running sums elapsed[j, i] of the walks on keys[i] after k + 2j draws.
+    Strict ``<`` keeps t = inf off the exact path."""
     gap = elapsed - t
     keep = gap <= 0.0
     np.abs(gap, out=gap)
-    tol = _EXACT_MARGIN * (k + 7) * t
-    if gap.size and gap.min() < tol:
-        near = np.flatnonzero(gap < tol)
-        keep[near] = _exact_elapsed(keys[near], k) <= t
+    # the margin grows with the draws read: the last row's bounds them all
+    if gap.size and gap.min() < _EXACT_MARGIN * (k + 2 * len(gap) + 5) * t:
+        for j, row in enumerate(gap):
+            near = np.flatnonzero(row < _EXACT_MARGIN * (k + 2 * j + 7) * t)
+            if near.size:
+                keep[j, near] = _exact_elapsed(keys[near], k + 2 * j) <= t
     return keep
 
 

@@ -281,3 +281,54 @@ def test_self_intersection_bound_checks_m_and_rho(m, rho, match):
     with pytest.raises(ValueError, match=match):
         walks.self_intersection_bound(1.0, m, rho)
     assert walks.self_intersection_bound(1.0, 1, 0.5) == 0.5
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, 10**6, True, np.bool_(True),
+                                 np.float64(2.0), 2**70])
+def test_walk_batch_checks_its_starts(box, bad):
+    # on the radius-6 box x = -1 wrapped to the last vertex and gave
+    # absorbed walks, x = 1.5 walked from vertex 1 and x = 10**6 ended in
+    # a bare IndexError
+    keys = np.arange(3, dtype=np.uint64)
+    starts = [bad, [0, bad, 1], (bad, 0, 1)]
+    if not isinstance(bad, (bool, np.bool_)):  # an array would make it 1
+        starts.append(np.array([0, bad, 1]))
+    for x in starts:
+        with pytest.raises(GraphError, match="invalid vertex"):
+            walks.walk_batch(box, x, 2.0, keys)
+    with pytest.raises(GraphError, match="invalid vertex array of dtype bool"):
+        walks.walk_batch(box, np.array([True, False, True]), 2.0, keys)
+
+
+def test_walk_batch_takes_numpy_starts(box):
+    keys = np.arange(3, dtype=np.uint64)
+    want = walks.walk_batch(box, [0, 1, 2], 2.0, keys)
+    for x in (np.array([0, 1, 2], dtype=np.uint8), (0, 1, 2),
+              np.array([0, 1, 2], dtype=np.int32)):
+        got = walks.walk_batch(box, x, 2.0, keys)
+        assert all((a == b).all() for a, b in zip(got, want))
+    assert (walks.walk_batch(box, np.int64(3), 2.0, keys)[0]
+            == walks.walk_batch(box, 3, 2.0, keys)[0]).all()
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("alpha", math.nan, "alpha must be finite and > 0, got nan"),
+    ("alpha", math.inf, "alpha must be finite and > 0, got inf"),
+    ("alpha", 0.0, "alpha must be finite and > 0, got 0.0"),
+    ("alpha", -0.5, "alpha must be finite and > 0, got -0.5"),
+    ("rho", 2.0, r"rho must lie in \(0, 1\), got 2.0"),
+    ("rho", 1.0, r"rho must lie in \(0, 1\), got 1.0"),
+    ("rho", 0.0, r"rho must lie in \(0, 1\), got 0.0"),
+    ("rho", math.nan, r"rho must lie in \(0, 1\), got nan"),
+    ("K", 0.0, "K must be > 0, got 0.0"),
+    ("K", -1.0, "K must be > 0, got -1.0"),
+    ("K", math.nan, "K must be > 0, got nan"),
+])
+def test_good_set_checks_alpha_rho_and_K(box, name, value, match):
+    # alpha = nan silently gave an empty set, rho = 2 a target fraction of
+    # -0.5 and K = 0 a ZeroDivisionError
+    args = {"alpha": 0.1, "rho": 0.5, "K": 1.0, name: value}
+    with pytest.raises(ValueError, match=match):
+        est.good_set_G_A(box, {0}, 1.0, args["alpha"], 3, 1, rho=args["rho"],
+                         K=args["K"])
+    est.good_set_G_A(box, {0}, 1.0, 0.1, 3, 1, rho=0.5, K=1.0)

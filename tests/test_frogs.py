@@ -12,7 +12,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
                      explore_cluster, from_samples, good_set_G_A,
                      good_vertices, restricted_activation,
                      sphere_activation_profile)
-from frogsim import frogs
+from frogsim import frogs, walks
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
 
@@ -233,7 +233,8 @@ def reference_stay_closure(g, S, start, params, field):
 
 
 @pytest.mark.parametrize("batch", [True, False])
-@pytest.mark.parametrize("lam,t", [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0)])
+@pytest.mark.parametrize("lam,t", [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0),
+                                   (1.0, 12.0)])
 @pytest.mark.parametrize("window", ["z2-3", "z2-5", "tree8-3", "z2-3-off"])
 def test_stay_closure_equals_per_field_path(monkeypatch, z2_box20, tree8,
                                             window, lam, t, batch):
@@ -519,6 +520,32 @@ def test_pair_jumps_column_lookup(shape):
     ref = pair_jumps_reference(g, B, xs.tolist(), seeds.tolist(),
                                counts.tolist(), 6.0)
     assert got.tolist() == ref and ref
+
+
+@pytest.mark.parametrize("draws", [2, 2**14])
+def test_pair_jumps_at_long_horizon_match_single_walks(monkeypatch, draws):
+    # t = 64 on a radius-10 box, where walks reach the frontier: a pass of
+    # about 40 walks runs in blocks of many jumps, or of one jump with a
+    # cap of 2 draws. The reference reads each particle's walk through
+    # ParticleField.trajectory, one draw at a time.
+    monkeypatch.setattr(walks, "_BLOCK_DRAWS", draws)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=10))
+    B = set(sorted(ball(g, 30, 5))[::2])
+    verts = np.array(sorted(B), dtype=np.int64)
+    xs = np.array(sorted(B)[::3] + [29, 31], dtype=np.int64)
+    seeds = derive_keys(6, "pj64", count=xs.size)
+    counts = frogs._vertex_counts(seeds, xs, 3.0)
+    got = frogs._pair_jumps(g, verts, frogs._columns(verts), xs, seeds,
+                            counts, 64.0)
+    ref = set()
+    for p, (x, seed, n) in enumerate(zip(xs.tolist(), seeds.tolist(),
+                                         counts.tolist())):
+        for i in range(n):
+            jumps = ParticleField(g, seed).trajectory(x, i, 64.0).jumps
+            ref |= {p * verts.size + int(np.searchsorted(verts, y))
+                    for y in jumps if y in B and y != x}
+    assert 30 <= counts.sum() <= 60
+    assert got.tolist() == sorted(ref)
 
 
 

@@ -549,16 +549,29 @@ def check_batch_matches_walk_positions(g, x, t, key):
         assert row[n:] == [-1] * (len(row) - n)
 
 
+# frontier vertices: 24 of the radius-3 box, 25 of the depth-4 tree and
+# the sink 4 of the weighted digraph
+FRONTIER_STARTS = {"z2": 24, "tree": 25, "weighted": 4}
+
+
+# From t = _BLOCK_HORIZON on, lockstep_walks decides many jumps per block;
+# the small graphs put the frontier a few jumps away, so walks end at the
+# frontier and by time in the middle of blocks.
 @example(name="z2", starts=[24, 0, 24, 5], t=9.0, key=1)   # frontier starts
 @example(name="weighted", starts=[4, 0, 2, 1], t=70.0, key=5)
+@example(name="z2", starts=[0, 3], t=walks._BLOCK_HORIZON, key=1)
+@example(name="weighted", starts=[0, 2, 1], t=100.0, key=5)
+@example(name="tree", starts=[0, 1], t=math.nextafter(
+    walks._BLOCK_HORIZON, 0.0), key=3)
 @given(st.sampled_from(["z2", "tree", "weighted"]),
        st.lists(st.integers(min_value=0, max_value=30), min_size=1,
                 max_size=12),
-       st.floats(min_value=0.0, max_value=24.0),
+       st.floats(min_value=0.0, max_value=100.0),
        st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_walk_batch_multi_start(walk_graphs, name, starts, t, key):
-    check_batch_multi_start(walk_graphs[name], starts, t, key)
+    check_batch_multi_start(walk_graphs[name],
+                            starts + [FRONTIER_STARTS[name]], t, key)
 
 
 def check_batch_multi_start(g, starts, t, key):
@@ -587,19 +600,21 @@ def test_walk_batch_all_exact_comparisons(walk_graphs, name, x, starts, t,
         check_batch_multi_start(walk_graphs[name], starts, t, key)
 
 
-def adversarial_horizon(g, x, label, below_numpy, m_min=2, m_max=40):
-    """A key and horizon t at which the numpy and math.log1p sums of the
-    walk from x disagree about elapsed <= t after m >= m_min holding
-    times, with m - 1 jumps made before. below_numpy: the exact sum is the
-    smaller one (t is it, so walk_positions makes one more jump than the
-    numpy sum allows); else t is the numpy sum (one fewer)."""
+def adversarial_horizon(g, x, label, below_numpy, m_min=2, m_max=40,
+                        t_min=0.0):
+    """A key and horizon t >= t_min at which the numpy and math.log1p sums
+    of the walk from x disagree about elapsed <= t after m >= m_min
+    holding times, with m - 1 jumps made before. below_numpy: the exact
+    sum is the smaller one (t is it, so walk_positions makes one more jump
+    than the numpy sum allows); else t is the numpy sum (one fewer)."""
     for key in derive_keys(7, label, count=5000).tolist():
         us = uniforms_at(np.array([key], dtype=np.uint64), 1,
                          count=2 * m_max)[::2, 0].tolist()
         fast = itertools.accumulate((-np.log1p(-np.array(us))).tolist())
         exact = itertools.accumulate(-math.log1p(-u) for u in us)
         for m, (s, e) in enumerate(zip(fast, exact), start=1):
-            if m >= m_min and s != e and (e < s) == below_numpy:
+            if (m >= m_min and s != e and (e < s) == below_numpy
+                    and min(s, e) >= t_min):
                 t = min(s, e)
                 jumps, absorbed = walk_positions(g, x, t, stream_with_key(key))
                 if not absorbed and len(jumps) == m - (not below_numpy):
@@ -631,6 +646,92 @@ def test_walk_batch_frontier_start(walk_graphs):
                                              derive_keys(1, count=5))
     assert positions.shape == (5, 0)
     assert counts.tolist() == [0] * 5 and absorbed.all()
+
+
+# -- blocks of jumps ---------------------------------------------------
+
+
+def block_lengths(monkeypatch):
+    """Record the jumps of each block lockstep_walks yields."""
+    lengths = []
+    kernel = walks.lockstep_walks
+
+    def spy(*args):
+        for rows, pos in kernel(*args):
+            lengths.append(len(pos))
+            yield rows, pos
+
+    monkeypatch.setattr(walks, "lockstep_walks", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("cap", ["one", "two", "full"])
+@pytest.mark.parametrize("name", ["z2", "tree", "weighted"])
+def test_walk_batch_blocks_of_any_length(walk_graphs, monkeypatch, name, cap):
+    # 30 walks from interior vertices and one from the frontier: a cap of
+    # 2 draws makes one-jump blocks, 120 a first block of two jumps, and
+    # 2^40 blocks as long as the rule on the time left allows (8 or more)
+    g = walk_graphs[name]
+    interior = np.flatnonzero(~g.boundary_mask).tolist()
+    starts = [interior[i % len(interior)] for i in range(30)]
+    draws = {"one": 2, "two": 4 * len(starts), "full": 2**40}[cap]
+    monkeypatch.setattr(walks, "_BLOCK_DRAWS", draws)
+    lengths = block_lengths(monkeypatch)
+    for t, key in ((12.0, 1), (40.0, 2), (100.0, 3)):
+        lengths.clear()
+        check_batch_multi_start(g, starts + [FRONTIER_STARTS[name]], t, key)
+        if cap == "one":
+            assert set(lengths) == {1}
+        else:
+            assert lengths[0] == 2 if cap == "two" else lengths[0] >= 8
+
+
+def test_walk_batch_frontier_vertex_without_edges():
+    # the last vertex is a frontier vertex with no out-edges: a walk that
+    # stops there still picks on to the end of its block, from the row
+    # past the end of indices
+    from frogsim.graphs import Graph
+    g = Graph(3, np.array([0, 1, 3, 3]), np.array([1, 0, 2], dtype=np.int32),
+              None, np.array([1.0, 2.0, 0.0]), True,
+              np.array([False, False, True]), np.array([0, 1, 2],
+                                                       dtype=np.int32))
+    check_batch_multi_start(g, [0, 1, 2] * 10, 50.0, 8)
+
+
+@pytest.mark.parametrize("name", ["z2", "tree", "weighted"])
+def test_walk_batch_all_exact_comparisons_in_blocks(walk_graphs, name):
+    # every elapsed <= t comparison of every block row on the exact path
+    g = walk_graphs[name]
+    starts = list(range(9)) + [FRONTIER_STARTS[name]]
+    with mock.patch.object(walks, "_EXACT_MARGIN", math.inf):
+        for t, key in ((walks._BLOCK_HORIZON, 4), (30.0, 5), (64.0, 6)):
+            check_batch_multi_start(g, starts, t, key)
+
+
+@pytest.mark.parametrize("below_numpy", [True, False])
+def test_walk_batch_exact_decision_mid_block(below_numpy, z2_box20,
+                                             monkeypatch):
+    # the walk's numpy and exact sums disagree after m >= 12 holding times,
+    # so at t >= _BLOCK_HORIZON that comparison is a middle row of a block
+    key, t, m = adversarial_horizon(z2_box20, z2_box20.origin, "mid",
+                                    below_numpy, m_min=12,
+                                    t_min=walks._BLOCK_HORIZON)
+    lengths = block_lengths(monkeypatch)
+    keys = np.array([key], dtype=np.uint64)
+    expected = walk_positions(z2_box20, z2_box20.origin, t,
+                              stream_with_key(key))
+    positions, counts, absorbed = walk_batch(z2_box20, z2_box20.origin, t,
+                                             keys)
+    assert (positions[0, :counts[0]].tolist(), bool(absorbed[0])) == expected
+    # holding time m decides jump m: row m - 2 of the blocks after the
+    # first holding time, neither a block's first row nor its last
+    row, first = m - 2, 0
+    while row >= first + lengths[0]:
+        first += lengths.pop(0)
+    assert first < row < first + lengths[0] - 1
+    with mock.patch.object(walks, "_EXACT_MARGIN", 0.0):
+        _, fast_counts, _ = walk_batch(z2_box20, z2_box20.origin, t, keys)
+    assert fast_counts[0] == len(expected[0]) + (-1 if below_numpy else 1)
 
 
 # Outputs of the three per-replica walk loops that run as one walk_batch,
