@@ -321,9 +321,10 @@ def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
     """Bisect the free parameter on the survival estimate crossing threshold.
 
     A bisection step is taken only when the estimate is >= 3 stderr away
-    from the threshold; otherwise replicas double up to 64 000, and if noise
-    still dominates the widest confident bracket is returned rather than a
-    false point.
+    from the threshold, or, at an estimate of 0 or 1, when the exact
+    binomial bound at that level lies past it; otherwise replicas double
+    up to 64 000, and if noise still dominates the widest confident
+    bracket is returned rather than a false point.
     """
     if parameter not in ("lambda", "t"):
         raise ValueError("parameter must be 'lambda' or 't'")
@@ -338,7 +339,16 @@ def critical_bisection(g: Graph, parameter: str, fixed_value: float, n: int,
             est = survival_probability(g, params, n, reps, seed,
                                        particle_budget=particle_budget).estimate
             gap = est.mean - threshold
-            if abs(gap) >= 3.0 * max(est.stderr, 1e-12) or est.stderr == 0.0:
+            if est.stderr > 0.0:
+                confident = abs(gap) >= 3.0 * est.stderr
+            else:
+                # p-hat is 0 or 1: the exact one-sided binomial bound at the
+                # same 3-sigma level, alpha = P(Z > 3) = 0.00135 (Clopper &
+                # Pearson 1934), is alpha^(1/n) below 1 or 1 - that above 0
+                bound = (0.5 * math.erfc(3.0 / math.sqrt(2.0))) ** (1.0 / reps)
+                confident = (bound > threshold if gap > 0
+                             else 1.0 - bound < threshold)
+            if confident:
                 return 1 if gap > 0 else -1
             if reps >= _BISECTION_MAX_REPLICAS:
                 return 0

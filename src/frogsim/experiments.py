@@ -18,8 +18,8 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import (FrogParams, ParticleField, _reach, _read_arrows,
-                    explore_cluster)
+from .frogs import (FrogParams, ParticleField, _closure_scan, _reach,
+                    _read_arrows, explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
 from .stats import Estimate, check_replicas, from_binomial, from_samples
@@ -355,7 +355,10 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
 
     Goodness = the candidate's in-ball activation covers a quarter of the
     ball. Nesting makes the probabilities non-increasing in |A| per seed.
-    The ball must avoid the truncation frontier, where walks are absorbed.
+    Each field runs one ``frogs._closure_scan`` over the largest set's
+    candidates in order, all fields in one ``frogs._read_arrows`` call, so
+    only the particles of vertices its reaches pop are revealed. The ball
+    must avoid the truncation frontier, where walks are absorbed.
     """
     check_replicas(replicas)
     if any(k < 0 for k in sizes):
@@ -373,38 +376,11 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     # replica r's field has the seed Stream(seed, "decay", r).key
     fields = (ParticleField(g, s)
               for s in derive_keys(seed, "decay", count=replicas).tolist())
-    for first in _read_arrows(g, verts, fields, params,
-                              lambda _, has: _first_good(has, scan, need)):
+    for first, _ in _read_arrows(g, verts, fields, params,
+                                 lambda _, has: _closure_scan(has, scan, need)):
         for k in fails:
             fails[k] += first >= k
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
-
-
-def _first_good(has, scan, need: int):
-    """One field's decay scan, as a ``frogs._read_arrows`` scan with
-    particle mask has: the index in `scan` of the first candidate column
-    whose reach along the arrows has at least need vertices (inf if none).
-    Each reach is ``frogs._reach({x}, out, lambda r: len(r) >= need)``
-    with out(x) read by a one-column yield, once per vertex."""
-    known: dict[int, list[int]] = {}
-    for i, start in enumerate(scan):
-        reached = bytearray(len(has))
-        reached[start] = 1
-        size, stack = 1, [start]
-        while stack and size < need:
-            x = stack.pop()
-            if has[x] and x not in known:
-                [known[x]] = yield [x]
-            for w in known.get(x, ()):
-                if not reached[w]:
-                    reached[w] = 1
-                    size += 1
-                    if size >= need:
-                        break
-                    stack.append(w)
-        if size >= need:
-            return i
-    return math.inf
 
 
 def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
@@ -563,17 +539,17 @@ def linear_growth_experiment(width: int, length: int, params: FrogParams,
                              ) -> ExperimentReport:
     """Survival decay along a ladder, the quasi-1d stand-in for linear
     growth, plus the exact blocking probability of an annulus. Replicas
-    that exhaust `particle_budget` are counted in inputs["censored"]; a
+    that exhaust `particle_budget` are counted once in inputs["censored"]; a
     ladder of more than max_vertices vertices raises GraphError."""
     g = build_graph(GraphSpec("ladder", width=width, length=length,
                               max_vertices=max_vertices))
-    ests = {}
-    censored = 0
-    for n in distances:
-        sv = survival_probability(g, params, n, replicas, seed,
-                                  particle_budget=particle_budget)
-        ests[n] = sv.estimate
-        censored += sv.censored
+    runs = {n: survival_probability(g, params, n, replicas, seed,
+                                    particle_budget=particle_budget)
+            for n in distances}
+    ests = {n: sv.estimate for n, sv in runs.items()}
+    # the radii share fields and schedule, so a replica censored at one
+    # radius is censored at every larger one: count it once, at the largest
+    censored = runs[max(distances)].censored
     outer = _BLOCKING_INNER + max(4, int(math.ceil(2 * params.t)) + 2)
     blocking = annulus_blocking_probability(g, _BLOCKING_INNER, outer, params)
     means = [ests[n].mean for n in sorted(ests)]

@@ -244,8 +244,7 @@ def _reach(reached: set, out, done=None) -> set:
 # 2.4). The rule keeps the t = 1 value: renorm_z2's decay leaves 3-8
 # waves of 1-17 pairs a job below it (seeds 1-3), on which a rule of 8
 # would save under 1 ms. Deciding on the wave's size needs no numpy work,
-# and keeps single-field callers on field.particles for their first
-# waves.
+# and keeps arrow_closure, whose waves hold one pair, on field.particles.
 _STAY_BATCH_WALKS = 24
 
 
@@ -412,7 +411,7 @@ def restricted_activation(g: Graph, S, params: FrogParams,
 # Large ones raise peak memory. It bounds each of block_open's two waves
 # (one pass each per replica on renorm_z2: about 340 walks over the small
 # balls and 950 over the sites' windows), the closure waves of
-# arrow_closure and good_vertices and, at high densities, a decay wave.
+# good_vertices and, at high densities, a decay wave.
 # The value was chosen on renorm_z2 when full decay passes dominated its
 # walks (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host,
 # Python 3.11, numpy 2.4): 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
@@ -442,7 +441,8 @@ def _passes(walks):
 # and 0.041-0.044 s with all 500 in flight (2-vCPU x86-64 host, Python
 # 3.11, numpy 2.4). good_vertices runs a field per candidate, so all 145
 # of B(0, 8) are in flight. A field in flight holds a byte per vertex of
-# B plus the arrows its scan has read.
+# B plus what its scan keeps (for _closure_scan, the arrows it has read
+# and a byte per vertex for its reach).
 _SCAN_FIELDS = 512
 
 
@@ -459,7 +459,9 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     their arrows, in the same order, each the ascending columns of the
     vertices of B other than itself that its particles visit within their
     lifespan. A scan keeps the arrows it has read; a vertex with no
-    particles points nowhere.
+    particles points nowhere. The arrow closures are one scan,
+    ``_closure_scan``, which yields one column at a time; block_open's
+    ``experiments._read_all`` yields every particle-bearing column at once.
 
     The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
     reveals every suspended scan's list with one ``_wave_arrows`` call
@@ -602,18 +604,18 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
 
     Chain vertices stay in B but the participating trajectories are free to
     leave B and return; a vertex with no particles only points to itself.
-    Only the particles of reached vertices are revealed (``_closure_scan``).
-    With stop_size (at least 1), returns the first stop_size vertices
-    reached. B must avoid the truncation frontier.
+    Only the particles of vertices the reach reads are revealed
+    (``_closure_scan``). With stop_size (at least 1), returns the first
+    stop_size vertices reached. B must avoid the truncation frontier.
     """
     B = g.interior_set(B, containing=start)
     if stop_size is not None and stop_size < 1:
         raise ValueError(f"stop_size must be >= 1, got {stop_size}")
     verts = sorted(B)
-    [reached] = _read_arrows(g, verts, [field], params, lambda _, has: (
-        _closure_scan(has, verts.index(start),
+    [(_, reached)] = _read_arrows(g, verts, [field], params, lambda _, has: (
+        _closure_scan(has, [verts.index(start)],
                       math.inf if stop_size is None else stop_size)))
-    return {verts[c] for c in reached}
+    return set(itertools.compress(verts, reached))
 
 
 def good_vertices(g: Graph, B, params: FrogParams, rng: Stream) -> set[int]:
@@ -627,35 +629,42 @@ def good_vertices(g: Graph, B, params: FrogParams, rng: Stream) -> set[int]:
     """
     B = g.vertex_set(B)
     verts = sorted(B)
-    quota = len(B) / 4.0
-    need = math.ceil(quota) if quota > 1 else 1
+    need = math.ceil(len(B) / 4.0)   # a reach of integer size covers a quarter
     fields = (ParticleField(g, rng.child("goodv", x).key) for x in verts)
     reach = _read_arrows(g, verts, fields, params,
-                         lambda c, has: _closure_scan(has, c, need))
-    return {x for x, reached in zip(verts, reach) if len(reached) >= quota}
+                         lambda c, has: _closure_scan(has, [c], need))
+    return {x for x, (first, _) in zip(verts, reach) if first == 0}
 
 
-def _closure_scan(has, start: int, stop: float):
-    """One field's arrow closure, as a ``_read_arrows`` scan: the columns
-    ``_reach({start}, out, lambda r: len(r) >= stop)`` reaches, for out(c)
-    the arrows of column c. The first read of a particle-bearing vertex
-    not yet read reads every reached particle-bearing vertex not yet read,
-    as one batch."""
+def _closure_scan(has, starts, stop: float):
+    """Arrow closures of one field, as a ``_read_arrows`` scan: the index
+    in `starts` of the first start column whose reach holds at least stop
+    columns, with that reach as a byte mask over the columns; (inf, the
+    last start's mask) if none does. Each reach is ``_reach({start}, out,
+    lambda r: len(r) >= stop)`` for out(c) the arrows of column c, so a
+    reach stopped at k columns holds the first k in reach order. A
+    particle-bearing column is read by a one-column yield the first time a
+    reach pops it, and its arrows serve every later reach."""
     arrows: dict[int, list[int]] = {}
-    reached = {start}
-    stack = [start]
-    while stack and len(reached) < stop:
-        x = stack.pop()
-        if has[x] and x not in arrows:
-            fresh = [v for v in reached if has[v] and v not in arrows]
-            arrows.update(zip(fresh, (yield fresh)))
-        for w in arrows.get(x, ()):
-            if w not in reached:
-                reached.add(w)
-                if len(reached) >= stop:
-                    break
-                stack.append(w)
-    return reached
+    reached = bytearray(len(has))
+    for i, start in enumerate(starts):
+        reached = bytearray(len(has))
+        reached[start] = 1
+        size, stack = 1, [start]
+        while stack and size < stop:
+            x = stack.pop()
+            if has[x] and x not in arrows:
+                [arrows[x]] = yield [x]
+            for w in arrows.get(x, ()):
+                if not reached[w]:
+                    reached[w] = 1
+                    size += 1
+                    if size >= stop:
+                        break
+                    stack.append(w)
+        if size >= stop:
+            return i, reached
+    return math.inf, reached
 
 
 # ---------------------------------------------------------------------------

@@ -282,19 +282,29 @@ def test_horizon_beyond_series_range_exits_2(tmp_path, args, problem):
     assert validate(parse_config(None, [*args, "t=700", "t_list=700"])) == []
 
 
+# Replicas censored at max_particles=1 in the runs below. linear_growth's
+# 3 radii (25, 50, 100) share its 6 replicas' fields, so each censored
+# replica counts once, not once per radius (18); each of nonamenable's 2
+# lifespans has its own 6 replicas.
+CENSORED_AT_ONE_PARTICLE = {"experiment=linear_growth": 6,
+                            "experiment=nonamenable": 11}
+
+
 @pytest.mark.parametrize("args", [
     ["experiment=linear_growth", "width=2", "length=120", "n=100"],
     ["experiment=nonamenable", "family=regular_tree", "depth=6", "n=3",
      "t_list=1,3"],
 ])
 def test_particle_budget_reaches_survival_experiments(tmp_path, args, capsys):
+    censored = CENSORED_AT_ONE_PARTICLE[args[0]]
     base = [*args, "lambda=3.0", "t=2.0", "replicas=6", "seed=3"]
     cfg = parse_config(None, [*base, "max_particles=1",
                               f"out={tmp_path / 'tight'}"])
     assert run(cfg) == 3
-    assert "budget exhaustion" in capsys.readouterr().err
+    assert (f"budget exhaustion: {censored} replicas censored"
+            in capsys.readouterr().err)
     report = json.loads(Path(cfg.out, "report.json").read_text())
-    assert report["inputs"]["censored"] > 0
+    assert report["inputs"]["censored"] == censored
     loose = parse_config(None, [*base, f"out={tmp_path / 'loose'}"])
     assert run(loose) == 0
     report = json.loads(Path(loose.out, "report.json").read_text())

@@ -9,7 +9,9 @@ from frogsim import (FrogParams, GraphError, GraphSpec, Stream, ball,
                      russo_inequality_check, sharpness_constants,
                      spectral_radius_estimate, survival_probability,
                      sphere_activation_profile, tilde_critical_scan)
-from frogsim.estimators import replica_survival
+from frogsim import estimators
+from frogsim.estimators import SurvivalEstimate, replica_survival
+from frogsim.stats import from_binomial
 
 
 # -- survival ------------------------------------------------------------
@@ -267,6 +269,51 @@ def test_bisection_ladder_subcritical_window(ladder240):
     br = critical_bisection(ladder240, "lambda", 2.0, 100, 200, 0.25, 0.5, 18,
                             lo=0.2, hi=1.0)
     assert not br.confident
+
+
+@pytest.mark.parametrize("threshold, lo_reps, hi_reps", [
+    # p-hat = 0 of 20 replicas: the exact 3-sigma bound 1 - 0.00135^(1/20)
+    # = 0.281 is not below 0.05, so replicas double up to 160 (bound 0.040)
+    (0.05, [20, 40, 80, 160], [20]),
+    # p-hat = 1: the bound 0.00135^(1/n) first exceeds 0.9 at n = 80
+    (0.9, [20], [20, 40, 80]),
+])
+def test_bisection_decides_an_estimate_of_0_or_1_on_the_exact_bound(
+        monkeypatch, tree8, threshold, lo_reps, hi_reps):
+    # a survival curve that is 0 below lambda = 1 and 1 from it on
+    calls = {}
+
+    def survival(g, params, n, replicas, seed, *, particle_budget):
+        calls.setdefault(params.lam, []).append(replicas)
+        hits = replicas if params.lam >= 1.0 else 0
+        return SurvivalEstimate(from_binomial(hits, replicas, seed), 0)
+
+    monkeypatch.setattr(estimators, "survival_probability", survival)
+    br = critical_bisection(tree8, "lambda", 1.0, 5, 20, threshold, 4.0, 1,
+                            lo=0.5, hi=2.0)
+    assert br.confident and (br.lo, br.hi) == (0.5, 2.0)
+    assert calls == {0.5: lo_reps, 2.0: hi_reps}
+
+
+def test_bisection_doubles_past_an_unlucky_zero(monkeypatch, tree8):
+    # survival 0 below lambda = 1 and 0.10 from it on, where the first
+    # 20-replica estimate reads 0 (probability 0.9^20 = 0.12): that is no
+    # confident "below" at threshold 0.05, so replicas double until the
+    # 3-stderr rule sees 0.10 above it (640 replicas)
+    calls = []
+
+    def survival(g, params, n, replicas, seed, *, particle_budget):
+        calls.append((params.lam, replicas))
+        p = 0.1 if params.lam >= 1.0 else 0.0
+        hits = 0 if replicas == 20 else round(p * replicas)
+        return SurvivalEstimate(from_binomial(hits, replicas, seed), 0)
+
+    monkeypatch.setattr(estimators, "survival_probability", survival)
+    br = critical_bisection(tree8, "lambda", 1.0, 5, 20, 0.05, 0.5, 1,
+                            lo=0.5, hi=2.0)
+    assert br.confident and (br.lo, br.hi) == (0.875, 1.25)
+    assert [r for lam, r in calls if lam == 2.0] == [20, 40, 80, 160, 320,
+                                                     640]
 
 
 def test_tilde_scan_flags(tree8):

@@ -11,6 +11,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
                      linear_growth_experiment, nonamenable_pipeline,
                      renormalization_experiment, write_report)
 from frogsim import frogs
+from frogsim.estimators import replica_survival
 from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, block_open,
                                  good_vertex_decay)
 from frogsim.stats import Estimate
@@ -125,6 +126,21 @@ def test_linear_growth_experiment():
     assert rep.checks["survival_nonincreasing_in_n"]
     assert rep.checks["blocking_probability_positive"]
     assert rep.metrics["survival_to_100"].mean <= rep.metrics["survival_to_25"].mean
+
+
+@pytest.mark.parametrize("budget, censored", [(200, 4), (300, 2)])
+def test_linear_growth_counts_each_censored_replica_once(budget, censored):
+    # the radii share each replica's field and schedule: at budget 300, 2
+    # of the 6 replicas are censored at radii 50 and 100 (the sum over
+    # radii is 4); at 200, 3, 4 and 4 of them at radii 25, 50 and 100 (11)
+    g = build_graph(GraphSpec("ladder", width=2, length=120))
+    params, radii = FrogParams(3.0, 2.0), (25, 50, 100)
+    rep = linear_growth_experiment(2, 120, params, 6, 3, distances=radii,
+                                   particle_budget=budget)
+    keys = [Stream(3, "survival", r).key for r in range(6)]
+    assert rep.inputs["censored"] == censored == sum(
+        None in [replica_survival(g, params, n, key, particle_budget=budget)
+                 for n in radii] for key in keys)
 
 
 def test_annulus_blocking_matches_generator_oracle():

@@ -605,6 +605,26 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
     assert spied == []
 
 
+def reference_closure(arrows, has, starts, stop):
+    """frogs._closure_scan by frogs._reach over ascending arrows: the
+    index of the first start whose reach holds stop vertices (inf if
+    none), that reach (the last one if none), and the particle-bearing
+    vertices the reaches pop, each once, in the order first popped."""
+    reads = []
+
+    def out(x):
+        if has(x) and x not in reads:
+            reads.append(x)
+        return sorted(arrows[x])
+
+    reach = set()
+    for i, x in enumerate(starts):
+        reach = frogs._reach({x}, out, lambda r: len(r) >= stop)
+        if len(reach) >= stop:
+            return i, reach, reads
+    return math.inf, reach, reads
+
+
 def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
     g = build_graph(GraphSpec("lattice_box", d=2, radius=24))
     B = ball(g, 0, 20)
@@ -612,20 +632,24 @@ def test_arrow_closure_reveals_reached_vertices_only(monkeypatch):
     fld = ParticleField(g, 4)
     arrows = reference_arrows(B, lambda x: fld, params)
     spied = spy_wave_arrows(monkeypatch)
+
+    def has(x):
+        return fld.count_at(x, params.lam) > 0
+
     for x in sorted(B)[::40]:
         full = frogs._reach({x}, arrows.__getitem__)
-        spied.clear()
-        assert arrow_closure(g, B, x, params, fld) == full
-        # each particle-bearing reached vertex once
-        assert sorted(v for _, v, _ in spied) == sorted(
-            v for v in full if fld.count_at(v, params.lam))
-        for k in (1, 2, 5):
+        for k in (None, 1, 2, 5, 30):
+            _, want, reads = reference_closure(
+                arrows, has, [x], math.inf if k is None else k)
             spied.clear()
             got = arrow_closure(g, B, x, params, fld, stop_size=k)
-            assert x in got and got <= full and len(got) == min(k, len(full))
-            assert {v for _, v, _ in spied} <= got
-            if k == 1:
-                assert got == {x} and spied == []
+            assert got == want and len(got) == min(k or math.inf, len(full))
+            # the particle-bearing vertices the reach pops, one a wave, in
+            # the order it pops them; all of the reach without stop_size
+            assert [v for _, v, _ in spied] == reads
+            if k is None:
+                assert got == full and set(reads) == {v for v in full
+                                                      if has(v)}
 
 
 @pytest.mark.parametrize("splice", [False, True])
@@ -639,14 +663,54 @@ def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
         monkeypatch.setattr(frogs, "ParticleField", lambda g, key: SpliceField(
             core, plain(g, key), plain(g, key ^ 1)))
     rng = Stream(61, 2)
-    want = set()
+    want, reads = set(), set()
     for x in sorted(B):
         fld = frogs.ParticleField(g, rng.child("goodv", x).key)
         arrows = reference_arrows(B, fld.source, params)
         if len(frogs._reach({x}, arrows.__getitem__)) >= len(B) / 4:
             want.add(x)
+        # the particle-bearing vertices its reach pops before the quarter
+        _, _, popped = reference_closure(
+            arrows, lambda v: fld.count_at(v, params.lam) > 0, [x],
+            math.ceil(len(B) / 4))
+        reads |= {(fld.source(v).seed, v) for v in popped}
     assert 0 < len(want) < len(B)
+    spied = spy_wave_arrows(monkeypatch)
     assert good_vertices(g, B, params, rng) == want
+    revealed = [(seed, v) for seed, v, _ in spied]
+    assert len(revealed) == len(set(revealed)) and set(revealed) == reads
+
+
+@pytest.mark.parametrize("stop", [1, 3, 8, 20, 42])
+@pytest.mark.parametrize("starts", [[], [0], "distance", "reversed"])
+def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
+                                                     starts, stop):
+    g, B = z2_box20, ball(z2_box20, 0, 4)
+    verts = sorted(B)
+    if starts == "distance":
+        starts = sorted(B, key=lambda v: (int(g.dist[v]), v))[:12]
+    elif starts == "reversed":
+        starts = verts[::-3]
+    column = {v: c for c, v in enumerate(verts)}
+    params = FrogParams(1.0, 3.0)
+    fields = [ParticleField(g, s) for s in range(10)]
+    spied = spy_wave_arrows(monkeypatch)
+    got = list(frogs._read_arrows(
+        g, verts, fields, params, lambda _, has: frogs._closure_scan(
+            has, [column[v] for v in starts], stop)))
+    firsts, want_reads = set(), set()
+    for fld, (first, mask) in zip(fields, got):
+        want_first, reach, reads = reference_closure(
+            reference_arrows(B, lambda _: fld, params),
+            lambda v: fld.count_at(v, params.lam) > 0, starts, stop)
+        assert first == want_first and len(mask) == len(verts)
+        assert {verts[c] for c, m in enumerate(mask) if m} == reach
+        firsts.add(first)
+        want_reads |= {(fld.seed, v) for v in reads}
+    revealed = [(seed, v) for seed, v, _ in spied]
+    assert len(revealed) == len(set(revealed)) and set(revealed) == want_reads
+    if stop == 42 or not starts:                 # |B| = 41
+        assert firsts == {math.inf}
 
 
 def test_arrow_closure_rejects_stop_size_below_one(z2_box20):
