@@ -282,7 +282,7 @@ def _run_survival_sweep(cfg: RunConfig):
     results.sort(key=lambda item: item[0])
     npoints = len(lam_grid) * len(t_grid)
     hits = [0] * npoints
-    censored = 0
+    censored = 0          # censored (replica, grid point) evaluations
     for _, indicators, cens in results:
         censored += cens
         for i, v in enumerate(indicators):
@@ -306,7 +306,9 @@ def _run_survival_sweep(cfg: RunConfig):
         {"graph": graph_name, "lambda": cfg.lam, "t": cfg.t, "n": cfg.n,
          "censored": censored},
         metrics, {"no_budget_exhaustion": censored == 0}, cfg.seed)
-    return rows, report, censored
+    detail = (f" ({censored} of {cfg.replicas * npoints} replica x grid-point"
+              " evaluations)")
+    return rows, report, sum(c > 0 for *_, c in results), detail
 
 
 _PLOT_TEMPLATE = """\
@@ -329,10 +331,10 @@ def run(cfg: RunConfig) -> int:
         return 2
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    censored = 0
+    censored, detail = 0, ""   # censored replicas
     try:
         if cfg.experiment == "survival_sweep":
-            rows, report, censored = _run_survival_sweep(cfg)
+            rows, report, censored, detail = _run_survival_sweep(cfg)
         else:
             lam = parse_grid(cfg.lam)[0]
             t = parse_grid(cfg.t)[0]
@@ -375,7 +377,7 @@ def run(cfg: RunConfig) -> int:
                                         encoding="utf-8")
     (outdir / "plot.gp").write_text(_PLOT_TEMPLATE, encoding="utf-8")
     if censored:
-        print(f"budget exhaustion: {censored} replicas censored",
+        print(f"budget exhaustion: {censored} replicas censored{detail}",
               file=sys.stderr)
         return 3
     return 0

@@ -383,18 +383,6 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
 
 
-def _site_states(g: Graph, idx: _CoordIndex, net: NetConfig, sites,
-                 lam: float, seed: int, rep: int) -> dict:
-    """Openness of every net site in replica rep, from one block_open call
-    (looked up as a module global, so a wrapper sees the replica's work
-    start): its first wave is one arrow pass over every site's ball and
-    its second one over every site's window. The replica's two fields are
-    released on return."""
-    phase1 = ParticleField(g, Stream(seed, "phase1", rep).key)
-    phase2 = ParticleField(g, Stream(seed, "phase2", rep).key)
-    return block_open(g, idx, net, sites, lam, phase1, phase2)
-
-
 # The good-vertex decay's candidate set sizes: three points for its slope
 # check, all below the 145 vertices of the ball at the default a = 8
 _DECAY_SIZES = (4, 16, 64)
@@ -423,7 +411,12 @@ def renormalization_experiment(net: NetConfig, lam: float, replicas: int,
     open_counts = {s: 0 for s in sites}
     cluster_fracs = []
     for rep in range(replicas):
-        state = _site_states(g, idx, net, sites, lam, seed, rep)
+        # block_open is looked up as a module global, so a wrapper sees the
+        # replica's work start; its two waves are one arrow pass each, over
+        # every site's ball and then over every site's window
+        state = block_open(g, idx, net, sites, lam,
+                           ParticleField(g, Stream(seed, "phase1", rep).key),
+                           ParticleField(g, Stream(seed, "phase2", rep).key))
         for s in sites:
             open_counts[s] += state[s]
         per_rep_fraction.append(sum(state.values()) / len(sites))

@@ -62,9 +62,9 @@ class Graph:
 
     Derived structures are built lazily, on first use, and cached on the
     graph: the jump-chain kernel as CSR-ordered numpy arrays (see
-    ``transition_matrix``), the plain-Python walk tables that the per-jump
-    sampling loop reads (see ``walk_tables``) and their numpy counterparts
-    for batched walks (see ``walk_arrays``). Building them inside the work
+    ``transition_matrix``), the CSR arrays as flat Python lists that the
+    per-jump sampling loop reads (see ``walk_tables``) and the numpy arrays
+    of batched walks (see ``walk_arrays``). Building them inside the work
     phase keeps graph construction as cheap as the arrays alone.
     """
 
@@ -86,6 +86,9 @@ class Graph:
     def __post_init__(self):
         if self.boundary_mask[self.origin]:
             raise GraphError("origin lies on the truncation frontier")
+        # the samplers index a row without checking that it is non-empty
+        if (np.diff(self.indptr)[~self.boundary_mask] == 0).any():
+            raise GraphError("a vertex off the frontier has no out-edge")
         # distances_from(g, origin) hands out dist itself; ball reads it
         self.dist.flags.writeable = False
 
@@ -171,23 +174,19 @@ class Graph:
     # -- walk kernel ---------------------------------------------------
 
     def walk_tables(self) -> tuple:
-        """(rows, cumweights, boundary) as plain Python lists, cached.
+        """(indptr, indices, cumweights, boundary): flat lists, cached.
 
-        rows[x] lists the out-neighbours of x, cumweights[x] the running
-        sums of their weights (None for the whole table when the graph is
-        unweighted) and boundary[x] is the frontier flag. Lists of Python
-        ints and floats spare the sampler a numpy scalar per jump; they
-        take about 150 bytes per vertex, some ten times the CSR arrays.
+        The CSR arrays as Python lists, which spare the per-jump sampler a
+        numpy scalar per jump: x's out-neighbours are indices[indptr[x]:
+        indptr[x + 1]], cumweights the running weight sums within each row
+        (None when unweighted) and boundary[x] the frontier flag. They take
+        48 bytes a vertex plus 40 an edge entry (72 on weighted graphs).
         """
         if self._walk is None:
-            ptr = self.indptr.tolist()
-            ids = self.indices.tolist()
-            rows = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
-            cums = None
-            if self.weights is not None:
-                cw = self._row_cumweights().tolist()
-                cums = [cw[a:b] for a, b in zip(ptr, ptr[1:])]
-            self._walk = (rows, cums, self.boundary_mask.tolist())
+            cums = (None if self.weights is None
+                    else self._row_cumweights().tolist())
+            self._walk = (self.indptr.tolist(), self.indices.tolist(), cums,
+                          self.boundary_mask.tolist())
         return self._walk
 
     def walk_arrays(self) -> tuple:

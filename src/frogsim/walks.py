@@ -89,18 +89,19 @@ def jump_picker(g: Graph):
     """pick(x, u): the jump-chain successor of x for a uniform u in [0, 1).
 
     u picks neighbour floor(u * deg) on unweighted graphs and, on weighted
-    ones, the first whose running weight exceeds u times the row total. The
-    one step rule of every sampled walk.
+    ones, the first whose running weight exceeds u times the row total
+    (u < 1, so the bisection stays in the row), both read off the flat CSR
+    lists of ``g.walk_tables()``. The one step rule of every sampled walk.
     """
-    rows, cums, _ = g.walk_tables()
+    ptr, ids, cums, _ = g.walk_tables()
     if cums is None:
         def pick(x: int, u: float) -> int:
-            row = rows[x]
-            return row[int(u * len(row))]
+            lo = ptr[x]
+            return ids[lo + int(u * (ptr[x + 1] - lo))]
     else:
         def pick(x: int, u: float) -> int:
-            cw = cums[x]
-            return rows[x][bisect_right(cw, u * cw[-1])]
+            lo, hi = ptr[x], ptr[x + 1]
+            return ids[bisect_right(cums, u * cums[hi - 1], lo, hi)]
     return pick
 
 
@@ -142,8 +143,8 @@ def walk_positions(g: Graph, x: int, t: float, rng: Stream):
     pick each jump, so a shorter horizon reads a prefix of the same stream:
     the lifespan coupling is exact per key. Exponentials are
     ``-log1p(-u)`` on Python floats, as in ``Stream.exponential``, and
-    neighbours and frontier flags come from ``g.walk_tables()``, built on
-    the graph's first walk and cached on it.
+    the CSR lists and frontier flags come from ``g.walk_tables()``, built
+    on the graph's first walk and cached on it.
 
     Below the horizon ``_BLOCK_HORIZON`` the draws come one at a time from
     ``rng.u64``. From it on, they come from ``rng.peek_uniforms`` in one
@@ -152,7 +153,7 @@ def walk_positions(g: Graph, x: int, t: float, rng: Stream):
     exactly the draws the walk used. Both loops give the same jumps and
     leave the stream in the same state.
     """
-    boundary = g.walk_tables()[2]
+    boundary = g.walk_tables()[3]
     if boundary[x]:
         return [], True
     pick = jump_picker(g)
@@ -387,7 +388,8 @@ def discrete_walk(g: Graph, x: int, steps: int, rng: Stream,
                   stop=frozenset()) -> list[int]:
     """Jump-chain positions X(0..k), truncated at the first frontier hit
     or the first jump onto a vertex of `stop` (k = steps otherwise)."""
-    boundary = g.walk_tables()[2]
+    g.check_vertex(x)
+    boundary = g.walk_tables()[3]
     pick = jump_picker(g)
     path = [x]
     cur = x
@@ -677,6 +679,7 @@ def self_intersection_profile(g: Graph, x: int, t: float, m: int,
     points, which can only remove pairs, so the spectral pair bound stays an
     upper bound on the estimate.
     """
+    g.check_vertex(x)
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = int(check_horizon(t) // (2 * m))

@@ -170,6 +170,20 @@ def test_radius_zero_budget_at_origin_is_censored(tmp_path, capsys):
     assert rows[1].split(",")[8] == "0.14"
 
 
+def test_survival_sweep_censoring_counts_replicas(tmp_path, capsys):
+    # all 6 replicas are censored, in 14 of the 18 (replica, grid point)
+    # evaluations; the message read "14 replicas censored"
+    cfg = parse_config(None, [
+        "experiment=survival_sweep", "family=regular_tree", "depth=8",
+        "lambda=1:3:1", "t=2", "n=4", "replicas=6", "seed=3",
+        "max_particles=1", f"out={tmp_path / 'out'}"])
+    assert run(cfg) == 3
+    assert ("budget exhaustion: 6 replicas censored (14 of 18 replica x "
+            "grid-point evaluations)" in capsys.readouterr().err)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["inputs"]["censored"] == 14
+
+
 def test_cli_determinism_across_workers(tmp_path):
     cfgp = write_config(tmp_path, **{"lambda": "0.5:2.0:0.5",
                                      "replicas": 120})

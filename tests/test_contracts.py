@@ -311,6 +311,18 @@ def test_walk_batch_takes_numpy_starts(box):
             == walks.walk_batch(box, 3, 2.0, keys)[0]).all()
 
 
+@pytest.mark.parametrize("bad", [-1, "n", 10**6, 2.5, True])
+def test_single_walks_check_their_start(box, bad):
+    # discrete_walk(g, -1, ...) returned [-1] and self_intersection_profile
+    # walked from the third-to-last vertex at x = -3; 2.5 and 10**6 ended in
+    # TypeError and IndexError
+    x = box.vertex_count if bad == "n" else bad
+    with pytest.raises(GraphError, match="invalid vertex"):
+        walks.discrete_walk(box, x, 5, Stream(1))
+    with pytest.raises(GraphError, match="invalid vertex"):
+        walks.self_intersection_profile(box, x, 10.0, 1, 20, Stream(1))
+
+
 @pytest.mark.parametrize("name, value, match", [
     ("alpha", math.nan, "alpha must be finite and > 0, got nan"),
     ("alpha", math.inf, "alpha must be finite and > 0, got inf"),

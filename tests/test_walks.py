@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -507,13 +508,36 @@ def walk_graphs(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_block_and_drawwise_walks_agree(walk_graphs, name, t, key, n):
     g = walk_graphs[name]
-    pick, boundary = walks.jump_picker(g), g.walk_tables()[2]
+    pick, boundary = walks.jump_picker(g), g.walk_tables()[3]
     a, b, c = Stream(key), Stream(key), Stream(key)
     expected = walks._walk_drawwise(pick, boundary, 0, t, a)
     assert walks._walk_blocked(pick, boundary, 0, t, b, n) == expected
     assert b._state == a._state
     assert walk_positions(g, 0, t, c) == expected
     assert c._state == a._state
+
+
+@pytest.mark.parametrize("name", ["z2", "weighted"])
+def test_walk_tables_are_the_flat_csr_lists(walk_graphs, name):
+    g = walk_graphs[name]
+    ptr, ids, cums, boundary = g.walk_tables()
+    assert ptr == g.indptr.tolist() and ids == g.indices.tolist()
+    assert boundary == g.boundary_mask.tolist()
+    if name == "z2":
+        assert cums is None
+    else:
+        assert cums == g._row_cumweights().tolist()
+    assert all(type(v) is int for v in ptr + ids)
+    assert g.walk_tables() is g.walk_tables()
+
+
+def test_first_walk_builds_no_object_per_vertex():
+    # one Python list per vertex added 196 608 GC-tracked objects here
+    g = build_graph(GraphSpec("regular_tree", degree=3, depth=16))
+    gc.collect()
+    before = len(gc.get_objects())
+    walk_positions(g, 0, 1.0, Stream(1))
+    assert len(gc.get_objects()) - before < 100
 
 
 
@@ -696,6 +720,16 @@ def test_walk_batch_frontier_vertex_without_edges():
               np.array([False, False, True]), np.array([0, 1, 2],
                                                        dtype=np.int32))
     check_batch_multi_start(g, [0, 1, 2] * 10, 50.0, 8)
+
+
+def test_vertex_off_the_frontier_needs_an_out_edge():
+    # vertex 1 has no out-edge and is not on the frontier: a walk from it
+    # picked its jumps from vertex 2's row
+    from frogsim.graphs import Graph
+    with pytest.raises(GraphError, match="has no out-edge"):
+        Graph(3, np.array([0, 1, 1, 2]), np.array([2, 0], dtype=np.int32),
+              None, np.array([1.0, 0.0, 1.0]), True, np.zeros(3, dtype=bool),
+              np.array([0, -1, 1], dtype=np.int32))
 
 
 @pytest.mark.parametrize("name", ["z2", "tree", "weighted"])
