@@ -135,7 +135,7 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     table = exit_probability_exact(g, S, params.t, tol)
     weights = {x: params.lam * p for x, p in table.exit_prob.items()}
-    vals = [sum(weights[x] for x in reached) for reached, _, _ in
+    vals = [sum(map(weights.__getitem__, reached)) for reached, _, _ in
             _replica_closures(g, S, params, seed, "phi", replicas)]
     return from_samples(vals, seed, "phi-hat")
 
@@ -182,7 +182,7 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
                                            replicas):
         for x in reached:
             reach_freq[x] += 1
-        vals.append(sum(weights[x] for x in reached))
+        vals.append(sum(map(weights.__getitem__, reached)))
     base = from_samples(vals, seed, "phi-tilde-hat")
     extra_var = sum(
         (params.lam * table.exit_prob[x] * (reach_freq[x] / replicas)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import (FrogParams, ParticleField, _closure_scan, _reach,
-                    _read_arrows, explore_cluster)
+from .frogs import (_SCAN_FIELDS, FrogParams, ParticleField, _closure_scan,
+                    _reach, _read_arrows, _replica_fields, explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
-from .rng import Stream, derive_keys
+from .rng import Stream
 from .stats import Estimate, check_replicas, from_binomial, from_samples
 from .walks import check_horizon, discrete_walk, exit_probability_exact
 
@@ -374,8 +374,7 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     need = math.ceil(len(B) / 4.0)   # a reach of integer size covers a quarter
     fails = {k: 0 for k in sizes}
     # replica r's field has the seed Stream(seed, "decay", r).key
-    fields = (ParticleField(g, s)
-              for s in derive_keys(seed, "decay", count=replicas).tolist())
+    fields = _replica_fields(g, seed, "decay", replicas, _SCAN_FIELDS)
     for first, _ in _read_arrows(g, verts, fields, params,
                                  lambda _, has: _closure_scan(has, scan, need)):
         for k in fails:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,59 +251,134 @@ _STAY_BATCH_WALKS = 24
 
 
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
-                  fields) -> list[tuple[set, dict, dict]]:
+                  fields) -> list[tuple[set, Mapping, Mapping]]:
     """Reach set of `start` in S over stay-inside trajectories under each
     of `fields`: one (reached, stay_sets, exit_counts) per field.
 
     stay_sets[x] holds the indices of x's particles whose whole trajectory
-    stays in S and exit_counts[x] counts the others, for every reached x.
-    reached is ``_reach({start}, out)`` for out(x) the jumps of x's staying
-    particles in (particle, step) order, so it iterates in the same order
-    as a closure that reveals particles as it pops them.
+    stays in S and exit_counts[x] counts the others, for every reached x;
+    stay_sets is built on its first read. reached is ``_reach({start},
+    out)`` for out(x) the jumps of x's staying particles in (particle,
+    step) order, so it iterates in the same order as a closure that
+    reveals particles as it pops them.
 
-    The closures grow together, one generation at a time: each wave
-    reveals every field's newly reached vertices. A wave of at least
-    ``_STAY_BATCH_WALKS`` expected walks runs as one batch
-    (``_stay_batch``); a smaller one reads ``field.particles``.
+    The closures grow together, one generation at a time, as arrays. A
+    vertex is named by its column: its index in sorted S, or len(S) for a
+    start outside S. A byte mask over the (field, column) codes marks the
+    revealed pairs, and each wave is the unseen codes its predecessor's
+    staying walks land on. A wave of at least ``_STAY_BATCH_WALKS``
+    expected walks is revealed in one lockstep pass (``_stay_pass``); a
+    smaller one reads ``field.particles`` (``_stay_read``). Python runs
+    per field only in the replay.
     """
     fields = list(fields)
-    # x -> (out(x), stay_sets[x], exit_counts[x]); None until revealed
-    revealed: list[dict] = [{start: None} for _ in fields]
-    wave = [(f, start) for f in range(len(fields))]
-    inside = None                            # S as a vertex mask, once needed
-    while wave:
-        if params.lam * len(wave) < _STAY_BATCH_WALKS:
-            outs = [_stay_out(*fields[f].particles(x, params), S)
-                    for f, x in wave]
+    if not fields:
+        return []
+    verts = sorted(S)
+    n, nc = len(verts), len(verts) + 1
+    col = dict(zip(verts, range(n)))
+    verts.append(start)                     # each column's vertex
+    ext = np.array(verts, dtype=np.int64)
+    wave = np.arange(len(fields), dtype=np.int64) * nc + col.get(start, n)
+    seen = np.zeros(len(fields) * nc, dtype=bool)
+    seen[wave] = True
+    parts = []                  # per wave: its codes and the wave's arrays
+    inside = None                           # S as a vertex mask, once needed
+    while wave.size:
+        fs, cs = np.divmod(wave, nc)
+        xs = ext[cs]
+        if params.lam * wave.size < _STAY_BATCH_WALKS:
+            got = _stay_read(S, col, fields, fs, xs, params)
         else:
             if inside is None:
-                inside = _inside_mask(g, S)
-            outs = _stay_batch(g, inside, fields, wave, params)
-        nxt = []
-        for (f, x), o in zip(wave, outs):
-            seen = revealed[f]
-            seen[x] = o
-            for y in o[0]:
-                if y not in seen:
-                    seen[y] = None
-                    nxt.append((f, y))
-        wave = nxt
+                inside, seeds = _inside_mask(g, S), _field_seeds(fields, verts)
+            got = _stay_pass(g, inside, ext[:n], seeds(fs, cs), xs, params)
+        parts.append((wave, *got))
+        # the unseen codes the staying walks land on, each once, ascending
+        nxt = np.repeat(wave - wave % nc, got[3]) + got[4]
+        nxt = nxt[~seen[nxt]]
+        nxt.sort()
+        wave = nxt[_run_starts(nxt)]
+        seen[wave] = True
+    codes, counts, nstay, index, lens, lands = map(np.concatenate, zip(*parts))
+    del parts, seen             # the replay below sets the call's peak memory
+    # the pairs field by field: field f's are a = at[f] to b = at[f + 1],
+    # pair p's vertex is xs[p], its landings outs[p] and its staying
+    # particles index[s0[p]:s1[p]]
+    order = np.argsort(codes)
+    at = np.searchsorted(codes[order], np.arange(len(fields) + 1) * nc).tolist()
+    cols = codes[order] % nc
+    exits = (counts - nstay)[order]
+    s0 = (np.cumsum(nstay) - nstay)[order]
+    s1 = s0 + nstay[order]
+
+    def vertices(cs):                   # the vertices of the columns cs
+        return list(map(verts.__getitem__, cs.tolist()))
+
+    def stay_sets(a, b):
+        return {x: tuple(index[i:j].tolist()) for x, i, j in
+                zip(vertices(cols[a:b]), s0[a:b].tolist(), s1[a:b].tolist())}
+
+    def exit_counts(a, b):
+        return dict(zip(vertices(cols[a:b]), exits[a:b].tolist()))
+
+    xs, ys = vertices(cols), vertices(lands)
+    j0 = (np.cumsum(lens) - lens)[order]
+    outs = list(map(ys.__getitem__,
+                    map(slice, j0.tolist(), (j0 + lens[order]).tolist())))
+    del codes, counts, nstay, lens, lands, order, ys, j0
+    # the last field first, so that each field's landings are freed once
+    # replayed; a field that revealed one pair reached its start alone
     closures = []
-    for f in range(len(fields)):
-        seen, revealed[f] = revealed[f], None   # freed field by field
-        closures.append((_reach({start}, lambda x: seen[x][0]),
-                         {x: o[1] for x, o in seen.items()},
-                         {x: o[2] for x, o in seen.items()}))
+    for a, b in zip(at[-2::-1], at[:0:-1]):
+        closures.append((
+            {start} if b - a == 1 else
+            _reach({start}, dict(zip(xs[a:b], outs[a:b])).__getitem__),
+            _Lazy(stay_sets, a, b), _Lazy(exit_counts, a, b)))
+        del outs[a:]
+    closures.reverse()
     return closures
 
 
+class _Lazy(Mapping):
+    """A read-only mapping that build(a, b) makes on its first read."""
+
+    __slots__ = ("_build", "_a", "_b", "_map")
+
+    def __init__(self, build, a, b):
+        self._build, self._a, self._b, self._map = build, a, b, None
+
+    def _read(self) -> dict:
+        if self._map is None:
+            self._map = self._build(self._a, self._b)
+            self._build = None
+        return self._map
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+    def __repr__(self):
+        return repr(self._read())
+
+
 # Replica fields per _stay_closure call in _replica_closures. A call holds
-# every closure it returns (about 0.7 kB a field at lambda = t = 1), so
-# this bounds memory for any replica count; fewer fields make smaller
-# waves, which batch less. On phi_window_z2 (1000 replicas; same host)
-# throughput and peak RSS were 3430/s, 53.8 MB at 128 fields; 3680/s,
-# 53.9 MB at 256; 3930/s, 54.2 MB at 512; 4090/s, 54.9 MB at 1000.
-_CLOSURE_FIELDS = 512
+# its fields' closures as arrays (a byte per (field, vertex of S) and a
+# few words per revealed pair and landing) and returns a triple per
+# field, so this bounds memory for any replica count; fewer fields make
+# more waves, each with the same fixed numpy cost. On phi_window_z2 (1000
+# replicas an estimate; bench/run.py --seconds 20 at seed 1, three runs
+# each; 2-vCPU x86-64 host, Python 3.11, numpy 2.4) throughput and peak
+# RSS were 7.5-8.9k /s, 36.47-36.59 MB at 128 fields; 10.5-11.4k /s,
+# 36.51-36.55 MB at 256; 13.1-13.9k /s, 36.55-36.61 MB at 512; and
+# 14.4-15.3k /s, 36.80-36.82 MB at 1000, the smallest value that runs
+# each of its estimates in one call.
+_CLOSURE_FIELDS = 1000
 
 
 def _replica_closures(g: Graph, S: set[int], params: FrogParams, seed: int,
@@ -309,17 +386,19 @@ def _replica_closures(g: Graph, S: set[int], params: FrogParams, seed: int,
     """Yield the stay-inside closure from the origin (``_stay_closure``'s
     triple) of replica r = 0, 1, ..., replicas - 1 on the field keyed
     ``Stream(seed, label, r)``, ``_CLOSURE_FIELDS`` fields per call."""
-    keys = derive_keys(seed, label, count=replicas).tolist()
-    for lo in range(0, replicas, _CLOSURE_FIELDS):
-        yield from _stay_closure(g, S, g.origin, params, [
-            ParticleField(g, key) for key in keys[lo:lo + _CLOSURE_FIELDS]])
+    fields = _replica_fields(g, seed, label, replicas, _CLOSURE_FIELDS)
+    while block := list(itertools.islice(fields, _CLOSURE_FIELDS)):
+        yield from _stay_closure(g, S, g.origin, params, block)
 
 
-def _stay_out(eta: int, trajs, S):
-    """(out, stay, exits) of one vertex from its particles."""
-    stay = tuple(i for i, tr in enumerate(trajs) if tr.visited <= S)
-    return (list(dict.fromkeys(v for i in stay for v in trajs[i].jumps)),
-            stay, eta - len(stay))
+def _replica_fields(g: Graph, seed: int, label: str, replicas: int,
+                    block: int):
+    """Yield the ParticleField of replica r = 0, 1, ..., replicas - 1,
+    keyed ``Stream(seed, label, r)``, with the keys derived `block` at a
+    time, so the keys held stay bounded for any replica count."""
+    for lo in range(0, replicas, block):
+        yield from (ParticleField(g, key) for key in derive_keys(
+            seed, label, np.arange(lo, min(lo + block, replicas))).tolist())
 
 
 def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
@@ -332,16 +411,60 @@ def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
     return inside
 
 
-def _stay_batch(g: Graph, inside: np.ndarray, fields, wave,
-                params: FrogParams):
-    """``_stay_out`` of every (field index, vertex) pair of `wave`, with
-    the particles revealed from their counter-based keys in one lockstep
-    pass. A walk stays if every vertex it visits is in the window S
-    (``_inside_mask(g, S)``); S avoids the frontier, so an absorbed walk
-    leaves."""
-    xs = np.array([x for _, x in wave], dtype=np.int64)
-    seeds = np.array([fields[f].source(x).seed & _MASK for f, x in wave],
-                     dtype=np.uint64)
+def _field_seeds(fields, verts: list):
+    """The seeds (mod 2^64) that give the particles of the vertices verts
+    under fields, from one ``field.seeds(verts)`` call a field: a function
+    of index arrays (fs, cs) that gives each pair's seed, that of field
+    fields[fs[p]] at verts[cs[p]]. A field with one seed at every vertex
+    keeps one."""
+    first, mixed = [], {}
+    for f, row in enumerate(map(operator.methodcaller("seeds", verts), fields)):
+        first.append(row[0])
+        if row.count(row[0]) != len(row):
+            mixed[f] = row
+    first = np.array(first, dtype=np.uint64)
+    is_mixed = np.zeros(len(fields), dtype=bool)
+    is_mixed[list(mixed)] = True
+
+    def seeds(fs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        got = first[fs]
+        for p in np.flatnonzero(is_mixed[fs]).tolist():
+            got[p] = mixed[int(fs[p])][int(cs[p])]
+        return got
+
+    return seeds
+
+
+def _stay_read(S: set[int], col: dict, fields, fs: np.ndarray, xs: np.ndarray,
+               params: FrogParams):
+    """``_stay_pass``'s five arrays for the pairs (field fields[fs[p]],
+    vertex xs[p]), read through ``field.particles`` pair by pair; col maps
+    each vertex of S to its column."""
+    counts, nstay, index, lens, lands = [], [], [], [], []
+    for f, x in zip(fs.tolist(), xs.tolist()):
+        eta, trajs = fields[f].particles(x, params)
+        stay = [i for i, tr in enumerate(trajs) if tr.visited <= S]
+        out = dict.fromkeys(v for i in stay for v in trajs[i].jumps)
+        counts.append(eta)
+        nstay.append(len(stay))
+        index += stay
+        lens.append(len(out))
+        lands += [col[v] for v in out]
+    return [np.array(a, dtype=np.int64)
+            for a in (counts, nstay, index, lens, lands)]
+
+
+def _stay_pass(g: Graph, inside: np.ndarray, verts: np.ndarray,
+               seeds: np.ndarray, xs: np.ndarray, params: FrogParams):
+    """The particles of the pairs (field seed seeds[p], vertex xs[p]),
+    revealed from their counter-based keys in one lockstep pass, as five
+    arrays: each pair's particle count; its number of staying particles;
+    the indices of the staying particles, pair by pair; each pair's number
+    of distinct vertices its staying walks land on; and those vertices'
+    columns (indices in verts, sorted S), pair by pair in (particle, step)
+    first-occurrence order. A walk stays if every vertex it visits is in
+    the window S (``_inside_mask(g, S)``); S avoids the frontier, so an
+    absorbed walk leaves."""
     counts = _vertex_counts(seeds, xs, params.lam)
     pair, index, starts, keys = _particle_keys(seeds, xs, counts)
     # every block entry, walk by walk within a block, so each walk's
@@ -357,20 +480,26 @@ def _stay_batch(g: Graph, inside: np.ndarray, fields, wave,
     keep = (where >= 0) & ~leaves[walk]
     walk, where = walk[keep], where[keep]
     order = np.argsort(walk, kind="stable")  # by walk, then step
-    codes = pair[walk[order]] * g.vertex_count + where[order]
+    lp, where = pair[walk[order]], where[order]
     # each pair's first occurrence of each vertex, in (walk, step) order
+    codes = lp * g.vertex_count + where
     first = np.argsort(codes, kind="stable")
-    first = np.sort(first[np.diff(codes[first], prepend=-1) != 0])
-    codes = codes[first]
-    span = np.arange(xs.size + 1)
-    jb = np.searchsorted(codes // g.vertex_count, span).tolist()
-    ys = (codes % g.vertex_count).tolist()
-    stay = np.flatnonzero(~leaves)
-    sb = np.searchsorted(pair[stay], span).tolist()
-    sidx = index[stay].tolist()
-    eta = counts.tolist()
-    return [(ys[jb[p]:jb[p + 1]], tuple(sidx[sb[p]:sb[p + 1]]),
-             eta[p] - (sb[p + 1] - sb[p])) for p in range(xs.size)]
+    first = np.sort(first[_run_starts(codes[first])])
+    lp = lp[first]
+    stay = ~leaves
+    return (counts, np.bincount(pair[stay], minlength=xs.size), index[stay],
+            np.bincount(lp, minlength=xs.size),
+            np.searchsorted(verts, where[first]))
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `a` that differ from the one before them: on
+    a sorted array, each distinct value's first entry. Not np.unique,
+    whose first call imports numpy.ma (1 MB of peak memory)."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _vertex_counts(seeds: np.ndarray, xs: np.ndarray, lam: float) -> np.ndarray:
@@ -401,7 +530,8 @@ def restricted_activation(g: Graph, S, params: FrogParams,
                                                         params, [field])
     harpoon = {x: (x in reached) for x in S}
     exiters = sum(exit_counts[x] for x in reached)
-    return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
+    return RestrictedActivation(frozenset(S), harpoon, dict(stay_sets),
+                                exiters)
 
 
 # Most particle walks one lockstep pass of _wave_arrows samples. A pass
@@ -582,13 +712,8 @@ def _pair_jumps(g: Graph, verts: np.ndarray, look: np.ndarray,
         col = look[np.minimum(np.maximum(pos - v0, -1), span)]
         codes.append((base[rows] + col)[col >= 0])
     codes = np.concatenate(codes)
-    n = codes.size
     codes.sort()
-    # distinct codes; not np.unique, whose first call imports numpy.ma (1 MB)
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    codes = codes[first]
+    codes = codes[_run_starts(codes)]
     # then each pair's own vertex, at most one code a pair
     own = look[np.minimum(np.maximum(xs - v0, -1), span)]
     own = (np.arange(xs.size) * nb + own)[own >= 0]
@@ -771,7 +896,19 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
 
 # Most walks one lockstep pass of _exit_conditional_stats runs (a vertex
 # with more replicas runs alone); keys are derived per pass, which keeps
-# peak memory flat in |S|.
+# peak memory flat in |S|. At t = 1 a pass runs one-jump blocks
+# (walks._BLOCK_HORIZON), which cost a little more than a per-step loop,
+# and the passes stay as they are because the cheaper variants tried cost
+# memory or gained nothing. On phi_window_z2 (2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4) passes of 16 384 walks cut this function's time from
+# about 50 to 32-42 ms a job but raised peak RSS by 1.5 MB (of 36 MB),
+# and passes of 8 192 raised it by 0.5 MB; a count-first pass, which
+# takes the jump counts from the holding draws and reads positions only
+# for walks with at least d_x jumps, was exact but no faster at 4 096
+# walks. What removes these walks is computing the conditional mean
+# exactly from the killed-walk series: N(t) is Poisson(t) and independent
+# of the jump chain, so E_x[N(t) 1{exit}] follows from the survival
+# vector exit_probability_exact builds.
 _EXIT_WALKS = 4096
 
 

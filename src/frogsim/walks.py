@@ -114,7 +114,7 @@ def jump_picker(g: Graph):
 # exit-conditional jump counts (frogs._exit_conditional_stats), and the
 # particle walks of every arrow wave of at least frogs._STAY_BATCH_WALKS
 # pairs (frogs._wave_arrows) and of every stay-inside closure wave of at
-# least that many expected walks (frogs._stay_batch). So of renorm_z2's
+# least that many expected walks (frogs._stay_pass). So of renorm_z2's
 # t = 64 walks only those of the decay's small last waves reach this loop
 # (both of block_open's waves are passes), and of phi_window_z2's t = 1
 # walks only those of the closures' small last waves.

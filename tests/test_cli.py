@@ -423,3 +423,24 @@ def test_public_names_cover_the_scripts():
             if isinstance(node, ast.ImportFrom) and node.module == "frogsim":
                 used.update(alias.name for alias in node.names)
     assert used and used <= set(frogsim.__all__)
+
+
+# np.unique's first call imports numpy.ma, which adds about 1 MB of peak
+# memory: the benchmarked phi and renormalization runs must not import it
+NUMPY_MA_PROBE = """
+import sys
+from frogsim import FrogParams, GraphSpec, ball, build_graph
+from frogsim.cli import main
+from frogsim.estimators import phi_report
+g = build_graph(GraphSpec("lattice_box", d=2, radius=20))
+phi_report(g, ball(g, g.origin, 3), FrogParams(1.0, 1.0), 200, 1)
+status = main(["run", "experiment=renormalization", "lambda=4", "replicas=1",
+               "seed=1", "out=" + sys.argv[1]])
+print("status", status, "numpy.ma", "numpy.ma" in sys.modules)
+"""
+
+
+def test_phi_and_renormalization_never_import_numpy_ma(tmp_path):
+    r = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE,
+                        str(tmp_path / "out")], capture_output=True, text=True)
+    assert r.stdout.splitlines()[-1:] == ["status 0 numpy.ma False"], r.stderr

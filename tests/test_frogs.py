@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
                      good_vertices, restricted_activation,
                      sphere_activation_profile)
 from frogsim import frogs, walks
+from frogsim.experiments import (_SCAN_FIELDS, good_vertex_decay,
+                                 renormalization_experiment)
 from frogsim.rng import derive_keys
 from frogsim.walks import walk_batch
 
@@ -291,6 +295,127 @@ def test_replica_closures_blocks(monkeypatch, tree8):
             tree8, Stream(5, "phi", r).key))
         assert list(whole[r][0]) == list(want[0])
         assert whole[r][1:] == want[1:]
+
+
+def test_replica_keys_derived_a_block_at_a_time(monkeypatch, tree8):
+    # the replica keys are derived one block of fields at a time, so the
+    # keys held stay bounded for any replica count
+    derived = []
+
+    def spy(seed, *labels, count=None):
+        keys = derive_keys(seed, *labels, count=count)
+        if labels[0] in ("phi", "decay"):
+            derived.append((labels[0], keys.size))
+        return keys
+
+    monkeypatch.setattr(frogs, "derive_keys", spy)
+    monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
+    S = ball(tree8, 0, 3)
+    list(frogs._replica_closures(tree8, S, FrogParams(1.5, 1.0), 5, "phi",
+                                 70))
+    assert derived == [("phi", 16)] * 4 + [("phi", 6)]
+    derived.clear()
+    replicas = _SCAN_FIELDS + 40
+    good_vertex_decay(tree8, 0, 2, 0.0, (1, 4), replicas, 3)
+    assert derived == [("decay", _SCAN_FIELDS), ("decay", 40)]
+    # renorm_z2's decay replicas stay in one block
+    defaults = renormalization_experiment.__kwdefaults__
+    assert defaults["decay_replicas"] <= _SCAN_FIELDS
+
+
+def random_graph_text(kind, seed):
+    """A seeded random graph in the weighted-file format: "undirected"
+    (irregular, degrees 1-6, unit weights), "digraph" (weighted; about a
+    fifth of the vertices have no out-edge and become frontier sinks) or
+    "loops" (undirected, weighted, with self-loops)."""
+    rnd = random.Random(seed)
+    n = rnd.randint(8, 60)
+    if kind == "digraph":
+        sinks = set(rnd.sample(range(1, n), max(1, n // 5)))
+        lines = ["frogsim-graph v1 directed"]
+        for u in range(n):
+            if u not in sinks:
+                for v in rnd.sample(range(n), rnd.randint(1, min(5, n))):
+                    lines.append(f"{u} {v} {rnd.choice((0.3, 1.0, 1.7, 4.0))}")
+        return "\n".join(lines) + "\n"
+    cap = [rnd.randint(1, 6) for _ in range(n)]
+    degree = [0] * n
+    edges = set()
+    for u in range(1, n):          # a random tree, so every degree is >= 1
+        v = rnd.choice([w for w in range(u) if degree[w] < 6])
+        edges.add((v, u))
+        degree[u] += 1
+        degree[v] += 1
+    for _ in range(3 * n):
+        u, v = rnd.sample(range(n), 2)
+        if (min(u, v), max(u, v)) not in edges \
+                and degree[u] < cap[u] and degree[v] < cap[v]:
+            edges.add((min(u, v), max(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    if kind == "loops":
+        edges |= {(u, u) for u in rnd.sample(range(n), rnd.randint(1, n))}
+    weight = (lambda: 1.0) if kind == "undirected" else (
+        lambda: rnd.choice((0.5, 1.0, 2.5)))
+    lines = ["frogsim-graph v1 undirected"]
+    lines += [f"{u} {v} {weight()}" for u, v in sorted(edges)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def random_graphs(tmp_path_factory):
+    """random_graph_text's graph for a (kind, seed), built once."""
+    built = {}
+
+    def get(kind, seed):
+        if (kind, seed) not in built:
+            p = tmp_path_factory.mktemp("graphs") / f"{kind}-{seed}.txt"
+            p.write_text(random_graph_text(kind, seed))
+            built[kind, seed] = build_graph(GraphSpec("weighted_file",
+                                                      path=str(p)))
+        return built[kind, seed]
+
+    return get
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
+       graph_seed=st.integers(0, 7), lam=st.floats(0.0, 4.0),
+       t=st.floats(0.0, 12.0), radius=st.integers(0, 3),
+       outside=st.booleans(), splices=st.lists(st.integers(0, 2**16),
+                                                max_size=3),
+       seed=st.integers(0, 2**16))
+def test_stay_closure_equals_reference_on_random_graphs(
+        random_graphs, batch, kind, graph_seed, lam, t, radius, outside,
+        splices, seed):
+    g = random_graphs(kind, graph_seed)
+    # the window avoids the frontier (the digraphs' sinks)
+    S = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
+    rest = sorted(set(range(g.vertex_count)) - S)
+    start = rest[seed % len(rest)] if outside and rest else g.origin
+    params = FrogParams(lam, t)
+    fields = [ParticleField(g, seed + i) for i in range(3)]
+    fields += [SpliceField(random.Random(s).sample(range(g.vertex_count),
+                                                   g.vertex_count // 2),
+                           ParticleField(g, s), ParticleField(g, ~s))
+               for s in splices]
+    with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
+                           0 if batch else math.inf):
+        got = frogs._stay_closure(g, S, start, params, fields)
+        with mock.patch.object(frogs, "_CLOSURE_FIELDS", 1):
+            replicas = list(frogs._replica_closures(g, S, params, seed, "phi",
+                                                    2))
+    assert len(got) == len(fields) and len(replicas) == 2
+    for (reached, stay, exits), fld in zip(got, fields):
+        want = reference_stay_closure(g, S, start, params, fld)
+        assert list(reached) == list(want[0])
+        assert stay == want[1] and exits == want[2]
+    for r, (reached, stay, exits) in enumerate(replicas):
+        want = reference_stay_closure(g, S, g.origin, params, ParticleField(
+            g, Stream(seed, "phi", r).key))
+        assert list(reached) == list(want[0])
+        assert stay == want[1] and exits == want[2]
 
 
 # -- good vertices -------------------------------------------------------
