@@ -73,13 +73,10 @@ class ParticleField:
         eta = self.count_at(x, params.lam)
         return eta, tuple(self.trajectory(x, i, params.t) for i in range(eta))
 
-    def source(self, x: int) -> "ParticleField":
-        """The ParticleField whose seed gives x's particles: this one."""
-        return self
-
     def seeds(self, xs) -> list[int]:
-        """The seeds (mod 2^64) of the fields that give the particles of
-        the vertices xs, as ``source(x).seed``."""
+        """The seeds (mod 2^64) that give the particles of the vertices xs:
+        this field's at every vertex. All that a lockstep pass asks of a
+        field."""
         return [self.seed & _MASK] * len(xs)
 
 
@@ -95,22 +92,21 @@ class SpliceField:
         self.field_out = field_out
         self.graph = field_in.graph
 
-    def source(self, x: int) -> ParticleField:
-        """The ParticleField whose seed gives x's particles."""
-        field = self.field_in if x in self.inside else self.field_out
-        return field.source(x)
+    def _at(self, x: int):
+        """The field that answers for vertex x."""
+        return self.field_in if x in self.inside else self.field_out
 
     def seeds(self, xs) -> list[int]:
-        return [self.source(x).seed & _MASK for x in xs]
+        return [self._at(x).seeds([x])[0] for x in xs]
 
     def count_at(self, x: int, lam: float) -> int:
-        return self.source(x).count_at(x, lam)
+        return self._at(x).count_at(x, lam)
 
     def trajectory(self, x: int, i: int, t: float):
-        return self.source(x).trajectory(x, i, t)
+        return self._at(x).trajectory(x, i, t)
 
     def particles(self, x: int, params: FrogParams):
-        return self.source(x).particles(x, params)
+        return self._at(x).particles(x, params)
 
 
 @dataclass
@@ -232,16 +228,16 @@ def _reach(reached: set, out, done=None) -> set:
     return reached
 
 
-# The small-wave rule of both lockstep revealers: a smaller wave reads
-# field.particles pair by pair. _stay_closure batches a wave of at least
-# this many expected walks (lambda times its (field, vertex) pairs, which
-# may hold no particles); _wave_arrows one of at least this many pairs
-# (each bears a particle in _read_arrows). At t = 1 on a Z^2 box (window
-# B(5)) a batched wave of 4-128 walks cost 250-650 us and the per-walk
-# loop 18-27 us a walk, so the two met between 16 and 24 walks. At t = 64
-# (arrows of B(0, 8) on renorm_z2's box; density 0.25 and 2) a
-# _pair_jumps pass of 1-64 pairs costs 0.6-1.3 ms, since it decides its
-# jumps in blocks, and field.particles 0.07-0.13 ms a pair, so the two
+# The small-wave rule of the reveal step (_reveal): a wave whose caller
+# expects fewer walks than this reads field.particles pair by pair, and a
+# larger one runs lockstep passes. _stay_closure expects lambda walks a
+# (field, vertex) pair, which may hold no particles; _wave_arrows one walk
+# a pair, since every pair _read_arrows reads bears particles. At t = 1 on
+# a Z^2 box (window B(5)) a batched wave of 4-128 walks cost 250-650 us
+# and the per-walk loop 18-27 us a walk, so the two met between 16 and 24
+# walks. At t = 64 (arrows of B(0, 8) on renorm_z2's box; density 0.25
+# and 2) a lockstep pass of 1-64 pairs costs 0.6-1.3 ms, since it decides
+# its jumps in blocks, and field.particles 0.07-0.13 ms a pair, so the two
 # meet between 4 and 12 pairs (2-vCPU x86-64 host, Python 3.11, numpy
 # 2.4). The rule keeps the t = 1 value: renorm_z2's decay leaves 3-8
 # waves of 1-17 pairs a job below it (seeds 1-3), on which a rule of 8
@@ -266,33 +262,28 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
     vertex is named by its column: its index in sorted S, or len(S) for a
     start outside S. A byte mask over the (field, column) codes marks the
     revealed pairs, and each wave is the unseen codes its predecessor's
-    staying walks land on. A wave of at least ``_STAY_BATCH_WALKS``
-    expected walks is revealed in one lockstep pass (``_stay_pass``); a
-    smaller one reads ``field.particles`` (``_stay_read``). Python runs
-    per field only in the replay.
+    staying walks land on. Each wave is one ``_reveal`` step, which
+    expects lambda walks a pair, reduced by ``_stay_rule``. Python runs
+    per field only in the seeds (one ``field.seeds`` call a field) and the
+    replay.
     """
     fields = list(fields)
     if not fields:
         return []
     verts = sorted(S)
     n, nc = len(verts), len(verts) + 1
-    col = dict(zip(verts, range(n)))
+    wave = np.arange(len(fields), dtype=np.int64) * nc + (
+        verts.index(start) if start in S else n)
     verts.append(start)                     # each column's vertex
     ext = np.array(verts, dtype=np.int64)
-    wave = np.arange(len(fields), dtype=np.int64) * nc + col.get(start, n)
+    look, seeds = _columns(ext[:n]), _field_seeds(fields, verts)
     seen = np.zeros(len(fields) * nc, dtype=bool)
     seen[wave] = True
     parts = []                  # per wave: its codes and the wave's arrays
-    inside = None                           # S as a vertex mask, once needed
     while wave.size:
         fs, cs = np.divmod(wave, nc)
-        xs = ext[cs]
-        if params.lam * wave.size < _STAY_BATCH_WALKS:
-            got = _stay_read(S, col, fields, fs, xs, params)
-        else:
-            if inside is None:
-                inside, seeds = _inside_mask(g, S), _field_seeds(fields, verts)
-            got = _stay_pass(g, inside, ext[:n], seeds(fs, cs), xs, params)
+        got = _reveal(g, ext, look, fields, seeds, fs, cs, params,
+                      params.lam * wave.size, _stay_rule)
         parts.append((wave, *got))
         # the unseen codes the staying walks land on, each once, ascending
         nxt = np.repeat(wave - wave % nc, got[3]) + got[4]
@@ -419,8 +410,8 @@ def _field_seeds(fields, verts: list):
     keeps one."""
     first, mixed = [], {}
     for f, row in enumerate(map(operator.methodcaller("seeds", verts), fields)):
-        first.append(row[0])
-        if row.count(row[0]) != len(row):
+        first.append(row[0] if row else 0)
+        if row.count(first[-1]) != len(row):
             mixed[f] = row
     first = np.array(first, dtype=np.uint64)
     is_mixed = np.zeros(len(fields), dtype=bool)
@@ -435,61 +426,182 @@ def _field_seeds(fields, verts: list):
     return seeds
 
 
-def _stay_read(S: set[int], col: dict, fields, fs: np.ndarray, xs: np.ndarray,
-               params: FrogParams):
-    """``_stay_pass``'s five arrays for the pairs (field fields[fs[p]],
-    vertex xs[p]), read through ``field.particles`` pair by pair; col maps
-    each vertex of S to its column."""
-    counts, nstay, index, lens, lands = [], [], [], [], []
+# Most particle walks one lockstep pass of _reveal samples. A pass pays a
+# fixed numpy cost per block of jumps and per pick step (at t = 64, 1-8
+# blocks and about 100 pick steps; see walks._BLOCK_HORIZON), so small
+# passes cost more a walk: 15 us a walk at 52 walks, 4.2 us at 992.
+# Large ones raise peak memory. It bounds each of block_open's two waves
+# (one pass each per replica on renorm_z2: about 340 walks over the small
+# balls and 950 over the sites' windows), the closure waves of
+# good_vertices and, at high densities, a decay wave; phi_window_z2's
+# stay-inside waves hold under 1 024 walks.
+# The value was chosen on renorm_z2 when full decay passes dominated its
+# walks (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4): 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
+# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
+# 39.11-39.40 MB at 3072.
+_ARROW_WALKS = 2048
+
+
+def _passes(walks: np.ndarray):
+    """Split consecutive pairs with walks[i] walks each into passes of at
+    most ``_ARROW_WALKS`` walks (a pair with more runs alone): yield each
+    pass as its (first, last) index range."""
+    ends = np.cumsum(walks)
+    first = 0
+    while first < ends.size:
+        cap = (int(ends[first - 1]) if first else 0) + _ARROW_WALKS
+        last = max(first + 1, int(np.searchsorted(ends, cap, "right")))
+        yield first, last
+        first = last
+
+
+def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, fields, seeds,
+            fs: np.ndarray, cs: np.ndarray, params: FrogParams, walks: float,
+            rule) -> list[np.ndarray]:
+    """The particles of the pairs (field fields[fs[p]], vertex
+    verts[cs[p]]), read against a vertex set and reduced by rule
+    (``_arrow_rule`` or ``_stay_rule``): the rule's arrays for all the
+    pairs, pair by pair. look is the set's ``_columns`` and verts[0] its
+    least vertex (its sorted vertices come first in verts); seeds is the
+    fields' ``_field_seeds``.
+
+    walks is the caller's estimate of the wave's walks. Below
+    ``_STAY_BATCH_WALKS`` each pair reads ``field.particles``
+    (``_particle_walks``); else the seeds give every pair's particle count
+    and the walks run in ``_walk_landings`` passes of at most
+    ``_ARROW_WALKS`` walks. Both give a walk the jumps its counter-based
+    key fixes, so the rule sees the same arrays either way."""
+    xs = verts[cs]
+    if walks < _STAY_BATCH_WALKS:
+        got = [rule(verts.size, cs, *_particle_walks(verts, look, fields, fs,
+                                                     xs, params))]
+    else:
+        pair_seeds = seeds(fs, cs)
+        counts = _vertex_counts(pair_seeds, xs, params.lam)
+        got = [rule(verts.size, cs[lo:hi], counts[lo:hi], *_walk_landings(
+                   g, verts, look, pair_seeds[lo:hi], xs[lo:hi],
+                   counts[lo:hi], params.t)) for lo, hi in _passes(counts)]
+    return got[0] if len(got) == 1 else list(map(np.concatenate, zip(*got)))
+
+
+def _particle_walks(verts: np.ndarray, look: np.ndarray, fields,
+                    fs: np.ndarray, xs: np.ndarray, params: FrogParams):
+    """The pairs' particle counts and ``_walk_landings``' arrays for the
+    pairs (field fields[fs[p]], vertex xs[p]), read through
+    ``field.particles`` pair by pair."""
+    counts, steps, jumps = [], [], []
     for f, x in zip(fs.tolist(), xs.tolist()):
         eta, trajs = fields[f].particles(x, params)
-        stay = [i for i, tr in enumerate(trajs) if tr.visited <= S]
-        out = dict.fromkeys(v for i in stay for v in trajs[i].jumps)
         counts.append(eta)
-        nstay.append(len(stay))
-        index += stay
-        lens.append(len(out))
-        lands += [col[v] for v in out]
-    return [np.array(a, dtype=np.int64)
-            for a in (counts, nstay, index, lens, lands)]
+        for tr in trajs:
+            steps.append(len(tr.jumps))
+            jumps += tr.jumps
+    counts = np.array(counts, dtype=np.int64)
+    pair, index, starts = _walk_labels(xs, counts)
+    walk = np.repeat(np.arange(pair.size), np.array(steps, dtype=np.int64))
+    col = _column_of(verts, look, np.array(jumps, dtype=np.int64))
+    out = _column_of(verts, look, starts) < 0
+    out[walk[col < 0]] = True
+    land = col >= 0
+    return counts, pair, index, out, walk[land], col[land]
 
 
-def _stay_pass(g: Graph, inside: np.ndarray, verts: np.ndarray,
-               seeds: np.ndarray, xs: np.ndarray, params: FrogParams):
-    """The particles of the pairs (field seed seeds[p], vertex xs[p]),
-    revealed from their counter-based keys in one lockstep pass, as five
-    arrays: each pair's particle count; its number of staying particles;
-    the indices of the staying particles, pair by pair; each pair's number
-    of distinct vertices its staying walks land on; and those vertices'
-    columns (indices in verts, sorted S), pair by pair in (particle, step)
-    first-occurrence order. A walk stays if every vertex it visits is in
-    the window S (``_inside_mask(g, S)``); S avoids the frontier, so an
-    absorbed walk leaves."""
-    counts = _vertex_counts(seeds, xs, params.lam)
-    pair, index, starts, keys = _particle_keys(seeds, xs, counts)
-    # every block entry, walk by walk within a block, so each walk's
-    # landings come in jump order; the -1 after a walk's end is dropped
-    # with the walks that leave, once the pass has ended
-    walk, where = [pair[:0]], [starts[:0]]
-    for rows, pos in lockstep_walks(g, starts, params.t, keys):
-        walk.append(rows.repeat(len(pos)))
+def _walk_landings(g: Graph, verts: np.ndarray, look: np.ndarray,
+                   seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray,
+                   t: float):
+    """The particle walks of the pairs (field seed seeds[p], vertex xs[p],
+    counts[p] particles) up to time t, revealed from their counter-based
+    keys in one ``lockstep_walks`` pass and read against a vertex set
+    (look is its ``_columns``, verts[0] its least vertex). Returns arrays
+    of each walk's pair and index at its vertex; whether the walk visits a
+    vertex off the set, its start included (the -1 of an ended walk is no
+    visit); and its landings in the set as (walk, column), block by block
+    and walk by walk within a block, so each walk's in step order.
+
+    Only ``_stay_rule`` needs the landings in (walk, step) order, which a
+    stable sort by walk gives; ``_arrow_rule`` sorts its codes anyway. The
+    pass keeps each block's walks and positions and finds the columns of
+    all of them with one lookup at its end: below ``walks._BLOCK_HORIZON``
+    a block holds one jump, and a lookup a block doubled the pass's own
+    work (0.07 against 0.04 ms for 73 walks at t = 1)."""
+    pair, index, starts = _walk_labels(xs, counts)
+    keys = derive_keys(seeds[pair], "traj", starts, index)
+    # walk ids as int32 (a pass holds a few thousand walks): on renorm_z2
+    # int64 ids raised peak RSS by 0.4 MB
+    walk, where = [np.empty(0, np.int32)], [g.indices[:0]]
+    for rows, pos in lockstep_walks(g, starts, t, keys):
+        walk.append(rows.astype(np.int32).repeat(len(pos)))
         where.append(pos.T.ravel())
     walk, where = np.concatenate(walk), np.concatenate(where)
-    leaves = ~inside[starts]
-    leaves[walk[~inside[where]]] = True
-    keep = (where >= 0) & ~leaves[walk]
-    walk, where = walk[keep], where[keep]
-    order = np.argsort(walk, kind="stable")  # by walk, then step
-    lp, where = pair[walk[order]], where[order]
-    # each pair's first occurrence of each vertex, in (walk, step) order
-    codes = lp * g.vertex_count + where
+    col = _column_of(verts, look, where)
+    land = col >= 0
+    out = _column_of(verts, look, starts) < 0
+    # a step out: a position, not an ended walk's -1, with no column
+    out[walk[np.greater(where >= 0, land)]] = True
+    return pair, index, out, walk[land], col[land]
+
+
+def _arrow_rule(nb: int, cs: np.ndarray, counts, pair, index, out, walk,
+                col):
+    """The arrows of the pairs on the columns cs (-1 for a vertex off the
+    set), from their walks' landings (``_walk_landings``' arrays) among nb
+    columns: each pair's number of arrows, and the arrows pair by pair,
+    each pair's the ascending distinct columns its walks land on, its own
+    dropped."""
+    base = pair * nb                 # codes are int32 while every one fits
+    if cs.size * nb < 2**31:
+        base = base.astype(np.int32)
+    codes = base[walk] + col
+    codes.sort()
+    codes = codes[_run_starts(codes)]
+    # then each pair's own column, at most one code a pair
+    own = (np.arange(cs.size) * nb + cs)[cs >= 0]
+    at = np.searchsorted(codes, own)
+    inside = at < codes.size
+    at, own = at[inside], own[inside]
+    codes = np.delete(codes, at[codes[at] == own])
+    return (np.diff(np.searchsorted(codes, np.arange(cs.size + 1) * nb)),
+            codes % nb)
+
+
+def _stay_rule(nb: int, cs: np.ndarray, counts, pair, index, out, walk,
+               col):
+    """The stay-inside reading of the pairs' walks (``_walk_landings``'
+    arrays, columns among nb), as five arrays: each pair's particle count;
+    its number of staying particles, those whose walks visit no vertex off
+    the set; the indices of the staying particles, pair by pair; each
+    pair's number of distinct columns its staying walks land on; and those
+    columns, pair by pair in (walk, step) first-occurrence order."""
+    stay = ~out
+    keep = np.flatnonzero(stay[walk])
+    keep = keep[np.argsort(walk[keep], kind="stable")]  # by walk, then step
+    lp, col = pair[walk[keep]], col[keep]
+    codes = lp * nb + col
     first = np.argsort(codes, kind="stable")
     first = np.sort(first[_run_starts(codes[first])])
-    lp = lp[first]
-    stay = ~leaves
-    return (counts, np.bincount(pair[stay], minlength=xs.size), index[stay],
-            np.bincount(lp, minlength=xs.size),
-            np.searchsorted(verts, where[first]))
+    return (counts, np.bincount(pair[stay], minlength=cs.size), index[stay],
+            np.bincount(lp[first], minlength=cs.size), col[first])
+
+
+def _columns(verts: np.ndarray) -> np.ndarray:
+    """The column lookup of the sorted vertex array verts: entry v - verts[0]
+    is v's index in verts for every id v of the span verts[0]..verts[-1]
+    (-1 if v is not in verts), and one more -1 follows the span."""
+    v0 = int(verts[0]) if verts.size else 0
+    span = int(verts[-1]) - v0 + 1 if verts.size else 0
+    look = np.full(span + 1, -1, dtype=np.int32)
+    look[verts - v0] = np.arange(verts.size, dtype=np.int32)
+    return look
+
+
+def _column_of(verts: np.ndarray, look: np.ndarray, pos: np.ndarray):
+    """The columns of the vertex ids pos under look, the ``_columns`` of a
+    set whose least vertex is verts[0]: -1 off the set. Ids off the span,
+    and the -1 of an ended walk, clip to -1 or the span, and both read the
+    -1 after it."""
+    v0 = int(verts[0]) if verts.size else 0
+    return look[np.minimum(np.maximum(pos - v0, -1), look.size - 1)]
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -511,16 +623,14 @@ def _vertex_counts(seeds: np.ndarray, xs: np.ndarray, lam: float) -> np.ndarray:
     return poisson_counts(lam, marks * _INV_2_53)
 
 
-def _particle_keys(seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray):
-    """The particles of the pairs (field seed seeds[p], vertex xs[p]) with
-    counts[p] particles, pair by pair: arrays of each particle's pair,
-    index at its vertex, start vertex and trajectory stream key
-    ``derive_key(seed, "traj", x, index)``."""
+def _walk_labels(xs: np.ndarray, counts: np.ndarray):
+    """The particles of the pairs (vertex xs[p], counts[p] particles), pair
+    by pair: arrays of each particle's pair, index at its vertex and start
+    vertex."""
     pair = np.repeat(np.arange(xs.size), counts)
     first = np.cumsum(counts) - counts       # each pair's first particle
     index = np.arange(pair.size) - np.repeat(first, counts)
-    starts = xs[pair]
-    return pair, index, starts, derive_keys(seeds[pair], "traj", starts, index)
+    return pair, index, xs[pair]
 
 
 def restricted_activation(g: Graph, S, params: FrogParams,
@@ -532,36 +642,6 @@ def restricted_activation(g: Graph, S, params: FrogParams,
     exiters = sum(exit_counts[x] for x in reached)
     return RestrictedActivation(frozenset(S), harpoon, dict(stay_sets),
                                 exiters)
-
-
-# Most particle walks one lockstep pass of _wave_arrows samples. A pass
-# pays a fixed numpy cost per block of jumps and per pick step (at t = 64,
-# 1-8 blocks and about 100 pick steps; see walks._BLOCK_HORIZON), so
-# small passes cost more a walk: 15 us a walk at 52 walks, 4.2 us at 992.
-# Large ones raise peak memory. It bounds each of block_open's two waves
-# (one pass each per replica on renorm_z2: about 340 walks over the small
-# balls and 950 over the sites' windows), the closure waves of
-# good_vertices and, at high densities, a decay wave.
-# The value was chosen on renorm_z2 when full decay passes dominated its
-# walks (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4): 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
-# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
-# 39.11-39.40 MB at 3072.
-_ARROW_WALKS = 2048
-
-
-def _passes(walks):
-    """Split consecutive items with walks[i] walks each into passes of at
-    most ``_ARROW_WALKS`` walks (an item with more runs alone): yield each
-    pass as its (first, last) index range."""
-    first = 0
-    while first < len(walks):
-        last, total = first + 1, walks[first]
-        while last < len(walks) and total + walks[last] <= _ARROW_WALKS:
-            total += walks[last]
-            last += 1
-        yield first, last
-        first = last
 
 
 # Most fields whose scans _read_arrows runs together. Every wave pays the
@@ -593,13 +673,16 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     ``_closure_scan``, which yields one column at a time; block_open's
     ``experiments._read_all`` yields every particle-bearing column at once.
 
-    The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
-    reveals every suspended scan's list with one ``_wave_arrows`` call
-    (lockstep passes, or ``field.particles`` for a wave of fewer than
-    ``_STAY_BATCH_WALKS`` pairs), so no particle is revealed that no scan
-    reads. A field in flight keeps B's particle mask (one byte a vertex,
-    from ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks);
-    each wave re-derives its own pairs' counts.
+    The scans of up to ``_SCAN_FIELDS`` fields run together. A block's
+    seeds come from one ``_field_seeds`` call, one ``field.seeds`` call a
+    field, and each wave reveals every suspended scan's list with one
+    ``_wave_arrows`` call: a ``_reveal`` step (lockstep passes, or
+    ``field.particles`` for a wave of fewer than ``_STAY_BATCH_WALKS``
+    pairs) reduced by ``_arrow_rule``. So no particle is revealed that no
+    scan reads. A field in flight keeps its seed (a seed a vertex if they
+    differ across B) and B's particle mask (one byte a vertex, from
+    ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks); each
+    wave re-derives its own pairs' counts.
     """
     verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
     vlist, nb = verts.tolist(), verts.size
@@ -607,13 +690,15 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     fields = iter(fields)
     done = 0                                  # fields of earlier blocks
     while block := list(itertools.islice(fields, _SCAN_FIELDS)):
+        seeds = _field_seeds(block, vlist)
         # the marks are derived at most 4 _ARROW_WALKS at a time
         has, step = [], max(1, 4 * _ARROW_WALKS // max(nb, 1))
         for lo in range(0, len(block), step):
-            seeds = np.array([fld.seeds(vlist) for fld in block[lo:lo + step]],
-                             dtype=np.uint64)
-            has += [row.tobytes()
-                    for row in _vertex_counts(seeds, verts, params.lam) != 0]
+            k = min(step, len(block) - lo)
+            cs = np.tile(np.arange(nb), k)
+            marks = _vertex_counts(seeds(np.arange(lo, lo + k).repeat(nb), cs),
+                                   verts[cs], params.lam)
+            has += [row.tobytes() for row in marks.reshape(k, nb) != 0]
         scans = [scan(done + f, has[f]) for f in range(len(block))]
         done += len(block)
         results = [None] * len(block)
@@ -630,97 +715,25 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
         while reads:
             wave, reads = reads, {}
             pairs = [(f, c) for f, cols in wave.items() for c in cols]
-            arrows = iter(_wave_arrows(g, verts, look, block, pairs, params)
-                          if pairs else ())
+            arrows = iter(_wave_arrows(g, verts, look, block, seeds, pairs,
+                                       params) if pairs else ())
             for f, cols in wave.items():
                 advance(f, list(itertools.islice(arrows, len(cols))))
         yield from results
 
 
 def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, fields,
-                 wave, params: FrogParams) -> list[list[int]]:
+                 seeds, wave, params: FrogParams) -> list[list[int]]:
     """The arrows, as ascending column lists, of every (field index,
-    column) pair of `wave`. A wave of at least ``_STAY_BATCH_WALKS`` pairs
-    is revealed in ``_pair_jumps`` passes; a smaller one reads
-    ``field.particles`` pair by pair."""
-    if len(wave) < _STAY_BATCH_WALKS:
-        v0, span = (int(verts[0]) if verts.size else 0), look.size - 1
-        return [_particle_arrows(look, v0, span, fields[f], int(verts[c]),
-                                 params) for f, c in wave]
-    nb = verts.size
-    xs = verts[[c for _, c in wave]]
-    seeds = np.array([fields[f].source(x).seed & _MASK
-                      for (f, _), x in zip(wave, xs.tolist())],
-                     dtype=np.uint64)
-    counts = _vertex_counts(seeds, xs, params.lam)
-    arrows = []
-    for lo, hi in _passes(counts.tolist()):
-        codes = _pair_jumps(g, verts, look, xs[lo:hi], seeds[lo:hi],
-                            counts[lo:hi], params.t)
-        jb = np.searchsorted(codes, np.arange(hi - lo + 1) * nb).tolist()
-        cols = (codes % nb).tolist()
-        arrows += [cols[j:k] for j, k in zip(jb, jb[1:])]
-    return arrows
-
-
-def _particle_arrows(look: np.ndarray, v0: int, span: int, field, x: int,
-                     params: FrogParams) -> list[int]:
-    """The ascending columns (``look`` over the id span v0..v0 + span - 1,
-    as ``_columns`` builds it) of the vertices other than x that x's
-    particles under field visit, read through ``field.particles``."""
-    _, trajs = field.particles(x, params)
-    landed = {v - v0 for tr in trajs for v in tr.jumps}
-    landed.discard(x - v0)
-    cols = look[[i for i in landed if 0 <= i < span]].tolist()
-    return sorted(c for c in cols if c >= 0)
-
-
-def _columns(verts: np.ndarray) -> np.ndarray:
-    """The column lookup of the sorted vertex array verts: entry v - verts[0]
-    is v's index in verts for every id v of the span verts[0]..verts[-1]
-    (-1 if v is not in verts), and one more -1 follows the span."""
-    v0 = int(verts[0]) if verts.size else 0
-    span = int(verts[-1]) - v0 + 1 if verts.size else 0
-    look = np.full(span + 1, -1, dtype=np.int32)
-    look[verts - v0] = np.arange(verts.size, dtype=np.int32)
-    return look
-
-
-def _pair_jumps(g: Graph, verts: np.ndarray, look: np.ndarray,
-                xs: np.ndarray, seeds: np.ndarray, counts: np.ndarray,
-                t: float) -> np.ndarray:
-    """The sorted distinct codes p |verts| + c of the (p, verts[c]),
-    verts[c] != xs[p], that a particle of pair p (field seed seeds[p],
-    vertex xs[p], counts[p] particles) jumps to within time t; verts is
-    sorted and look is ``_columns(verts)``.
-
-    The walks run as one ``lockstep_walks`` pass, and each of its blocks
-    (one jump below ``walks._BLOCK_HORIZON``, up to 8 192 walk-jumps from
-    it on) finds the columns of all its landing vertices with one lookup.
-    A pass keeps one code per jump that lands in B; codes are int32 while
-    every one fits."""
-    pair, _, starts, keys = _particle_keys(seeds, xs, counts)
-    nb = verts.size
-    v0, span = (int(verts[0]) if nb else 0), look.size - 1
-    base = pair * nb
-    if xs.size * nb < 2**31:
-        base = base.astype(np.int32)
-    codes = [base[:0]]
-    for rows, pos in lockstep_walks(g, starts, t, keys):
-        # ids off the span, and the -1 of an ended walk, clip to -1 or
-        # span; both read the -1 after it
-        col = look[np.minimum(np.maximum(pos - v0, -1), span)]
-        codes.append((base[rows] + col)[col >= 0])
-    codes = np.concatenate(codes)
-    codes.sort()
-    codes = codes[_run_starts(codes)]
-    # then each pair's own vertex, at most one code a pair
-    own = look[np.minimum(np.maximum(xs - v0, -1), span)]
-    own = (np.arange(xs.size) * nb + own)[own >= 0]
-    at = np.searchsorted(codes, own)
-    inside = at < codes.size
-    at, own = at[inside], own[inside]
-    return np.delete(codes, at[codes[at] == own])
+    column) pair of `wave`: one ``_reveal`` step, which expects a walk a
+    pair, reduced by ``_arrow_rule``; seeds is the fields'
+    ``_field_seeds``."""
+    fs, cs = np.array(wave, dtype=np.int64).reshape(-1, 2).T
+    lens, cols = _reveal(g, verts, look, fields, seeds, fs, cs, params,
+                         len(wave), _arrow_rule)
+    ends = np.cumsum(lens)
+    return list(map(cols.tolist().__getitem__,
+                    map(slice, (ends - lens).tolist(), ends.tolist())))
 
 
 def arrow_closure(g: Graph, B, start: int, params: FrogParams,

@@ -92,12 +92,12 @@ def spy_wave_arrows(monkeypatch):
     revealed = []
     wave_arrows = frogs._wave_arrows
 
-    def spy(g, verts, look, fields, wave, params):
+    def spy(g, verts, look, fields, seeds, wave, params):
         for f, c in wave:
             x = int(verts[c])
-            revealed.append((fields[f].source(x).seed, x,
+            revealed.append((fields[f].seeds([x])[0], x,
                              fields[f].count_at(x, params.lam)))
-        return wave_arrows(g, verts, look, fields, wave, params)
+        return wave_arrows(g, verts, look, fields, seeds, wave, params)
 
     monkeypatch.setattr(frogs, "_wave_arrows", spy)
     return revealed

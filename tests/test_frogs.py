@@ -382,7 +382,7 @@ def random_graphs(tmp_path_factory):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
        graph_seed=st.integers(0, 7), lam=st.floats(0.0, 4.0),
-       t=st.floats(0.0, 12.0), radius=st.integers(0, 3),
+       t=st.floats(0.0, 70.0), radius=st.integers(0, 3),
        outside=st.booleans(), splices=st.lists(st.integers(0, 2**16),
                                                 max_size=3),
        seed=st.integers(0, 2**16))
@@ -480,8 +480,8 @@ def test_good_vertices_and_arrow_closure_golden():
 
 
 def reference_arrows(B, pick, params):
-    """The arrows of B read one particle at a time; pick(x) is the plain
-    ParticleField that holds x's particles."""
+    """The arrows of B read one particle at a time; pick(x) is the field
+    whose particles() gives x's particles."""
     arrows = {}
     for x in B:
         _, trajs = pick(x).particles(x, params)
@@ -525,7 +525,8 @@ def test_read_arrows_matches_particles(monkeypatch, cap):
     verts = np.array(sorted(edge), dtype=np.int64)
     nb = verts.size
     wave = [(f, c) for f in range(len(fields)) for c in range(nb)]
-    cols = frogs._wave_arrows(g, verts, frogs._columns(verts), fields, wave,
+    cols = frogs._wave_arrows(g, verts, frogs._columns(verts), fields,
+                              frogs._field_seeds(fields, verts.tolist()), wave,
                               params)
     for f, (_, pick) in enumerate(cases):
         assert {x: {int(verts[y]) for y in out} for x, out in zip(
@@ -542,6 +543,7 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
     look, nb = frogs._columns(verts), verts.size
     p = {s: ParticleField(g, s) for s in range(1, 6)}
     fields = [p[1], p[2], SpliceField(ball(g, 40, 3), p[3], p[4]), p[5]]
+    seeds = frogs._field_seeds(fields, verts.tolist())
     every = [(f, c) for f in range(len(fields)) for c in range(nb)]
     some = [(f, c) for f, c in every if c % 7 == 0]
     runs = {}
@@ -552,8 +554,10 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
         for cap in (1, 37, 80, 2048, 10**6):
             monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
             runs[lam, cap] = (
-                frogs._wave_arrows(g, verts, look, fields, every, params),
-                frogs._wave_arrows(g, verts, look, fields, some, params))
+                frogs._wave_arrows(g, verts, look, fields, seeds, every,
+                                   params),
+                frogs._wave_arrows(g, verts, look, fields, seeds, some,
+                                   params))
         full, part = runs[lam, 2048]
         assert len(full) == len(every) and len(part) == len(some)
         assert part == [full[f * nb + c] for f, c in some]
@@ -573,7 +577,7 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
 
 def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
     # the same pairs read through field.particles (the rule's small-wave
-    # path) and through _pair_jumps passes, on every other vertex of a ball
+    # path) and through lockstep passes, on every other vertex of a ball
     # so that B's id span holds vertices outside B
     g = build_graph(GraphSpec("lattice_box", d=2, radius=12))
     B = set(sorted(ball(g, 40, 5))[::2])
@@ -594,7 +598,9 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
         for rule in (0, math.inf):
             monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", rule)
             flds = fields()
-            runs.append(frogs._wave_arrows(g, verts, look, flds, wave, params))
+            runs.append(frogs._wave_arrows(
+                g, verts, look, flds, frogs._field_seeds(flds, verts.tolist()),
+                wave, params))
             # only the small-wave path reads single trajectories
             assert bool(read) == (rule == math.inf and lam > 0)
         assert runs[0] == runs[1]
@@ -605,14 +611,26 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
     # of 24 in a pass
     for size in (frogs._STAY_BATCH_WALKS - 1, frogs._STAY_BATCH_WALKS):
         flds = fields()
-        frogs._wave_arrows(g, verts, look, flds, wave[:size],
-                           FrogParams(2.0, 16.0))
+        frogs._wave_arrows(g, verts, look, flds,
+                           frogs._field_seeds(flds, verts.tolist()),
+                           wave[:size], FrogParams(2.0, 16.0))
         assert bool(read) == (size < frogs._STAY_BATCH_WALKS)
 
 
+def arrow_codes(g, verts, xs, seeds, counts, t):
+    """The arrows rule over the lockstep kernel, for the pairs (field seed
+    seeds[p], vertex xs[p], counts[p] particles) against the sorted vertex
+    array verts, as the ascending codes p |verts| + each arrow's column."""
+    look = frogs._columns(verts)
+    lens, cols = frogs._arrow_rule(
+        verts.size, frogs._column_of(verts, look, xs), counts,
+        *frogs._walk_landings(g, verts, look, seeds, xs, counts, t))
+    return (np.repeat(np.arange(xs.size), lens) * verts.size + cols).tolist()
+
+
 def pair_jumps_reference(g, B, xs, seeds, counts, t):
-    """_pair_jumps' codes from walk_batch, one pair at a time: p |B| + the
-    rank in B of each vertex of B other than xs[p] that pair p's particles
+    """arrow_codes from walk_batch, one pair at a time: p |B| + the rank in
+    B of each vertex of B other than xs[p] that pair p's particles
     visit."""
     verts = sorted(B)
     codes = set()
@@ -641,10 +659,10 @@ def test_pair_jumps_column_lookup(shape):
     counts = np.array([3, 2, 0, 4, 5])
     look = frogs._columns(verts)
     assert look.size == verts[-1] - verts[0] + 2 and look[-1] == -1
-    got = frogs._pair_jumps(g, verts, look, xs, seeds, counts, 6.0)
+    got = arrow_codes(g, verts, xs, seeds, counts, 6.0)
     ref = pair_jumps_reference(g, B, xs.tolist(), seeds.tolist(),
                                counts.tolist(), 6.0)
-    assert got.tolist() == ref and ref
+    assert got == ref and ref
 
 
 @pytest.mark.parametrize("draws", [2, 2**14])
@@ -660,8 +678,7 @@ def test_pair_jumps_at_long_horizon_match_single_walks(monkeypatch, draws):
     xs = np.array(sorted(B)[::3] + [29, 31], dtype=np.int64)
     seeds = derive_keys(6, "pj64", count=xs.size)
     counts = frogs._vertex_counts(seeds, xs, 3.0)
-    got = frogs._pair_jumps(g, verts, frogs._columns(verts), xs, seeds,
-                            counts, 64.0)
+    got = arrow_codes(g, verts, xs, seeds, counts, 64.0)
     ref = set()
     for p, (x, seed, n) in enumerate(zip(xs.tolist(), seeds.tolist(),
                                          counts.tolist())):
@@ -670,7 +687,7 @@ def test_pair_jumps_at_long_horizon_match_single_walks(monkeypatch, draws):
             ref |= {p * verts.size + int(np.searchsorted(verts, y))
                     for y in jumps if y in B and y != x}
     assert 30 <= counts.sum() <= 60
-    assert got.tolist() == sorted(ref)
+    assert got == sorted(ref)
 
 
 
@@ -704,13 +721,13 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
         seen.append(i)
         return got
 
-    pair_jumps = frogs._pair_jumps
+    walk_landings = frogs._walk_landings
 
-    def spy(g, verts, look, xs, seeds, counts, t):
+    def spy(g, verts, look, seeds, xs, counts, t):
         assert counts.sum() <= walks_cap or counts.size == 1
-        return pair_jumps(g, verts, look, xs, seeds, counts, t)
+        return walk_landings(g, verts, look, seeds, xs, counts, t)
 
-    monkeypatch.setattr(frogs, "_pair_jumps", spy)
+    monkeypatch.setattr(frogs, "_walk_landings", spy)
     spied = spy_wave_arrows(monkeypatch)
     got = list(frogs._read_arrows(g, B, iter(fields), params, scan))
     revealed = [(seed, x) for seed, x, _ in spied]
@@ -721,7 +738,7 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
             == {x: ref[x] for x in B if pick(x).count_at(x, params.lam)}
         assert all(out == sorted(out) for out in arrows.values())
     # each pair with particles revealed once, the others never
-    want = {(fld.source(x).seed, x) for fld in fields for x in verts
+    want = {(fld.seeds([x])[0], x) for fld in fields for x in verts
             if fld.count_at(x, params.lam)}
     assert len(revealed) == len(set(revealed)) and set(revealed) == want
     spied.clear()
@@ -791,14 +808,14 @@ def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
     want, reads = set(), set()
     for x in sorted(B):
         fld = frogs.ParticleField(g, rng.child("goodv", x).key)
-        arrows = reference_arrows(B, fld.source, params)
+        arrows = reference_arrows(B, lambda _: fld, params)
         if len(frogs._reach({x}, arrows.__getitem__)) >= len(B) / 4:
             want.add(x)
         # the particle-bearing vertices its reach pops before the quarter
         _, _, popped = reference_closure(
             arrows, lambda v: fld.count_at(v, params.lam) > 0, [x],
             math.ceil(len(B) / 4))
-        reads |= {(fld.source(v).seed, v) for v in popped}
+        reads |= {(fld.seeds([v])[0], v) for v in popped}
     assert 0 < len(want) < len(B)
     spied = spy_wave_arrows(monkeypatch)
     assert good_vertices(g, B, params, rng) == want
@@ -836,6 +853,58 @@ def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
     assert len(revealed) == len(set(revealed)) and set(revealed) == want_reads
     if stop == 42 or not starts:                 # |B| = 41
         assert firsts == {math.inf}
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
+       graph_seed=st.integers(0, 7), lam=st.integers(0, 400),
+       t=st.integers(0, 7000), radius=st.integers(0, 3),
+       splice=st.one_of(st.none(), st.integers(0, 2**16)),
+       one_walk=st.booleans(), seed=st.integers(0, 2**16),
+       stop=st.integers(1, 12))
+def test_arrow_driver_equals_reference_on_random_graphs(
+        random_graphs, batch, kind, graph_seed, lam, t, radius, splice,
+        one_walk, seed, stop):
+    # _read_arrows with block_open's read-everything scan and with the
+    # closure scan, against arrows and reaches read one particle at a time
+    g = random_graphs(kind, graph_seed)
+    B = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
+    verts = sorted(B)
+    # lambda in [0, 4] and t in [0, 70], in hundredths
+    lam, t = lam / 100, t / 100
+    params = FrogParams(lam, t)
+    plain = ParticleField(g, seed)
+    fields, picks = [plain], [lambda x: plain]
+    if splice is not None:
+        # a splice and a splice nested in another, over random vertex sets
+        n = g.vertex_count
+        inner = set(random.Random(splice).sample(range(n), n // 2))
+        core = set(random.Random(~splice).sample(range(n), n // 3))
+        p_in, p_out, p_core = (ParticleField(g, k)
+                               for k in (splice, ~splice, splice + 1))
+        fields += [SpliceField(inner, p_in, p_out),
+                   SpliceField(core, p_core, SpliceField(inner, p_in, p_out))]
+        picks += [lambda x: p_in if x in inner else p_out,
+                  lambda x: p_core if x in core
+                  else p_in if x in inner else p_out]
+    starts = [(seed + 5 * k) % len(verts) for k in range(3)]
+    caps = dict(_ARROW_WALKS=1, _SCAN_FIELDS=1) if one_walk else {}
+    with mock.patch.multiple(frogs, _STAY_BATCH_WALKS=0 if batch else math.inf,
+                             **caps):
+        got = read_all_arrows(g, B, fields, params)
+        scans = list(frogs._read_arrows(
+            g, verts, fields, params,
+            lambda _, has: frogs._closure_scan(has, starts, stop)))
+    assert len(got) == len(scans) == len(fields)
+    for arrows, (first, mask), pick in zip(got, scans, picks):
+        want = reference_arrows(B, pick, params)
+        assert arrows == want
+        want_first, reach, _ = reference_closure(
+            want, lambda v: pick(v).count_at(v, lam) > 0,
+            [verts[c] for c in starts], stop)
+        assert first == want_first
+        assert {verts[c] for c, m in enumerate(mask) if m} == reach
 
 
 def test_arrow_closure_rejects_stop_size_below_one(z2_box20):
