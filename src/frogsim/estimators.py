@@ -11,6 +11,7 @@ branching process, which is what the subcritical scans look for.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -21,7 +22,8 @@ from .frogs import (FrogParams, ParticleField, explore_cluster,
                     _exit_conditional_stats, _replica_closures)
 from .rng import Stream, derive_keys
 from .stats import Estimate, check_replicas, from_binomial, from_samples
-from .walks import check_horizon, exit_probability_exact, walk_batch
+from .walks import (DEFAULT_TOL, check_horizon, exit_probability_exact,
+                    walk_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def cluster_size_tail(g: Graph, params: FrogParams, nmax: int, replicas: int,
 
 
 def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
-            *, tol: float = 1e-10) -> Estimate:
+            *, tol: float = DEFAULT_TOL) -> Estimate:
     """Estimate phi(S): exact exit probabilities weighted by sampled
     stay-inside reachability indicators.
 
@@ -131,9 +133,23 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     comes from the killed-walk series, which removes most of the variance.
     """
     S = g.interior_set(S, containing=g.origin)
+    return _phi_hat(g, S, params, replicas, seed, _exit_table(g, S, params,
+                                                              tol))
+
+
+def _exit_table(g: Graph, S: set[int], params: FrogParams, tol: float):
+    """The killed-walk table phi and phi-tilde weight by (None when lam or
+    t is 0: both are then 0 in closed form)."""
     if params.lam == 0 or params.t == 0:
+        return None
+    return exit_probability_exact(g, S, params.t, tol)
+
+
+def _phi_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
+             seed: int, table) -> Estimate:
+    """phi_hat on the interior window S with its ``_exit_table``."""
+    if table is None:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
-    table = exit_probability_exact(g, S, params.t, tol)
     weights = {x: params.lam * p for x, p in table.exit_prob.items()}
     vals = [sum(map(weights.__getitem__, reached)) for reached, _, _ in
             _replica_closures(g, S, params, seed, "phi", replicas)]
@@ -149,9 +165,14 @@ def mean_exiters(g: Graph, S, params: FrogParams, replicas: int,
     return from_samples(vals, seed, "exiter-count")
 
 
+# walks phi_tilde_hat runs per vertex for its conditional jump counts
+_CONDITIONAL_REPLICAS = 2000
+
+
 def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
-                  *, tol: float = 1e-10,
-                  conditional_replicas: int = 2000) -> Estimate:
+                  *, tol: float = DEFAULT_TOL,
+                  conditional_replicas: int = _CONDITIONAL_REPLICAS
+                  ) -> Estimate:
     """Estimate phi-tilde(S): phi's summand additionally weighted by the
     conditional mean jump count given exit.
 
@@ -160,9 +181,15 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     sampling error enters the reported stderr through the delta method.
     """
     S = g.interior_set(S, containing=g.origin)
-    if params.lam == 0 or params.t == 0:
+    return _phi_tilde_hat(g, S, params, replicas, seed,
+                          _exit_table(g, S, params, tol), conditional_replicas)
+
+
+def _phi_tilde_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
+                   seed: int, table, conditional_replicas: int) -> Estimate:
+    """phi_tilde_hat on the interior window S with its ``_exit_table``."""
+    if table is None:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
-    table = exit_probability_exact(g, S, params.t, tol)
     cond_mean: dict[int, float] = {}
     cond_se: dict[int, float] = {}
     xs = sorted(S)
@@ -213,6 +240,7 @@ def _logsumexp2(a: float, b: float) -> float:
 _SERIES_REL_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=64)
 def sharpness_constants(delta_deg: int, lam: float,
                         t: float) -> SharpnessConstants:
     """Evaluate (delta, K, C, c) for out-degree Delta and parameters (lam, t).
@@ -222,7 +250,8 @@ def sharpness_constants(delta_deg: int, lam: float,
     terms reach e^100 and beyond; truncation stops once the term ratio
     certificate M e t/(r+1) < 1/2 holds and the term is below 1e-12 of the
     partial sum. c = 1/C, with the convention C = infinity (c = 0) when
-    lam = 0 or t = 0.
+    lam = 0 or t = 0. Memoized: a phi report and every point of a scan
+    ask for it, and its loop runs about 2 200 terms at Delta = 4, t = 1.
     """
     if delta_deg < 1:
         raise GraphError("Delta must be >= 1")
@@ -278,8 +307,11 @@ def phi_report(g: Graph, S, params: FrogParams, replicas: int, seed: int,
                *, window_name: str | None = None) -> PhiReport:
     S = set(S)
     consts = sharpness_constants(g.max_interior_degree(), params.lam, params.t)
-    ph = phi_hat(g, S, params, replicas, seed)
-    pt = phi_tilde_hat(g, S, params, replicas, Stream(seed, "tilde").key)
+    inner = g.interior_set(S, containing=g.origin)
+    table = _exit_table(g, inner, params, DEFAULT_TOL)
+    ph = _phi_hat(g, inner, params, replicas, seed, table)
+    pt = _phi_tilde_hat(g, inner, params, replicas, Stream(seed, "tilde").key,
+                        table, _CONDITIONAL_REPLICAS)
     sub = ph.mean + 3.0 * ph.stderr < consts.c
     return PhiReport(window_name or f"|S|={len(S)}", ph, pt, consts, sub)
 

@@ -27,9 +27,10 @@ import numpy as np
 
 from .graphs import Graph, GraphError, ball, distance_to_complement
 from .rng import (_INV_2_53, _MASK, Stream, derive_key, derive_keys,
-                  poisson_counts, poisson_inverse_cdf)
+                  poisson_counts, poisson_inverse_cdf, uniforms_at)
 from .stats import Estimate, check_replicas, from_samples
-from .walks import Trajectory, check_horizon, lockstep_walks, walk_positions
+from .walks import (Trajectory, _within, check_horizon, lockstep_walks,
+                    walk_positions)
 
 
 @dataclass(frozen=True)
@@ -907,60 +908,104 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
                                    [rng.key])[0]
 
 
-# Most walks one lockstep pass of _exit_conditional_stats runs (a vertex
-# with more replicas runs alone); keys are derived per pass, which keeps
-# peak memory flat in |S|. At t = 1 a pass runs one-jump blocks
-# (walks._BLOCK_HORIZON), which cost a little more than a per-step loop,
-# and the passes stay as they are because the cheaper variants tried cost
-# memory or gained nothing. On phi_window_z2 (2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4) passes of 16 384 walks cut this function's time from
-# about 50 to 32-42 ms a job but raised peak RSS by 1.5 MB (of 36 MB),
-# and passes of 8 192 raised it by 0.5 MB; a count-first pass, which
-# takes the jump counts from the holding draws and reads positions only
-# for walks with at least d_x jumps, was exact but no faster at 4 096
-# walks. What removes these walks is computing the conditional mean
+# Most walks one lockstep pass of _exit_conditional_stats runs, and most
+# walks of one vertex it derives keys for at a time, so peak memory stays
+# flat in |S| and in the replica count. A walk from x can leave S only if
+# it makes at least d_x = d(x, S^c) jumps, which its first d_x holding
+# times decide without its position draws (``_can_exit``); only the walks
+# that pass are walked, pooled across vertices into full passes: at
+# phi_window_z2's t = 1 (seed 1), 20 224 of B(3)'s 50 000 walks in 7
+# passes and 35 915 of B(5)'s 122 000 in 12. Every walk of such a pass
+# jumps, so a pass holds more live walks than one of whole vertices did.
+# On those windows (2-vCPU x86-64 host, Python 3.11, numpy 2.4) passes of
+# 4 096 walks ran this function 2-4 % faster but raised phi_window_z2's
+# peak RSS by about 0.15 MB (of 36.6), and passes of 2 048 ran it about
+# 9 % slower. What removes these walks is computing the conditional mean
 # exactly from the killed-walk series: N(t) is Poisson(t) and independent
 # of the jump chain, so E_x[N(t) 1{exit}] follows from the survival
 # vector exit_probability_exact builds.
-_EXIT_WALKS = 4096
+_EXIT_WALKS = 3072
 
 
 def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
                             replicas: int, seeds) -> list[ExitJumpStats]:
-    """``exit_conditional_jumps`` for every x of xs (vertices of S), the
-    replicas of xs[i] on ``Stream(seeds[i]).child("exitcond", r)``. A walk
-    exits if it visits a vertex outside S; its jump count is its number of
-    steps. The vertices run in lockstep passes of about ``_EXIT_WALKS``
-    walks."""
+    """``exit_conditional_jumps`` for every x of xs (vertices of S), replica
+    r of xs[i] on the stream keyed ``derive_key(seeds[i], "exitcond", r)``.
+    A walk exits if it visits a vertex outside S; its jump count is its
+    number of steps.
+
+    The walks come vertex by vertex in replica order, in chunks of at most
+    ``_EXIT_WALKS``. A walk from x that makes fewer than d(x, S^c) jumps
+    cannot exit and adds nothing to the samples, so it is dropped unwalked
+    (``_can_exit``). The rest are pooled, in that order, into
+    ``lockstep_walks`` passes of ``_EXIT_WALKS`` walks; the last pass takes
+    what is left."""
     check_replicas(replicas)
     depth = distance_to_complement(g, S)
-    delta = g.max_interior_degree()
-    bounds = []
+    need = []
     for x in xs:
         d_x = depth.get(x)
         if d_x is None:
             raise GraphError("x cannot reach the complement of S")
-        bounds.append((delta ** d_x) * (t + d_x))
+        need.append(d_x)
     inside = _inside_mask(g, S)
-    per_pass = max(1, _EXIT_WALKS // replicas)
-    samples = []
-    for lo in range(0, len(xs), per_pass):
-        block = np.array(xs[lo:lo + per_pass], dtype=np.int64)
-        which = np.repeat(np.arange(block.size), replicas)
-        keys = derive_keys(np.array(seeds[lo:lo + per_pass],
-                                    dtype=np.uint64)[which], "exitcond",
-                           np.tile(np.arange(replicas), block.size))
-        starts = block[which]
-        exits = ~inside[starts]
-        jumps = np.zeros(starts.size, dtype=np.int64)
-        for rows, pos in lockstep_walks(g, starts, t, keys):
-            jumps[rows] += len(pos)
-            if len(pos) > 1:                # less the -1 after a walk's end
-                jumps[rows] -= (pos < 0).sum(axis=0)
-            exits[rows[~inside[pos].all(axis=0)]] = True
-        for i in range(block.size):
-            rows = slice(i * replicas, (i + 1) * replicas)
-            samples.append(jumps[rows][exits[rows]].tolist())
+    starts = np.array(xs, dtype=np.int64)
+    samples = [[] for _ in xs]  # the jump counts of each x's exiting walks
+    pool, pooled = [], 0        # (walk ids, keys) of walks not yet walked
+    chunks = [(i, lo) for i in range(len(xs))
+              for lo in range(0, replicas, _EXIT_WALKS)]
+    for n, (i, lo) in enumerate(chunks, start=1):
+        keys = derive_keys(seeds[i], "exitcond",
+                           np.arange(lo, min(lo + _EXIT_WALKS, replicas)))
+        can = _can_exit(keys, need[i], t)
+        pool.append((can + (i * replicas + lo), keys[can]))
+        pooled += can.size
+        while pooled >= _EXIT_WALKS or (pooled and n == len(chunks)):
+            w, keys = map(np.concatenate, zip(*pool))
+            pool = [(w[_EXIT_WALKS:], keys[_EXIT_WALKS:])]
+            pooled = pool[0][0].size
+            w = w[:_EXIT_WALKS]
+            exits, jumps = _exit_pass(g, inside, starts[w // replicas], t,
+                                      keys[:_EXIT_WALKS])
+            which, jumps = w[exits] // replicas, jumps[exits]
+            at = np.flatnonzero(_run_starts(which)).tolist() + [which.size]
+            for a, b in zip(at, at[1:]):
+                samples[which[a]].extend(jumps[a:b].tolist())
+    delta = g.max_interior_degree()
     return [ExitJumpStats(from_samples(counts, seed) if counts else None,
-                          bound, len(counts), len(counts) / replicas)
-            for counts, seed, bound in zip(samples, seeds, bounds)]
+                          (delta ** d_x) * (t + d_x), len(counts),
+                          len(counts) / replicas)
+            for counts, seed, d_x in zip(samples, seeds, need)]
+
+
+def _can_exit(keys: np.ndarray, d: int, t: float) -> np.ndarray:
+    """The indices of the keys whose walks make at least d >= 1 jumps by
+    time t: their first d holding times, draws 1, 3, ..., 2d - 1, add up
+    to at most t, summed and decided as ``lockstep_walks`` does
+    (``walks._within``). Each round reads one more holding time of the
+    walks still in."""
+    live = np.arange(keys.size)
+    elapsed = -np.log1p(-uniforms_at(keys, 1))
+    k = 1                                   # draws each live walk has read
+    while True:
+        keep = np.flatnonzero(_within(elapsed[None], t, keys, k)[0])
+        live = live[keep]
+        if k == 2 * d - 1 or live.size == 0:
+            return live
+        keys = keys[keep]
+        k += 2
+        elapsed = elapsed[keep] - np.log1p(-uniforms_at(keys, k))
+
+
+def _exit_pass(g: Graph, inside: np.ndarray, starts: np.ndarray, t: float,
+               keys: np.ndarray):
+    """One lockstep pass of the walks from starts on keys: whether each
+    visits a vertex off inside (``_inside_mask``), and its jump count."""
+    exits = ~inside[starts]
+    jumps = np.zeros(starts.size, dtype=np.int64)
+    for rows, pos in lockstep_walks(g, starts, t, keys):
+        jumps[rows] += len(pos)
+        if len(pos) > 1:                    # less the -1 after a walk's end
+            jumps[rows] -= (pos < 0).sum(axis=0)
+        exits[rows[~inside[pos].all(axis=0)]] = True
+    return exits, jumps

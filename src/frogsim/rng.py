@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from bisect import bisect_left
 
 import numpy as np
@@ -78,8 +79,10 @@ def derive_key(seed: int, *labels) -> int:
 
     Label i (ints mod 2^64, strings by their blake2b code) is folded in as
     h = splitmix64(h ^ splitmix64(code ^ (i + 1) * _GOLDEN)), written out.
+    The seed is any integer (numpy integers too, through
+    ``operator.index``), taken mod 2^64; anything else raises TypeError.
     """
-    h = splitmix64(seed & _MASK)
+    h = splitmix64(operator.index(seed) & _MASK)
     salt = 0
     for label in labels:
         salt += _GOLDEN
@@ -180,7 +183,8 @@ class Stream:
     __slots__ = ("key", "_state")
 
     def __init__(self, seed: int, *labels):
-        self.key = derive_key(seed, *labels) if labels else splitmix64(seed & _MASK)
+        self.key = derive_key(seed, *labels) if labels else splitmix64(
+            operator.index(seed) & _MASK)
         self._state = self.key
 
     def child(self, *labels) -> "Stream":

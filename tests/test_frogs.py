@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
-                     SpliceField, Stream, arrow_closure, ball, build_graph,
+from frogsim import (ExitJumpStats, FrogParams, GraphError, GraphSpec,
+                     ParticleField, SpliceField, Stream, arrow_closure, ball,
+                     build_graph, distance_to_complement,
                      ep_exploration_sample, exit_conditional_jumps,
                      explore_cluster, from_samples, good_set_G_A,
                      good_vertices, restricted_activation,
@@ -17,8 +18,9 @@ from frogsim import (FrogParams, GraphError, GraphSpec, ParticleField,
 from frogsim import frogs, walks
 from frogsim.experiments import (_SCAN_FIELDS, good_vertex_decay,
                                  renormalization_experiment)
+from frogsim.frogs import _reach
 from frogsim.rng import derive_keys
-from frogsim.walks import walk_batch
+from frogsim.walks import lockstep_walks, walk_batch, walk_positions
 
 from conftest import read_all_arrows, spy_trajectories, spy_wave_arrows
 
@@ -378,17 +380,47 @@ def random_graphs(tmp_path_factory):
     return get
 
 
+class InsertionOrder(set):
+    """A set that also lists its members in the order they were added."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.order = list(self)
+
+    def add(self, x):
+        if x not in self:
+            self.order.append(x)
+        super().add(x)
+
+
+def added(reached):
+    """The vertices of a closure in the order they were added (a closure
+    of its start alone is a plain set)."""
+    return getattr(reached, "order", list(reached))
+
+
+def recording_reach(reached, out, done=None):
+    """frogs._reach on an InsertionOrder copy of `reached`: the order in
+    which it adds vertices sets a closure's iteration order, which the
+    small ids of random_graph_text's graphs rarely show (a set of ints
+    below its table size iterates in ascending order)."""
+    return _reach(InsertionOrder(reached), out, done)
+
+
 @pytest.mark.parametrize("batch", [True, False])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
-       graph_seed=st.integers(0, 7), lam=st.floats(0.0, 4.0),
-       t=st.floats(0.0, 70.0), radius=st.integers(0, 3),
+       graph_seed=st.integers(0, 7), lam=st.integers(0, 400),
+       t=st.integers(0, 7000), radius=st.integers(0, 3),
        outside=st.booleans(), splices=st.lists(st.integers(0, 2**16),
                                                 max_size=3),
        seed=st.integers(0, 2**16))
 def test_stay_closure_equals_reference_on_random_graphs(
         random_graphs, batch, kind, graph_seed, lam, t, radius, outside,
         splices, seed):
+    # lambda and t on grids of 0.01 over [0, 4] and [0, 70]: derandomized
+    # float strategies mostly draw the ends of their ranges
+    lam, t = lam / 100, t / 100
     g = random_graphs(kind, graph_seed)
     # the window avoids the frontier (the digraphs' sinks)
     S = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
@@ -401,21 +433,23 @@ def test_stay_closure_equals_reference_on_random_graphs(
                            ParticleField(g, s), ParticleField(g, ~s))
                for s in splices]
     with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
-                           0 if batch else math.inf):
+                           0 if batch else math.inf), \
+            mock.patch.object(frogs, "_reach", recording_reach):
         got = frogs._stay_closure(g, S, start, params, fields)
         with mock.patch.object(frogs, "_CLOSURE_FIELDS", 1):
             replicas = list(frogs._replica_closures(g, S, params, seed, "phi",
                                                     2))
-    assert len(got) == len(fields) and len(replicas) == 2
-    for (reached, stay, exits), fld in zip(got, fields):
-        want = reference_stay_closure(g, S, start, params, fld)
-        assert list(reached) == list(want[0])
-        assert stay == want[1] and exits == want[2]
-    for r, (reached, stay, exits) in enumerate(replicas):
-        want = reference_stay_closure(g, S, g.origin, params, ParticleField(
-            g, Stream(seed, "phi", r).key))
-        assert list(reached) == list(want[0])
-        assert stay == want[1] and exits == want[2]
+        assert len(got) == len(fields) and len(replicas) == 2
+        for (reached, stay, exits), fld in zip(got, fields):
+            want = reference_stay_closure(g, S, start, params, fld)
+            assert added(reached) == added(want[0])
+            assert stay == want[1] and exits == want[2]
+        for r, (reached, stay, exits) in enumerate(replicas):
+            want = reference_stay_closure(g, S, g.origin, params,
+                                          ParticleField(g, Stream(seed, "phi",
+                                                                  r).key))
+            assert added(reached) == added(want[0])
+            assert stay == want[1] and exits == want[2]
 
 
 # -- good vertices -------------------------------------------------------
@@ -1071,7 +1105,7 @@ def reference_exit_jumps(g, S, x, t, replicas, rng):
 
 @pytest.mark.parametrize("cap", [1, 700, 4096, 10**6])
 def test_exit_conditional_stats_match_walk_batch(monkeypatch, z2_box20, cap):
-    # one vertex per pass, several, and the whole window in one pass
+    # passes of one walk, of several vertices' walks, and one for them all
     monkeypatch.setattr(frogs, "_EXIT_WALKS", cap)
     g = z2_box20
     S = ball(g, 0, 3)
@@ -1086,3 +1120,80 @@ def test_exit_conditional_stats_match_walk_batch(monkeypatch, z2_box20, cap):
         want = from_samples(counts, rng.key) if counts else None
         assert stats.estimate == want
         assert stats == exit_conditional_jumps(g, S, x, 2.0, 300, rng)
+
+
+def check_exit_stats(g, S, t, replicas, seed, cap):
+    """_exit_conditional_stats on every vertex of S with a path out, with
+    passes of at most cap walks, against walk_positions walk by walk: a
+    walk exits if a position lies off S, and N is its number of jumps.
+    Only the walks with at least d(x, S^c) jumps may be walked, pooled
+    into passes of cap walks (the last one takes the rest)."""
+    depth = distance_to_complement(g, S)
+    xs = sorted(depth)
+    seeds = [Stream(seed, "cond", x).key for x in xs]
+    passes = []
+
+    def spy(g, starts, t, keys):
+        passes.append(starts.size)
+        return lockstep_walks(g, starts, t, keys)
+
+    with mock.patch.object(frogs, "_EXIT_WALKS", cap), \
+            mock.patch.object(frogs, "lockstep_walks", spy):
+        got = frogs._exit_conditional_stats(g, S, xs, t, replicas, seeds)
+    delta, can = g.max_interior_degree(), 0
+    for x, key, stats in zip(xs, seeds, got):
+        counts = []
+        for r in range(replicas):
+            jumps, _ = walk_positions(g, x, t, Stream(key, "exitcond", r))
+            can += len(jumps) >= depth[x]
+            if any(v not in S for v in jumps):
+                counts.append(len(jumps))
+        d = depth[x]
+        assert stats == ExitJumpStats(
+            from_samples(counts, key) if counts else None,
+            delta ** d * (t + d), len(counts), len(counts) / replicas)
+    assert sum(passes) == can
+    assert set(passes[:-1]) <= {cap} and passes[-1:] <= [cap]
+
+
+@pytest.mark.parametrize("cap", [1, 5, frogs._EXIT_WALKS])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
+       graph_seed=st.integers(0, 7), t=st.integers(0, 7000),
+       radius=st.integers(0, 3), replicas=st.integers(1, 12),
+       seed=st.integers(0, 2**16))
+def test_exit_conditional_stats_equal_per_walk_reference(
+        random_graphs, cap, kind, graph_seed, t, radius, replicas, seed):
+    # t on a grid of 0.01 over [0, 70], on both sides of _BLOCK_HORIZON;
+    # the digraphs' walks stop on frontier sinks off the window
+    g = random_graphs(kind, graph_seed)
+    S = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
+    check_exit_stats(g, S, t / 100, replicas, seed, cap)
+
+
+@pytest.mark.parametrize("t", [0.7, 9.0])
+def test_exit_conditional_stats_chunk_replicas(random_graphs, z2_box20, t):
+    # more replicas than one pass holds, at the default pass size
+    replicas = frogs._EXIT_WALKS + 300
+    check_exit_stats(z2_box20, ball(z2_box20, 0, 1), t, replicas, 5,
+                     frogs._EXIT_WALKS)
+    g = random_graphs("digraph", 3)
+    S = {v for v in ball(g, g.origin, 2) if not g.boundary_mask[v]}
+    check_exit_stats(g, S, t, replicas, 6, frogs._EXIT_WALKS)
+
+
+def test_exit_conditional_jumps_memory_is_flat(z2_box20):
+    # 40 000 walks from the origin of the window {0} run in passes of at
+    # most _EXIT_WALKS walks; one 40 000-walk pass peaked at about 3.5 MB
+    # under tracemalloc. The accepted jump counts themselves (about 25 000
+    # list entries) take 0.2 MB.
+    exit_conditional_jumps(z2_box20, {0}, 0, 1.0, 10, Stream(3))
+    tracemalloc.start()
+    try:
+        stats = exit_conditional_jumps(z2_box20, {0}, 0, 1.0, 40_000,
+                                       Stream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.accepted > 20_000
+    assert peak < 1.2e6

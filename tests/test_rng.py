@@ -100,6 +100,30 @@ def test_derive_key_rejects_other_label_types():
         derive_key(1, 1.5)
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int64(-3),
+                                  np.uint64(2**64 - 1), np.int32(7)])
+def test_numpy_integer_seeds_act_as_ints(seed):
+    # the seed goes through operator.index: the key is the Python int's
+    # key (a negative seed wraps mod 2^64 as the int does), with no
+    # overflow and no numpy scalar warning
+    key = derive_key(int(seed), "b")
+    assert derive_key(seed, "b") == key and type(derive_key(seed, "b")) is int
+    assert Stream(seed, "b").key == key
+    assert Stream(seed).key == Stream(int(seed)).key
+    assert derive_keys(seed, "b", count=2).tolist() == \
+        derive_keys(int(seed), "b", count=2).tolist()
+
+
+@pytest.mark.parametrize("seed", [3.0, 2.5, "3"])
+def test_non_integer_seeds_raise(seed):
+    with pytest.raises(TypeError):
+        derive_key(seed, "b")
+    with pytest.raises(TypeError):
+        Stream(seed, "b")
+    with pytest.raises(TypeError):
+        Stream(seed)
+
+
 def stream_at(state: int) -> Stream:
     s = Stream(0)
     s._state = state
