@@ -211,6 +211,10 @@ def validate(cfg: RunConfig) -> list[str]:
                                 f"{POISSON_LAM_MAX:g} {_LAM_WHY}")
             if name == "t" and any(v > SERIES_T_MAX for v in vals):
                 problems.append(f"t values {_T_LIMIT}")
+            if name == "lambda" and cfg.experiment == "nonamenable" \
+                    and 0 in vals:
+                problems.append("nonamenable needs lambda > 0: its lifespan "
+                                "bound divides by min(1, lambda)")
             if (len(vals) > 1 and cfg.experiment != "survival_sweep"
                     and cfg.experiment in EXPERIMENTS):
                 problems.append(f"{cfg.experiment} takes one {name} value "

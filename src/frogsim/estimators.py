@@ -151,7 +151,7 @@ def _phi_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
     if table is None:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     weights = {x: params.lam * p for x, p in table.exit_prob.items()}
-    vals = [sum(map(weights.__getitem__, reached)) for reached, _, _ in
+    vals = [sum(map(weights.__getitem__, reached)) for reached, _ in
             _replica_closures(g, S, params, seed, "phi", replicas)]
     return from_samples(vals, seed, "phi-hat")
 
@@ -160,7 +160,7 @@ def mean_exiters(g: Graph, S, params: FrogParams, replicas: int,
                  seed: int) -> Estimate:
     """Direct estimate of E |N(S)|, the dual form of phi(S)."""
     S = g.interior_set(S, containing=g.origin)
-    vals = [sum(exits[x] for x in reached) for reached, _, exits in
+    vals = [exiters for _, exiters in
             _replica_closures(g, S, params, seed, "exiters", replicas)]
     return from_samples(vals, seed, "exiter-count")
 
@@ -205,8 +205,8 @@ def _phi_tilde_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
     weights = {x: params.lam * table.exit_prob[x] * cond_mean[x] for x in S}
     vals = []
     reach_freq = {x: 0 for x in S}
-    for reached, _, _ in _replica_closures(g, S, params, seed, "phitilde",
-                                           replicas):
+    for reached, _ in _replica_closures(g, S, params, seed, "phitilde",
+                                        replicas):
         for x in reached:
             reach_freq[x] += 1
         vals.append(sum(map(weights.__getitem__, reached)))
@@ -504,7 +504,9 @@ def russo_inequality_check(g: Graph, radius: int, params: FrogParams,
     for r in range(replicas):
         key = Stream(seed, "russo", r).key
         b0 = replica_survival(g, params, n, key, particle_budget=None) is True
-        b1 = replica_survival(g, bumped, n, key, particle_budget=None) is True
+        # both couplings are monotone per seed: a base hit is a bumped hit
+        b1 = b0 or replica_survival(g, bumped, n, key,
+                                    particle_budget=None) is True
         base_hits += b0
         diffs.append((b1 - b0) / dstep)
     deriv = from_samples(diffs, seed, "paired-fd")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,7 @@ class ParticleField:
 
     def seeds(self, xs) -> list[int]:
         """The seeds (mod 2^64) that give the particles of the vertices xs:
-        this field's at every vertex. All that a lockstep pass asks of a
+        this field's at every vertex. All that the reveal kernel asks of a
         field."""
         return [self.seed & _MASK] * len(xs)
 
@@ -229,44 +228,39 @@ def _reach(reached: set, out, done=None) -> set:
     return reached
 
 
-# The small-wave rule of the reveal step (_reveal): a wave whose caller
-# expects fewer walks than this reads field.particles pair by pair, and a
-# larger one runs lockstep passes. _stay_closure expects lambda walks a
-# (field, vertex) pair, which may hold no particles; _wave_arrows one walk
-# a pair, since every pair _read_arrows reads bears particles. At t = 1 on
-# a Z^2 box (window B(5)) a batched wave of 4-128 walks cost 250-650 us
-# and the per-walk loop 18-27 us a walk, so the two met between 16 and 24
-# walks. At t = 64 (arrows of B(0, 8) on renorm_z2's box; density 0.25
-# and 2) a lockstep pass of 1-64 pairs costs 0.6-1.3 ms, since it decides
-# its jumps in blocks, and field.particles 0.07-0.13 ms a pair, so the two
-# meet between 4 and 12 pairs (2-vCPU x86-64 host, Python 3.11, numpy
-# 2.4). The rule keeps the t = 1 value: renorm_z2's decay leaves 3-8
-# waves of 1-17 pairs a job below it (seeds 1-3), on which a rule of 8
-# would save under 1 ms. Deciding on the wave's size needs no numpy work,
-# and keeps arrow_closure, whose waves hold one pair, on field.particles.
+# The small-wave rule of the reveal step (_reveal): a pass that holds
+# fewer particle walks than this reads them one at a time through
+# ParticleField.trajectory, and a larger one runs in lockstep. The rule
+# reads the pass's own walk count, from the pairs' particle counts, so a
+# wave of fewer walks than this is always read singly. At t = 1 on a Z^2
+# box (window B(5)) a batched wave of 4-128 walks cost 250-650 us and the
+# per-walk loop 18-27 us a walk, so the two met between 16 and 24 walks.
+# At t = 64 (arrows of B(0, 8) on renorm_z2's box; density 0.25 and 2) a
+# lockstep pass of 1-64 pairs costs 0.6-1.3 ms, since it decides its
+# jumps in blocks, and a pair read singly 0.07-0.13 ms, so the two meet
+# between 4 and 12 pairs (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+# The rule keeps the t = 1 value: renorm_z2's decay leaves 3-8 waves of
+# 1-17 pairs a job below it (seeds 1-3), on which a rule of 8 would save
+# under 1 ms.
 _STAY_BATCH_WALKS = 24
 
 
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
-                  fields) -> list[tuple[set, Mapping, Mapping]]:
+                  fields) -> list[tuple[set, int]]:
     """Reach set of `start` in S over stay-inside trajectories under each
-    of `fields`: one (reached, stay_sets, exit_counts) per field.
-
-    stay_sets[x] holds the indices of x's particles whose whole trajectory
-    stays in S and exit_counts[x] counts the others, for every reached x;
-    stay_sets is built on its first read. reached is ``_reach({start},
-    out)`` for out(x) the jumps of x's staying particles in (particle,
-    step) order, so it iterates in the same order as a closure that
-    reveals particles as it pops them.
+    of `fields`: one (reached, exiters) per field, where exiters counts
+    the particles at reached vertices whose walks visit a vertex off S.
+    reached is ``_reach({start}, out)`` for out(x) the jumps of x's
+    staying particles in (particle, step) order, so it iterates in the
+    same order as a closure that reveals particles as it pops them.
 
     The closures grow together, one generation at a time, as arrays. A
     vertex is named by its column: its index in sorted S, or len(S) for a
     start outside S. A byte mask over the (field, column) codes marks the
     revealed pairs, and each wave is the unseen codes its predecessor's
-    staying walks land on. Each wave is one ``_reveal`` step, which
-    expects lambda walks a pair, reduced by ``_stay_rule``. Python runs
-    per field only in the seeds (one ``field.seeds`` call a field) and the
-    replay.
+    staying walks land on. Each wave is one ``_reveal`` step reduced by
+    ``_stay_rule``. Python runs per field only in the seeds (one
+    ``field.seeds`` call a field) and the replay.
     """
     fields = list(fields)
     if not fields:
@@ -283,101 +277,61 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
     parts = []                  # per wave: its codes and the wave's arrays
     while wave.size:
         fs, cs = np.divmod(wave, nc)
-        got = _reveal(g, ext, look, fields, seeds, fs, cs, params,
-                      params.lam * wave.size, _stay_rule)
+        got = _reveal(g, ext, look, seeds(fs, cs), cs, params, _stay_rule)
         parts.append((wave, *got))
         # the unseen codes the staying walks land on, each once, ascending
-        nxt = np.repeat(wave - wave % nc, got[3]) + got[4]
+        nxt = np.repeat(wave - wave % nc, got[1]) + got[2]
         nxt = nxt[~seen[nxt]]
         nxt.sort()
         wave = nxt[_run_starts(nxt)]
         seen[wave] = True
-    codes, counts, nstay, index, lens, lands = map(np.concatenate, zip(*parts))
+    codes, exits, lens, lands = map(np.concatenate, zip(*parts))
     del parts, seen             # the replay below sets the call's peak memory
+    # every revealed pair is reached, so a field's exiters are its pairs'
+    exiters = np.bincount(codes // nc, weights=exits,
+                          minlength=len(fields)).astype(np.int64)
     # the pairs field by field: field f's are a = at[f] to b = at[f + 1],
-    # pair p's vertex is xs[p], its landings outs[p] and its staying
-    # particles index[s0[p]:s1[p]]
+    # pair p's vertex is xs[p] and its landings outs[p]
     order = np.argsort(codes)
     at = np.searchsorted(codes[order], np.arange(len(fields) + 1) * nc).tolist()
-    cols = codes[order] % nc
-    exits = (counts - nstay)[order]
-    s0 = (np.cumsum(nstay) - nstay)[order]
-    s1 = s0 + nstay[order]
-
-    def vertices(cs):                   # the vertices of the columns cs
-        return list(map(verts.__getitem__, cs.tolist()))
-
-    def stay_sets(a, b):
-        return {x: tuple(index[i:j].tolist()) for x, i, j in
-                zip(vertices(cols[a:b]), s0[a:b].tolist(), s1[a:b].tolist())}
-
-    def exit_counts(a, b):
-        return dict(zip(vertices(cols[a:b]), exits[a:b].tolist()))
-
-    xs, ys = vertices(cols), vertices(lands)
+    xs = list(map(verts.__getitem__, (codes[order] % nc).tolist()))
+    ys = list(map(verts.__getitem__, lands.tolist()))
     j0 = (np.cumsum(lens) - lens)[order]
     outs = list(map(ys.__getitem__,
                     map(slice, j0.tolist(), (j0 + lens[order]).tolist())))
-    del codes, counts, nstay, lens, lands, order, ys, j0
+    del codes, exits, lens, lands, order, ys, j0
     # the last field first, so that each field's landings are freed once
     # replayed; a field that revealed one pair reached its start alone
     closures = []
     for a, b in zip(at[-2::-1], at[:0:-1]):
-        closures.append((
+        closures.append(
             {start} if b - a == 1 else
-            _reach({start}, dict(zip(xs[a:b], outs[a:b])).__getitem__),
-            _Lazy(stay_sets, a, b), _Lazy(exit_counts, a, b)))
+            _reach({start}, dict(zip(xs[a:b], outs[a:b])).__getitem__))
         del outs[a:]
     closures.reverse()
-    return closures
-
-
-class _Lazy(Mapping):
-    """A read-only mapping that build(a, b) makes on its first read."""
-
-    __slots__ = ("_build", "_a", "_b", "_map")
-
-    def __init__(self, build, a, b):
-        self._build, self._a, self._b, self._map = build, a, b, None
-
-    def _read(self) -> dict:
-        if self._map is None:
-            self._map = self._build(self._a, self._b)
-            self._build = None
-        return self._map
-
-    def __getitem__(self, key):
-        return self._read()[key]
-
-    def __iter__(self):
-        return iter(self._read())
-
-    def __len__(self):
-        return len(self._read())
-
-    def __repr__(self):
-        return repr(self._read())
+    return list(zip(closures, exiters.tolist()))
 
 
 # Replica fields per _stay_closure call in _replica_closures. A call holds
 # its fields' closures as arrays (a byte per (field, vertex of S) and a
-# few words per revealed pair and landing) and returns a triple per
-# field, so this bounds memory for any replica count; fewer fields make
-# more waves, each with the same fixed numpy cost. On phi_window_z2 (1000
-# replicas an estimate; bench/run.py --seconds 20 at seed 1, three runs
-# each; 2-vCPU x86-64 host, Python 3.11, numpy 2.4) throughput and peak
-# RSS were 7.5-8.9k /s, 36.47-36.59 MB at 128 fields; 10.5-11.4k /s,
-# 36.51-36.55 MB at 256; 13.1-13.9k /s, 36.55-36.61 MB at 512; and
-# 14.4-15.3k /s, 36.80-36.82 MB at 1000, the smallest value that runs
-# each of its estimates in one call.
+# few words per revealed pair and landing) and returns a reached set and
+# an exit total per field, so this bounds memory for any replica count;
+# fewer fields make more waves, each with the same fixed numpy cost. On
+# phi_window_z2 (1000 replicas an estimate; bench/run.py --seconds 20 at
+# seed 1, three runs each; 2-vCPU x86-64 host, Python 3.11, numpy 2.4)
+# throughput and peak RSS were 7.5-8.9k /s, 36.47-36.59 MB at 128 fields;
+# 10.5-11.4k /s, 36.51-36.55 MB at 256; 13.1-13.9k /s, 36.55-36.61 MB at
+# 512; and 14.4-15.3k /s, 36.80-36.82 MB at 1000, the smallest value that
+# runs each of its estimates in one call.
 _CLOSURE_FIELDS = 1000
 
 
 def _replica_closures(g: Graph, S: set[int], params: FrogParams, seed: int,
                       label: str, replicas: int):
     """Yield the stay-inside closure from the origin (``_stay_closure``'s
-    triple) of replica r = 0, 1, ..., replicas - 1 on the field keyed
-    ``Stream(seed, label, r)``, ``_CLOSURE_FIELDS`` fields per call."""
+    (reached, exiters)) of replica r = 0, 1, ..., replicas - 1 on the
+    field keyed ``Stream(seed, label, r)``, ``_CLOSURE_FIELDS`` fields per
+    call."""
     fields = _replica_fields(g, seed, label, replicas, _CLOSURE_FIELDS)
     while block := list(itertools.islice(fields, _CLOSURE_FIELDS)):
         yield from _stay_closure(g, S, g.origin, params, block)
@@ -457,94 +411,75 @@ def _passes(walks: np.ndarray):
         first = last
 
 
-def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, fields, seeds,
-            fs: np.ndarray, cs: np.ndarray, params: FrogParams, walks: float,
-            rule) -> list[np.ndarray]:
-    """The particles of the pairs (field fields[fs[p]], vertex
+def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, seeds,
+            cs: np.ndarray, params: FrogParams, rule) -> list[np.ndarray]:
+    """The particles of the pairs (field seed seeds[p], vertex
     verts[cs[p]]), read against a vertex set and reduced by rule
     (``_arrow_rule`` or ``_stay_rule``): the rule's arrays for all the
     pairs, pair by pair. look is the set's ``_columns`` and verts[0] its
-    least vertex (its sorted vertices come first in verts); seeds is the
-    fields' ``_field_seeds``.
+    least vertex (its sorted vertices come first in verts).
 
-    walks is the caller's estimate of the wave's walks. Below
-    ``_STAY_BATCH_WALKS`` each pair reads ``field.particles``
-    (``_particle_walks``); else the seeds give every pair's particle count
-    and the walks run in ``_walk_landings`` passes of at most
-    ``_ARROW_WALKS`` walks. Both give a walk the jumps its counter-based
-    key fixes, so the rule sees the same arrays either way."""
+    The seeds give every pair's particle count, and the walks run in
+    ``_walk_landings`` passes of at most ``_ARROW_WALKS`` walks; a pass of
+    fewer than ``_STAY_BATCH_WALKS`` walks reads them one at a time. A
+    field is asked for nothing but the seeds."""
     xs = verts[cs]
-    if walks < _STAY_BATCH_WALKS:
-        got = [rule(verts.size, cs, *_particle_walks(verts, look, fields, fs,
-                                                     xs, params))]
-    else:
-        pair_seeds = seeds(fs, cs)
-        counts = _vertex_counts(pair_seeds, xs, params.lam)
-        got = [rule(verts.size, cs[lo:hi], counts[lo:hi], *_walk_landings(
-                   g, verts, look, pair_seeds[lo:hi], xs[lo:hi],
-                   counts[lo:hi], params.t)) for lo, hi in _passes(counts)]
+    counts = _vertex_counts(seeds, xs, params.lam)
+    got = [rule(verts.size, cs[lo:hi], *_walk_landings(
+               g, verts, look, seeds[lo:hi], xs[lo:hi], counts[lo:hi],
+               params.t)) for lo, hi in _passes(counts)]
     return got[0] if len(got) == 1 else list(map(np.concatenate, zip(*got)))
-
-
-def _particle_walks(verts: np.ndarray, look: np.ndarray, fields,
-                    fs: np.ndarray, xs: np.ndarray, params: FrogParams):
-    """The pairs' particle counts and ``_walk_landings``' arrays for the
-    pairs (field fields[fs[p]], vertex xs[p]), read through
-    ``field.particles`` pair by pair."""
-    counts, steps, jumps = [], [], []
-    for f, x in zip(fs.tolist(), xs.tolist()):
-        eta, trajs = fields[f].particles(x, params)
-        counts.append(eta)
-        for tr in trajs:
-            steps.append(len(tr.jumps))
-            jumps += tr.jumps
-    counts = np.array(counts, dtype=np.int64)
-    pair, index, starts = _walk_labels(xs, counts)
-    walk = np.repeat(np.arange(pair.size), np.array(steps, dtype=np.int64))
-    col = _column_of(verts, look, np.array(jumps, dtype=np.int64))
-    out = _column_of(verts, look, starts) < 0
-    out[walk[col < 0]] = True
-    land = col >= 0
-    return counts, pair, index, out, walk[land], col[land]
 
 
 def _walk_landings(g: Graph, verts: np.ndarray, look: np.ndarray,
                    seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray,
                    t: float):
     """The particle walks of the pairs (field seed seeds[p], vertex xs[p],
-    counts[p] particles) up to time t, revealed from their counter-based
-    keys in one ``lockstep_walks`` pass and read against a vertex set
-    (look is its ``_columns``, verts[0] its least vertex). Returns arrays
-    of each walk's pair and index at its vertex; whether the walk visits a
-    vertex off the set, its start included (the -1 of an ended walk is no
-    visit); and its landings in the set as (walk, column), block by block
-    and walk by walk within a block, so each walk's in step order.
+    counts[p] particles) up to time t, read against a vertex set (look is
+    its ``_columns``, verts[0] its least vertex). Returns arrays of each
+    walk's pair; whether the walk visits a vertex off the set, its start
+    included (the -1 of an ended walk is no visit); and its landings in
+    the set as (walk, column), each walk's in step order.
 
-    Only ``_stay_rule`` needs the landings in (walk, step) order, which a
-    stable sort by walk gives; ``_arrow_rule`` sorts its codes anyway. The
-    pass keeps each block's walks and positions and finds the columns of
-    all of them with one lookup at its end: below ``walks._BLOCK_HORIZON``
-    a block holds one jump, and a lookup a block doubled the pass's own
-    work (0.07 against 0.04 ms for 73 walks at t = 1)."""
+    Fewer than ``_STAY_BATCH_WALKS`` walks are read one at a time through
+    ``ParticleField(g, seed).trajectory``, the others in one
+    ``lockstep_walks`` pass on their counter-based keys: either gives a
+    walk the same jumps. The pass keeps each block's walks and positions,
+    block by block and walk by walk within a block, and finds the columns
+    of all of them with one lookup at its end: below
+    ``walks._BLOCK_HORIZON`` a block holds one jump, and a lookup a block
+    doubled the pass's own work (0.07 against 0.04 ms for 73 walks at
+    t = 1). Only ``_stay_rule`` needs the landings in (walk, step) order,
+    which a stable sort by walk gives; ``_arrow_rule`` sorts its codes
+    anyway."""
     pair, index, starts = _walk_labels(xs, counts)
-    keys = derive_keys(seeds[pair], "traj", starts, index)
     # walk ids as int32 (a pass holds a few thousand walks): on renorm_z2
     # int64 ids raised peak RSS by 0.4 MB
-    walk, where = [np.empty(0, np.int32)], [g.indices[:0]]
-    for rows, pos in lockstep_walks(g, starts, t, keys):
-        walk.append(rows.astype(np.int32).repeat(len(pos)))
-        where.append(pos.T.ravel())
-    walk, where = np.concatenate(walk), np.concatenate(where)
+    if pair.size < _STAY_BATCH_WALKS:
+        walk, where = [], []
+        for w, (seed, x, i) in enumerate(zip(
+                seeds[pair].tolist(), starts.tolist(), index.tolist())):
+            jumps = ParticleField(g, seed).trajectory(x, i, t).jumps
+            walk += [w] * len(jumps)
+            where += jumps
+        walk = np.array(walk, dtype=np.int32)
+        where = np.array(where, dtype=np.int64)
+    else:
+        keys = derive_keys(seeds[pair], "traj", starts, index)
+        walk, where = [np.empty(0, np.int32)], [g.indices[:0]]
+        for rows, pos in lockstep_walks(g, starts, t, keys):
+            walk.append(rows.astype(np.int32).repeat(len(pos)))
+            where.append(pos.T.ravel())
+        walk, where = np.concatenate(walk), np.concatenate(where)
     col = _column_of(verts, look, where)
     land = col >= 0
     out = _column_of(verts, look, starts) < 0
     # a step out: a position, not an ended walk's -1, with no column
     out[walk[np.greater(where >= 0, land)]] = True
-    return pair, index, out, walk[land], col[land]
+    return pair, out, walk[land], col[land]
 
 
-def _arrow_rule(nb: int, cs: np.ndarray, counts, pair, index, out, walk,
-                col):
+def _arrow_rule(nb: int, cs: np.ndarray, pair, out, walk, col):
     """The arrows of the pairs on the columns cs (-1 for a vertex off the
     set), from their walks' landings (``_walk_landings``' arrays) among nb
     columns: each pair's number of arrows, and the arrows pair by pair,
@@ -566,22 +501,19 @@ def _arrow_rule(nb: int, cs: np.ndarray, counts, pair, index, out, walk,
             codes % nb)
 
 
-def _stay_rule(nb: int, cs: np.ndarray, counts, pair, index, out, walk,
-               col):
+def _stay_rule(nb: int, cs: np.ndarray, pair, out, walk, col):
     """The stay-inside reading of the pairs' walks (``_walk_landings``'
-    arrays, columns among nb), as five arrays: each pair's particle count;
-    its number of staying particles, those whose walks visit no vertex off
-    the set; the indices of the staying particles, pair by pair; each
+    arrays, columns among nb), as three arrays: each pair's number of
+    exiting particles, those whose walks visit a vertex off the set; each
     pair's number of distinct columns its staying walks land on; and those
     columns, pair by pair in (walk, step) first-occurrence order."""
-    stay = ~out
-    keep = np.flatnonzero(stay[walk])
+    keep = np.flatnonzero(~out[walk])
     keep = keep[np.argsort(walk[keep], kind="stable")]  # by walk, then step
     lp, col = pair[walk[keep]], col[keep]
     codes = lp * nb + col
     first = np.argsort(codes, kind="stable")
     first = np.sort(first[_run_starts(codes[first])])
-    return (counts, np.bincount(pair[stay], minlength=cs.size), index[stay],
+    return (np.bincount(pair[out], minlength=cs.size),
             np.bincount(lp[first], minlength=cs.size), col[first])
 
 
@@ -637,12 +569,14 @@ def _walk_labels(xs: np.ndarray, counts: np.ndarray):
 def restricted_activation(g: Graph, S, params: FrogParams,
                           field: ParticleField) -> RestrictedActivation:
     S = g.interior_set(S, containing=g.origin)
-    [(reached, stay_sets, exit_counts)] = _stay_closure(g, S, g.origin,
-                                                        params, [field])
+    [(reached, exiters)] = _stay_closure(g, S, g.origin, params, [field])
     harpoon = {x: (x in reached) for x in S}
-    exiters = sum(exit_counts[x] for x in reached)
-    return RestrictedActivation(frozenset(S), harpoon, dict(stay_sets),
-                                exiters)
+    stay_sets = {}
+    for x in sorted(reached):
+        _, trajs = field.particles(x, params)
+        stay_sets[x] = tuple(i for i, tr in enumerate(trajs)
+                             if tr.visited <= S)
+    return RestrictedActivation(frozenset(S), harpoon, stay_sets, exiters)
 
 
 # Most fields whose scans _read_arrows runs together. Every wave pays the
@@ -677,13 +611,14 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     The scans of up to ``_SCAN_FIELDS`` fields run together. A block's
     seeds come from one ``_field_seeds`` call, one ``field.seeds`` call a
     field, and each wave reveals every suspended scan's list with one
-    ``_wave_arrows`` call: a ``_reveal`` step (lockstep passes, or
-    ``field.particles`` for a wave of fewer than ``_STAY_BATCH_WALKS``
-    pairs) reduced by ``_arrow_rule``. So no particle is revealed that no
-    scan reads. A field in flight keeps its seed (a seed a vertex if they
-    differ across B) and B's particle mask (one byte a vertex, from
-    ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks); each
-    wave re-derives its own pairs' counts.
+    ``_wave_arrows`` call: a ``_reveal`` step on the pairs' seeds (lockstep
+    passes, or single walks for a pass of fewer than ``_STAY_BATCH_WALKS``
+    walks) reduced by ``_arrow_rule``. So no particle is revealed that no
+    scan reads, and a field is asked for nothing but its seeds. A field in
+    flight keeps its seed (a seed a vertex if they differ across B) and
+    B's particle mask (one byte a vertex, from ``_vertex_counts`` calls of
+    at most 4 ``_ARROW_WALKS`` marks); each wave re-derives its own pairs'
+    counts.
     """
     verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
     vlist, nb = verts.tolist(), verts.size
@@ -716,22 +651,21 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
         while reads:
             wave, reads = reads, {}
             pairs = [(f, c) for f, cols in wave.items() for c in cols]
-            arrows = iter(_wave_arrows(g, verts, look, block, seeds, pairs,
-                                       params) if pairs else ())
+            arrows = iter(_wave_arrows(g, verts, look, seeds, pairs, params)
+                          if pairs else ())
             for f, cols in wave.items():
                 advance(f, list(itertools.islice(arrows, len(cols))))
         yield from results
 
 
-def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, fields,
-                 seeds, wave, params: FrogParams) -> list[list[int]]:
+def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, seeds,
+                 wave, params: FrogParams) -> list[list[int]]:
     """The arrows, as ascending column lists, of every (field index,
-    column) pair of `wave`: one ``_reveal`` step, which expects a walk a
-    pair, reduced by ``_arrow_rule``; seeds is the fields'
-    ``_field_seeds``."""
+    column) pair of `wave`: one ``_reveal`` step reduced by
+    ``_arrow_rule``; seeds is the fields' ``_field_seeds``."""
     fs, cs = np.array(wave, dtype=np.int64).reshape(-1, 2).T
-    lens, cols = _reveal(g, verts, look, fields, seeds, fs, cs, params,
-                         len(wave), _arrow_rule)
+    lens, cols = _reveal(g, verts, look, seeds(fs, cs), cs, params,
+                         _arrow_rule)
     ends = np.cumsum(lens)
     return list(map(cols.tolist().__getitem__,
                     map(slice, (ends - lens).tolist(), ends.tolist())))
@@ -851,15 +785,11 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
                 clipped += 1
                 window = {w for w in window if not g.boundary_mask[w]}
             fld = ParticleField(g, rng.child("ep", gen, p_idx).key)
-            [(reached, stay_sets, _)] = _stay_closure(g, window, v, params,
-                                                       [fld])
+            [(reached, _)] = _stay_closure(g, window, v, params, [fld])
             for x in reached:
-                eta, trajs = fld.particles(x, params)
-                staying = set(stay_sets.get(x, ()))
-                for i, tr in enumerate(trajs):
-                    if i in staying:
-                        continue
-                    children.extend(u for u in tr.visited if u != x)
+                for tr in fld.particles(x, params)[1]:
+                    if not tr.visited <= window:
+                        children.extend(u for u in tr.visited if u != x)
         sizes.append(len(children))
         if not children:
             break
@@ -880,8 +810,8 @@ def sphere_activation_profile(g: Graph, S, params: FrogParams, replicas: int,
     for x, d in depth.items():
         shells.setdefault(d, []).append(x)
     samples: dict[int, list[int]] = {r: [] for r in shells}
-    for reached, _, _ in _replica_closures(g, S, params, rng.key, "shell",
-                                           replicas):
+    for reached, _ in _replica_closures(g, S, params, rng.key, "shell",
+                                        replicas):
         for r, shell in shells.items():
             samples[r].append(sum(1 for x in shell if x in reached))
     return {r: from_samples(vals, rng.key) for r, vals in sorted(samples.items())}

@@ -112,13 +112,13 @@ def jump_picker(g: Graph):
 # sweep_tree12 run at t = 1. Many independent walks run in lockstep_walks
 # instead: the replica walks of range_statistics, good_set_G_A and the
 # exit-conditional jump counts (frogs._exit_conditional_stats), and the
-# particle walks of every wave of the reveal step (frogs._reveal, under
-# both the arrow waves and the stay-inside closure waves) whose caller
-# expects at least frogs._STAY_BATCH_WALKS walks (frogs._walk_landings).
-# So of renorm_z2's t = 64 walks only those of the decay's small last
-# waves reach this loop (both of block_open's waves are passes), and of
-# phi_window_z2's t = 1 walks only those of the closures' small last
-# waves.
+# particle walks of every pass of the reveal step (frogs._reveal, under
+# both the arrow waves and the stay-inside closure waves) that holds at
+# least frogs._STAY_BATCH_WALKS walks (frogs._walk_landings); a smaller
+# pass reads its walks through ParticleField.trajectory. So of renorm_z2's
+# t = 64 walks only those of the decay's small last waves reach this loop
+# (both of block_open's waves are passes), and of phi_window_z2's t = 1
+# walks only those of the closures' small last waves.
 #
 # The same horizon sets the block length of lockstep_walks. Below it a
 # block is one jump, decided with the numpy calls of one lockstep step:

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from frogsim import GraphSpec, build_graph, frogs
 from frogsim.experiments import _read_all
+from frogsim.rng import _MASK
 
 
 # A directed weighted graph with non-dyadic weights and a sink (vertex 4)
@@ -87,31 +89,33 @@ def read_all_arrows(g, B, fields, params):
 
 def spy_wave_arrows(monkeypatch):
     """Record every pair that frogs._wave_arrows reveals, by a lockstep
-    pass or through field.particles, as (field seed, vertex, particle
+    pass or one walk at a time, as (field seed mod 2^64, vertex, particle
     count); returns the list the records are appended to."""
     revealed = []
     wave_arrows = frogs._wave_arrows
 
-    def spy(g, verts, look, fields, seeds, wave, params):
+    def spy(g, verts, look, seeds, wave, params):
         for f, c in wave:
             x = int(verts[c])
-            revealed.append((fields[f].seeds([x])[0], x,
-                             fields[f].count_at(x, params.lam)))
-        return wave_arrows(g, verts, look, fields, seeds, wave, params)
+            [seed] = seeds(np.array([f]), np.array([c])).tolist()
+            revealed.append((seed, x, frogs.ParticleField(g, seed).count_at(
+                x, params.lam)))
+        return wave_arrows(g, verts, look, seeds, wave, params)
 
     monkeypatch.setattr(frogs, "_wave_arrows", spy)
     return revealed
 
 
 def spy_trajectories(monkeypatch):
-    """Record the distinct (field seed, vertex, particle index) of every
-    trajectory read through ParticleField.trajectory, which every single
-    particle read goes through; returns the set the records are added to."""
+    """Record the distinct (field seed mod 2^64, vertex, particle index) of
+    every trajectory read through ParticleField.trajectory, which every
+    single particle read goes through; returns the set the records are
+    added to."""
     read = set()
     trajectory = frogs.ParticleField.trajectory
 
     def spy(field, x, i, t):
-        read.add((field.seed, x, i))
+        read.add((field.seed & _MASK, x, i))
         return trajectory(field, x, i, t)
 
     monkeypatch.setattr(frogs.ParticleField, "trajectory", spy)
@@ -121,4 +125,4 @@ def spy_trajectories(monkeypatch):
 def reads_of(read, field):
     """How many of the (seed, vertex, index) records of `read` are
     particles of the ParticleField `field`."""
-    return sum(1 for seed, _, _ in read if seed == field.seed)
+    return sum(1 for seed, _, _ in read if seed == field.seed & _MASK)

@@ -444,3 +444,30 @@ def test_phi_and_renormalization_never_import_numpy_ma(tmp_path):
     r = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE,
                         str(tmp_path / "out")], capture_output=True, text=True)
     assert r.stdout.splitlines()[-1:] == ["status 0 numpy.ma False"], r.stderr
+
+
+# Each experiment on a tiny graph at lambda = 0 or t = 0: a run ends with
+# an exit status and a message, never with an exception
+TINY_RUNS = {
+    "survival_sweep": ["family=regular_tree", "depth=6", "n=3"],
+    "bernoulli_coupling": ["family=regular_tree", "depth=6"],
+    "abelian": ["family=regular_tree", "depth=6"],
+    "linear_growth": ["width=2", "length=40", "n=8"],
+    "nonamenable": ["family=regular_tree", "depth=6", "n=3"],
+    "renormalization": ["a=4", "net_extent=1"],
+}
+
+
+@pytest.mark.parametrize("lam,t", [(0, 1), (1, 0), (0, 0)])
+@pytest.mark.parametrize("experiment", sorted(TINY_RUNS))
+def test_zero_density_or_lifespan_never_raises(tmp_path, capsys, experiment,
+                                               lam, t):
+    status = main(["run", f"experiment={experiment}", *TINY_RUNS[experiment],
+                   f"lambda={lam}", f"t={t}", "replicas=3", "seed=1",
+                   f"out={tmp_path / 'out'}"])
+    err = capsys.readouterr().err
+    assert status in (0, 2, 3) and "Traceback" not in err
+    if status == 2:
+        assert err.startswith("config error: ")
+    if experiment == "nonamenable" and lam == 0:
+        assert status == 2 and "nonamenable needs lambda > 0" in err

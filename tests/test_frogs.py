@@ -189,7 +189,8 @@ def test_vertex_sets_reject_non_integer_ids(tree8, call):
 
 # Recorded on the stack loop that _stay_closure ran before it moved onto
 # frogs._reach: S = ball(origin, 3), field seeds 1, 2, 3; per reached
-# vertex x, (x, stay_sets[x], exit_counts[x]).
+# vertex x, (x, the indices of x's particles whose walks stay in S, the
+# number of the others).
 GOLDEN_STAY_CLOSURE = {
     "z2": [  # Z^2 box of radius 20, (lambda, t) = (2, 1.5)
         [(0, (0, 1, 2, 3), 0), (3, (0, 1), 0), (4, (0, 1, 2), 0),
@@ -215,17 +216,26 @@ def test_stay_closure_golden(name, z2_box20, tree8):
     g, params = {"z2": (z2_box20, FrogParams(2.0, 1.5)),
                  "tree8": (tree8, FrogParams(1.5, 1.0))}[name]
     S = ball(g, g.origin, 3)
-    got = frogs._stay_closure(g, S, g.origin, params,
-                              [ParticleField(g, seed) for seed in (1, 2, 3)])
+    fields = [ParticleField(g, seed) for seed in (1, 2, 3)]
+    got = frogs._stay_closure(g, S, g.origin, params, fields)
     assert len(got) == 3
-    for (reached, stay, exits), want in zip(got, GOLDEN_STAY_CLOSURE[name]):
-        assert set(stay) == set(exits) == reached
-        assert [(x, stay[x], exits[x]) for x in sorted(reached)] == want
+    for (reached, exiters), fld, want in zip(got, fields,
+                                            GOLDEN_STAY_CLOSURE[name]):
+        assert sorted(reached) == [x for x, _, _ in want]
+        assert exiters == sum(exits for _, _, exits in want)
+        ra = restricted_activation(g, S, params, fld)
+        assert ra.exiters == exiters
+        assert [(x, ra.stay_sets[x],
+                 fld.count_at(x, params.lam) - len(ra.stay_sets[x]))
+                for x in sorted(ra.stay_sets)] == want
+        assert {x for x, h in ra.harpoon.items() if h} == reached
 
 
 def reference_stay_closure(g, S, start, params, field):
-    """_stay_closure's triple for one field, revealing each vertex's
-    particles through field.particles as the closure pops it."""
+    """One field's stay-inside closure, revealing each vertex's particles
+    through field.particles as the closure pops it: the reached set, and
+    for each reached x the indices of its particles whose walks stay in S
+    and the number of the others."""
     stay_sets, exit_counts = {}, {}
 
     def out(x):
@@ -236,6 +246,24 @@ def reference_stay_closure(g, S, start, params, field):
         return (v for i in stay for v in trajs[i].jumps)
 
     return frogs._reach({start}, out), stay_sets, exit_counts
+
+
+def check_closure(got, want):
+    """A (reached, exiters) of _stay_closure against reference_stay_closure:
+    the same vertices added in the same order, and the exit total."""
+    reached, exiters = got
+    assert added(reached) == added(want[0])
+    assert exiters == sum(want[2].values())
+
+
+def check_restricted(g, S, params, field, want):
+    """restricted_activation on the window S from the origin against
+    reference_stay_closure: the stay sets of every reached vertex, the exit
+    total and the harpoon."""
+    ra = restricted_activation(g, S, params, field)
+    assert ra.stay_sets == want[1] and list(ra.stay_sets) == sorted(want[0])
+    assert ra.exiters == sum(want[2].values())
+    assert ra.harpoon == {x: x in want[0] for x in S}
 
 
 @pytest.mark.parametrize("batch", [True, False])
@@ -256,11 +284,12 @@ def test_stay_closure_equals_per_field_path(monkeypatch, z2_box20, tree8,
     fields += [ParticleField(g, -7), ParticleField(g, 2**70 + 3)]
     got = frogs._stay_closure(g, S, start, params, fields)
     assert len(got) == len(fields)
-    for (reached, stay, exits), fld in zip(got, fields):
+    for f, (closure, fld) in enumerate(zip(got, fields)):
         want = reference_stay_closure(g, S, start, params,
                                       ParticleField(g, fld.seed))
-        assert list(reached) == list(want[0])
-        assert stay == want[1] and exits == want[2]
+        check_closure(closure, want)
+        if not off and (f < 5 or f >= 300):
+            check_restricted(g, S, params, fld, want)
 
 
 @pytest.mark.parametrize("batch", [True, False])
@@ -277,12 +306,15 @@ def test_stay_closure_splices_zero_density_and_outside_start(
     for start in (g.origin, max(S) + 1):        # the second lies outside S
         assert start == g.origin or start not in S
         got = frogs._stay_closure(g, S, start, params, fields)
-        for (reached, stay, exits), fld in zip(got, fields):
+        for f, (closure, fld) in enumerate(zip(got, fields)):
             want = reference_stay_closure(g, S, start, params, fld)
-            assert list(reached) == list(want[0])
-            assert stay == want[1] and exits == want[2]
+            check_closure(closure, want)
+            if start == g.origin and f < 3:
+                check_restricted(g, S, params, fld, want)
     got = frogs._stay_closure(g, S, g.origin, FrogParams(0.0, 1.0), fields)
-    assert got == [({g.origin}, {g.origin: ()}, {g.origin: 0})] * len(fields)
+    assert got == [({g.origin}, 0)] * len(fields)
+    assert restricted_activation(g, S, FrogParams(0.0, 1.0),
+                                 fields[0]).stay_sets == {g.origin: ()}
 
 
 def test_replica_closures_blocks(monkeypatch, tree8):
@@ -295,8 +327,7 @@ def test_replica_closures_blocks(monkeypatch, tree8):
     for r in (0, 33, 69):
         want = reference_stay_closure(tree8, S, 0, params, ParticleField(
             tree8, Stream(5, "phi", r).key))
-        assert list(whole[r][0]) == list(want[0])
-        assert whole[r][1:] == want[1:]
+        check_closure(whole[r], want)
 
 
 def test_replica_keys_derived_a_block_at_a_time(monkeypatch, tree8):
@@ -440,16 +471,16 @@ def test_stay_closure_equals_reference_on_random_graphs(
             replicas = list(frogs._replica_closures(g, S, params, seed, "phi",
                                                     2))
         assert len(got) == len(fields) and len(replicas) == 2
-        for (reached, stay, exits), fld in zip(got, fields):
+        for closure, fld in zip(got, fields):
             want = reference_stay_closure(g, S, start, params, fld)
-            assert added(reached) == added(want[0])
-            assert stay == want[1] and exits == want[2]
-        for r, (reached, stay, exits) in enumerate(replicas):
+            check_closure(closure, want)
+            if start == g.origin:
+                check_restricted(g, S, params, fld, want)
+        for r, closure in enumerate(replicas):
             want = reference_stay_closure(g, S, g.origin, params,
                                           ParticleField(g, Stream(seed, "phi",
                                                                   r).key))
-            assert added(reached) == added(want[0])
-            assert stay == want[1] and exits == want[2]
+            check_closure(closure, want)
 
 
 # -- good vertices -------------------------------------------------------
@@ -559,7 +590,7 @@ def test_read_arrows_matches_particles(monkeypatch, cap):
     verts = np.array(sorted(edge), dtype=np.int64)
     nb = verts.size
     wave = [(f, c) for f in range(len(fields)) for c in range(nb)]
-    cols = frogs._wave_arrows(g, verts, frogs._columns(verts), fields,
+    cols = frogs._wave_arrows(g, verts, frogs._columns(verts),
                               frogs._field_seeds(fields, verts.tolist()), wave,
                               params)
     for f, (_, pick) in enumerate(cases):
@@ -588,10 +619,8 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
         for cap in (1, 37, 80, 2048, 10**6):
             monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
             runs[lam, cap] = (
-                frogs._wave_arrows(g, verts, look, fields, seeds, every,
-                                   params),
-                frogs._wave_arrows(g, verts, look, fields, seeds, some,
-                                   params))
+                frogs._wave_arrows(g, verts, look, seeds, every, params),
+                frogs._wave_arrows(g, verts, look, seeds, some, params))
         full, part = runs[lam, 2048]
         assert len(full) == len(every) and len(part) == len(some)
         assert part == [full[f * nb + c] for f, c in some]
@@ -633,7 +662,7 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
             monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", rule)
             flds = fields()
             runs.append(frogs._wave_arrows(
-                g, verts, look, flds, frogs._field_seeds(flds, verts.tolist()),
+                g, verts, look, frogs._field_seeds(flds, verts.tolist()),
                 wave, params))
             # only the small-wave path reads single trajectories
             assert bool(read) == (rule == math.inf and lam > 0)
@@ -641,14 +670,19 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
         assert len(runs[0]) == len(wave) and any(runs[0]) == (lam > 0)
     monkeypatch.undo()
     read = spy_trajectories(monkeypatch)
-    # the default rule reads a wave of 23 pairs one walk at a time and one
-    # of 24 in a pass
-    for size in (frogs._STAY_BATCH_WALKS - 1, frogs._STAY_BATCH_WALKS):
+    # the default rule reads a wave of up to 23 walks one walk at a time
+    # and one of 24 or more in a pass, whatever its number of pairs
+    params = FrogParams(2.0, 16.0)
+    size, walks = 0, 0
+    while walks < frogs._STAY_BATCH_WALKS + 8:
+        size += 1
         flds = fields()
-        frogs._wave_arrows(g, verts, look, flds,
+        walks = sum(flds[f].count_at(int(verts[c]), params.lam)
+                    for f, c in wave[:size])
+        frogs._wave_arrows(g, verts, look,
                            frogs._field_seeds(flds, verts.tolist()),
-                           wave[:size], FrogParams(2.0, 16.0))
-        assert bool(read) == (size < frogs._STAY_BATCH_WALKS)
+                           wave[:size], params)
+        assert len(read) == (walks if walks < frogs._STAY_BATCH_WALKS else 0)
 
 
 def arrow_codes(g, verts, xs, seeds, counts, t):
@@ -656,9 +690,10 @@ def arrow_codes(g, verts, xs, seeds, counts, t):
     seeds[p], vertex xs[p], counts[p] particles) against the sorted vertex
     array verts, as the ascending codes p |verts| + each arrow's column."""
     look = frogs._columns(verts)
-    lens, cols = frogs._arrow_rule(
-        verts.size, frogs._column_of(verts, look, xs), counts,
-        *frogs._walk_landings(g, verts, look, seeds, xs, counts, t))
+    with mock.patch.object(frogs, "_STAY_BATCH_WALKS", 0):    # a pass
+        lens, cols = frogs._arrow_rule(
+            verts.size, frogs._column_of(verts, look, xs),
+            *frogs._walk_landings(g, verts, look, seeds, xs, counts, t))
     return (np.repeat(np.arange(xs.size), lens) * verts.size + cols).tolist()
 
 
@@ -833,12 +868,17 @@ def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
                                                  splice):
     g, B = z2_box20, ball(z2_box20, 0, 3)
     params = FrogParams(0.5, 6.0)
-    if splice:
-        # each candidate's field answers from another seed off ball(0, 1)
-        plain, core = frogs.ParticleField, ball(g, 0, 1)
-        monkeypatch.setattr(frogs, "ParticleField", lambda g, key: SpliceField(
-            core, plain(g, key), plain(g, key ^ 1)))
     rng = Stream(61, 2)
+    if splice:
+        # each candidate's field answers from another seed off ball(0, 1).
+        # The reveal kernel builds a ParticleField from a pair's seed, the
+        # candidate key in the core and key ^ 1 off it; the splice of a
+        # candidate key reads the core from that key's plain field
+        plain, core = frogs.ParticleField, ball(g, 0, 1)
+        keys = {rng.child("goodv", x).key for x in B}
+        monkeypatch.setattr(frogs, "ParticleField", lambda g, key: SpliceField(
+            core, plain(g, key), plain(g, key ^ 1)) if key in keys
+            else plain(g, key))
     want, reads = set(), set()
     for x in sorted(B):
         fld = frogs.ParticleField(g, rng.child("goodv", x).key)
@@ -882,7 +922,7 @@ def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
         assert first == want_first and len(mask) == len(verts)
         assert {verts[c] for c, m in enumerate(mask) if m} == reach
         firsts.add(first)
-        want_reads |= {(fld.seed, v) for v in reads}
+        want_reads |= {(fld.seeds([v])[0], v) for v in reads}
     revealed = [(seed, v) for seed, v, _ in spied]
     assert len(revealed) == len(set(revealed)) and set(revealed) == want_reads
     if stop == 42 or not starts:                 # |B| = 41
@@ -1032,6 +1072,38 @@ def test_ep_first_generation_dominated_by_phi_tilde(tree8):
     est = from_samples(z1, 42)
     pt = phi_tilde_hat(tree8, S, params, 3000, 43, conditional_replicas=4000)
     assert est.mean <= pt.mean + 3 * math.hypot(est.stderr, pt.stderr)
+
+
+# Recorded on the exploration that read its stay sets off _stay_closure:
+# (generation_sizes, clipped_parents) of ep_exploration_sample with rng
+# Stream(7, rep), per (graph, window radius, max_generations) and
+# (lambda, t). On the Z^2 box of radius 20 every child window ball(v, 10)
+# with d(v) >= 10 clips at the frontier.
+GOLDEN_EP = {
+    ("tree8", 2, 3): {
+        (0.3, 3.0): {20: ([1, 6, 3, 3], 1), 29: ([1, 3, 5, 0], 0),
+                     46: ([1, 6, 4, 0], 1)},
+        (1.0, 3.0): {1: ([1, 3, 10, 13], 6), 2: ([1, 4, 25, 45], 8),
+                     3: ([1, 3, 7, 13], 4), 7: ([1, 4, 14, 19], 3)}},
+    ("z2", 10, 2): {
+        (0.3, 30.0): {7: ([1, 62, 3967], 29), 28: ([1, 19, 1123], 6),
+                      29: ([1, 19, 21], 2)},
+        (1.0, 4.0): {2: ([1, 28, 516], 20), 5: ([1, 44, 1172], 35)}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EP))
+def test_ep_exploration_golden(case, tree8, z2_box20):
+    name, radius, gens = case
+    g = tree8 if name == "tree8" else z2_box20
+    S = ball(g, g.origin, radius)
+    for (lam, t), runs in GOLDEN_EP[case].items():
+        for rep, (sizes, clipped) in runs.items():
+            ep = ep_exploration_sample(g, S, FrogParams(lam, t),
+                                       Stream(7, rep), max_generations=gens)
+            assert (ep.generation_sizes, ep.clipped_parents) \
+                == (sizes, clipped)
+            assert not ep.budget_exhausted
 
 
 def test_ep_subcritical_dies(tree8):
