@@ -12,6 +12,7 @@ branching process, which is what the subcritical scans look for.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -133,8 +134,9 @@ def phi_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     comes from the killed-walk series, which removes most of the variance.
     """
     S = g.interior_set(S, containing=g.origin)
-    return _phi_hat(g, S, params, replicas, seed, _exit_table(g, S, params,
-                                                              tol))
+    return _phi_hat(g, S, params, replicas, seed,
+                    _exit_table(g, S, params, tol),
+                    _replica_closures(g, S, params, [(seed, "phi")], replicas))
 
 
 def _exit_table(g: Graph, S: set[int], params: FrogParams, tol: float):
@@ -146,13 +148,14 @@ def _exit_table(g: Graph, S: set[int], params: FrogParams, tol: float):
 
 
 def _phi_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
-             seed: int, table) -> Estimate:
-    """phi_hat on the interior window S with its ``_exit_table``."""
+             seed: int, table, closures) -> Estimate:
+    """phi_hat on the interior window S with its ``_exit_table``, over
+    the next `replicas` of the ``_replica_closures`` iterator closures."""
     if table is None:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     weights = {x: params.lam * p for x, p in table.exit_prob.items()}
     vals = [sum(map(weights.__getitem__, reached)) for reached, _ in
-            _replica_closures(g, S, params, seed, "phi", replicas)]
+            itertools.islice(closures, replicas)]
     return from_samples(vals, seed, "phi-hat")
 
 
@@ -161,7 +164,7 @@ def mean_exiters(g: Graph, S, params: FrogParams, replicas: int,
     """Direct estimate of E |N(S)|, the dual form of phi(S)."""
     S = g.interior_set(S, containing=g.origin)
     vals = [exiters for _, exiters in
-            _replica_closures(g, S, params, seed, "exiters", replicas)]
+            _replica_closures(g, S, params, [(seed, "exiters")], replicas)]
     return from_samples(vals, seed, "exiter-count")
 
 
@@ -182,12 +185,17 @@ def phi_tilde_hat(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     """
     S = g.interior_set(S, containing=g.origin)
     return _phi_tilde_hat(g, S, params, replicas, seed,
-                          _exit_table(g, S, params, tol), conditional_replicas)
+                          _exit_table(g, S, params, tol), conditional_replicas,
+                          _replica_closures(g, S, params, [(seed, "phitilde")],
+                                            replicas))
 
 
 def _phi_tilde_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
-                   seed: int, table, conditional_replicas: int) -> Estimate:
-    """phi_tilde_hat on the interior window S with its ``_exit_table``."""
+                   seed: int, table, conditional_replicas: int,
+                   closures) -> Estimate:
+    """phi_tilde_hat on the interior window S with its ``_exit_table``,
+    over the next `replicas` of the ``_replica_closures`` iterator
+    closures, read after its conditional walks."""
     if table is None:
         return Estimate(0.0, 0.0, replicas, seed, "closed-form")
     cond_mean: dict[int, float] = {}
@@ -205,8 +213,7 @@ def _phi_tilde_hat(g: Graph, S: set[int], params: FrogParams, replicas: int,
     weights = {x: params.lam * table.exit_prob[x] * cond_mean[x] for x in S}
     vals = []
     reach_freq = {x: 0 for x in S}
-    for reached, _ in _replica_closures(g, S, params, seed, "phitilde",
-                                        replicas):
+    for reached, _ in itertools.islice(closures, replicas):
         for x in reached:
             reach_freq[x] += 1
         vals.append(sum(map(weights.__getitem__, reached)))
@@ -309,9 +316,14 @@ def phi_report(g: Graph, S, params: FrogParams, replicas: int, seed: int,
     consts = sharpness_constants(g.max_interior_degree(), params.lam, params.t)
     inner = g.interior_set(S, containing=g.origin)
     table = _exit_table(g, inner, params, DEFAULT_TOL)
-    ph = _phi_hat(g, inner, params, replicas, seed, table)
-    pt = _phi_tilde_hat(g, inner, params, replicas, Stream(seed, "tilde").key,
-                        table, _CONDITIONAL_REPLICAS)
+    # one closure pass for both estimators: phi-tilde's fields first, so
+    # its conditional walks end before the pass starts
+    tilde = Stream(seed, "tilde").key
+    closures = _replica_closures(g, inner, params, [(tilde, "phitilde"),
+                                                    (seed, "phi")], replicas)
+    pt = _phi_tilde_hat(g, inner, params, replicas, tilde, table,
+                        _CONDITIONAL_REPLICAS, closures)
+    ph = _phi_hat(g, inner, params, replicas, seed, table, closures)
     sub = ph.mean + 3.0 * ph.stderr < consts.c
     return PhiReport(window_name or f"|S|={len(S)}", ph, pt, consts, sub)
 

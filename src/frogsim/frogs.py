@@ -246,25 +246,26 @@ _STAY_BATCH_WALKS = 24
 
 
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
-                  fields) -> list[tuple[set, int]]:
+                  fields):
     """Reach set of `start` in S over stay-inside trajectories under each
-    of `fields`: one (reached, exiters) per field, where exiters counts
-    the particles at reached vertices whose walks visit a vertex off S.
-    reached is ``_reach({start}, out)`` for out(x) the jumps of x's
-    staying particles in (particle, step) order, so it iterates in the
-    same order as a closure that reveals particles as it pops them.
+    of `fields`: an iterator of one (reached, exiters) per field, where
+    exiters counts the particles at reached vertices whose walks visit a
+    vertex off S. reached is ``_reach({start}, out)`` for out(x) the jumps
+    of x's staying particles in (particle, step) order, so it iterates in
+    the same order as a closure that reveals particles as it pops them.
 
     The closures grow together, one generation at a time, as arrays. A
     vertex is named by its column: its index in sorted S, or len(S) for a
     start outside S. A byte mask over the (field, column) codes marks the
     revealed pairs, and each wave is the unseen codes its predecessor's
     staying walks land on. Each wave is one ``_reveal`` step reduced by
-    ``_stay_rule``. Python runs per field only in the seeds (one
-    ``field.seeds`` call a field) and the replay.
+    ``_stay_rule``, run when the call is made. Python runs per field only
+    in the seeds (one ``field.seeds`` call a field) and the replay, as the
+    iterator is read: a field's out-lists are slices of one landing list.
     """
     fields = list(fields)
     if not fields:
-        return []
+        return iter(())
     verts = sorted(S)
     n, nc = len(verts), len(verts) + 1
     wave = np.arange(len(fields), dtype=np.int64) * nc + (
@@ -290,49 +291,52 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
     # every revealed pair is reached, so a field's exiters are its pairs'
     exiters = np.bincount(codes // nc, weights=exits,
                           minlength=len(fields)).astype(np.int64)
-    # the pairs field by field: field f's are a = at[f] to b = at[f + 1],
-    # pair p's vertex is xs[p] and its landings outs[p]
+    # the pairs field by field, field f's from at[f] to at[f + 1]: pair p's
+    # vertex is xs[p], and its lens[p] landings follow earlier pairs' in ys
     order = np.argsort(codes)
     at = np.searchsorted(codes[order], np.arange(len(fields) + 1) * nc).tolist()
     xs = list(map(verts.__getitem__, (codes[order] % nc).tolist()))
+    lands = lands[np.argsort(np.repeat(codes, lens), kind="stable")]
     ys = list(map(verts.__getitem__, lands.tolist()))
-    j0 = (np.cumsum(lens) - lens)[order]
-    outs = list(map(ys.__getitem__,
-                    map(slice, j0.tolist(), (j0 + lens[order]).tolist())))
-    del codes, exits, lens, lands, order, ys, j0
-    # the last field first, so that each field's landings are freed once
-    # replayed; a field that revealed one pair reached its start alone
-    closures = []
-    for a, b in zip(at[-2::-1], at[:0:-1]):
-        closures.append(
-            {start} if b - a == 1 else
-            _reach({start}, dict(zip(xs[a:b], outs[a:b])).__getitem__))
-        del outs[a:]
-    closures.reverse()
-    return list(zip(closures, exiters.tolist()))
+    lens = lens[order].tolist()
+
+    def replay():
+        j = 0                               # field f's first landing in ys
+        for a, b, exited in zip(at, at[1:], exiters.tolist()):
+            ends = list(itertools.accumulate(lens[a:b], initial=j))
+            j = ends[-1]
+            # a field that revealed one pair reached its start alone
+            yield ({start} if b - a == 1 else _reach({start}, dict(zip(
+                xs[a:b], map(ys.__getitem__, map(slice, ends, ends[1:])))
+            ).__getitem__)), exited
+
+    return replay()
 
 
 # Replica fields per _stay_closure call in _replica_closures. A call holds
 # its fields' closures as arrays (a byte per (field, vertex of S) and a
-# few words per revealed pair and landing) and returns a reached set and
-# an exit total per field, so this bounds memory for any replica count;
-# fewer fields make more waves, each with the same fixed numpy cost. On
-# phi_window_z2 (1000 replicas an estimate; bench/run.py --seconds 20 at
-# seed 1, three runs each; 2-vCPU x86-64 host, Python 3.11, numpy 2.4)
-# throughput and peak RSS were 7.5-8.9k /s, 36.47-36.59 MB at 128 fields;
-# 10.5-11.4k /s, 36.51-36.55 MB at 256; 13.1-13.9k /s, 36.55-36.61 MB at
-# 512; and 14.4-15.3k /s, 36.80-36.82 MB at 1000, the smallest value that
-# runs each of its estimates in one call.
-_CLOSURE_FIELDS = 1000
+# few words per revealed pair and landing) and replays them one field at a
+# time, so this bounds memory for any replica count; fewer fields make
+# more waves, each with the same fixed numpy cost. phi_report runs
+# phi-tilde's and phi-hat's fields through one pass, so at 2000 both of
+# phi_window_z2's 1000-replica estimates share one call a window
+# (bench/run.py --seconds 20 at seed 1, two runs each; 2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4): throughput and peak RSS were 15.1-15.2k /s,
+# 36.44-36.45 MB at 512 fields; 17.4k /s, 36.46-36.48 MB at 1000 (a call
+# an estimate); and 19.2-19.3k /s, 36.54 MB at 2000.
+_CLOSURE_FIELDS = 2000
 
 
-def _replica_closures(g: Graph, S: set[int], params: FrogParams, seed: int,
-                      label: str, replicas: int):
+def _replica_closures(g: Graph, S: set[int], params: FrogParams, streams,
+                      replicas: int):
     """Yield the stay-inside closure from the origin (``_stay_closure``'s
     (reached, exiters)) of replica r = 0, 1, ..., replicas - 1 on the
-    field keyed ``Stream(seed, label, r)``, ``_CLOSURE_FIELDS`` fields per
-    call."""
-    fields = _replica_fields(g, seed, label, replicas, _CLOSURE_FIELDS)
+    field keyed ``Stream(seed, label, r)``, for each (seed, label) of
+    streams in turn. The chained fields run ``_CLOSURE_FIELDS`` per call,
+    so one call may hold the fields of two streams."""
+    fields = itertools.chain.from_iterable(
+        _replica_fields(g, seed, label, replicas, _CLOSURE_FIELDS)
+        for seed, label in streams)
     while block := list(itertools.islice(fields, _CLOSURE_FIELDS)):
         yield from _stay_closure(g, S, g.origin, params, block)
 
@@ -810,7 +814,7 @@ def sphere_activation_profile(g: Graph, S, params: FrogParams, replicas: int,
     for x, d in depth.items():
         shells.setdefault(d, []).append(x)
     samples: dict[int, list[int]] = {r: [] for r in shells}
-    for reached, _ in _replica_closures(g, S, params, rng.key, "shell",
+    for reached, _ in _replica_closures(g, S, params, [(rng.key, "shell")],
                                         replicas):
         for r, shell in shells.items():
             samples[r].append(sum(1 for x in shell if x in reached))
@@ -838,22 +842,23 @@ def exit_conditional_jumps(g: Graph, S, x: int, t: float, replicas: int,
                                    [rng.key])[0]
 
 
-# Most walks one lockstep pass of _exit_conditional_stats runs, and most
-# walks of one vertex it derives keys for at a time, so peak memory stays
-# flat in |S| and in the replica count. A walk from x can leave S only if
-# it makes at least d_x = d(x, S^c) jumps, which its first d_x holding
-# times decide without its position draws (``_can_exit``); only the walks
-# that pass are walked, pooled across vertices into full passes: at
-# phi_window_z2's t = 1 (seed 1), 20 224 of B(3)'s 50 000 walks in 7
-# passes and 35 915 of B(5)'s 122 000 in 12. Every walk of such a pass
-# jumps, so a pass holds more live walks than one of whole vertices did.
-# On those windows (2-vCPU x86-64 host, Python 3.11, numpy 2.4) passes of
-# 4 096 walks ran this function 2-4 % faster but raised phi_window_z2's
-# peak RSS by about 0.15 MB (of 36.6), and passes of 2 048 ran it about
-# 9 % slower. What removes these walks is computing the conditional mean
-# exactly from the killed-walk series: N(t) is Poisson(t) and independent
-# of the jump chain, so E_x[N(t) 1{exit}] follows from the survival
-# vector exit_probability_exact builds.
+# Most walks one lockstep pass of _exit_conditional_stats runs, so peak
+# memory stays flat in |S| and in the replica count; it derives keys for 4
+# (_EXIT_WALKS // replicas) vertices at a time (one splitmix round a key),
+# or for one vertex's replicas _EXIT_WALKS at a time when they are more. A
+# walk from x can leave S only if it makes at least d_x = d(x, S^c) jumps,
+# which its first d_x holding times decide without its position draws
+# (``_can_exit``); only the walks that pass are walked, pooled across
+# vertices into full passes: at phi_window_z2's t = 1 (seed 1), 20 224 of
+# B(3)'s 50 000 walks in 7 passes and 35 915 of B(5)'s 122 000 in 12.
+# Every walk of such a pass jumps, so a pass holds more live walks than
+# one of whole vertices did. On those windows (2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4) passes of 4 096 walks ran this function 2-4 % faster
+# but raised phi_window_z2's peak RSS by about 0.15 MB (of 36.6), and
+# passes of 2 048 ran it about 9 % slower. What removes these walks is
+# computing the conditional mean exactly from the killed-walk series: N(t)
+# is Poisson(t) and independent of the jump chain, so E_x[N(t) 1{exit}]
+# follows from the survival vector exit_probability_exact builds.
 _EXIT_WALKS = 3072
 
 
@@ -864,12 +869,13 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
     A walk exits if it visits a vertex outside S; its jump count is its
     number of steps.
 
-    The walks come vertex by vertex in replica order, in chunks of at most
-    ``_EXIT_WALKS``. A walk from x that makes fewer than d(x, S^c) jumps
-    cannot exit and adds nothing to the samples, so it is dropped unwalked
+    The walks come vertex by vertex in replica order; keys are derived a
+    block of vertices at once, seeds broadcast against replica labels. A
+    walk from x that makes fewer than d(x, S^c) jumps cannot exit and
+    adds nothing to the samples, so it is dropped unwalked
     (``_can_exit``). The rest are pooled, in that order, into
-    ``lockstep_walks`` passes of ``_EXIT_WALKS`` walks; the last pass takes
-    what is left."""
+    ``lockstep_walks`` passes of ``_EXIT_WALKS`` walks; the last pass
+    takes what is left."""
     check_replicas(replicas)
     depth = distance_to_complement(g, S)
     need = []
@@ -880,32 +886,37 @@ def _exit_conditional_stats(g: Graph, S: set[int], xs, t: float,
         need.append(d_x)
     inside = _inside_mask(g, S)
     starts = np.array(xs, dtype=np.int64)
-    samples = [[] for _ in xs]  # the jump counts of each x's exiting walks
+    keyed = np.array([seed & _MASK for seed in seeds], dtype=np.uint64)
+    rows = max(1, 4 * (_EXIT_WALKS // replicas))   # vertices a key block
+    # the exiting walks' vertices and jump counts, pass by pass
+    which, jumps = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     pool, pooled = [], 0        # (walk ids, keys) of walks not yet walked
-    chunks = [(i, lo) for i in range(len(xs))
+    chunks = [(i, lo) for i in range(0, len(xs), rows)
               for lo in range(0, replicas, _EXIT_WALKS)]
     for n, (i, lo) in enumerate(chunks, start=1):
-        keys = derive_keys(seeds[i], "exitcond",
-                           np.arange(lo, min(lo + _EXIT_WALKS, replicas)))
-        can = _can_exit(keys, need[i], t)
-        pool.append((can + (i * replicas + lo), keys[can]))
-        pooled += can.size
+        block = derive_keys(keyed[i:i + rows, None], "exitcond", np.arange(
+            lo, min(lo + _EXIT_WALKS, replicas))[None, :])
+        for j, keys in enumerate(block, start=i):
+            can = _can_exit(keys, need[j], t)
+            pool.append((can + (j * replicas + lo), keys[can]))
+            pooled += can.size
         while pooled >= _EXIT_WALKS or (pooled and n == len(chunks)):
             w, keys = map(np.concatenate, zip(*pool))
             pool = [(w[_EXIT_WALKS:], keys[_EXIT_WALKS:])]
             pooled = pool[0][0].size
-            w = w[:_EXIT_WALKS]
-            exits, jumps = _exit_pass(g, inside, starts[w // replicas], t,
-                                      keys[:_EXIT_WALKS])
-            which, jumps = w[exits] // replicas, jumps[exits]
-            at = np.flatnonzero(_run_starts(which)).tolist() + [which.size]
-            for a, b in zip(at, at[1:]):
-                samples[which[a]].extend(jumps[a:b].tolist())
+            w = w[:_EXIT_WALKS] // replicas
+            exits, got = _exit_pass(g, inside, starts[w], t,
+                                    keys[:_EXIT_WALKS])
+            which.append(w[exits])
+            jumps.append(got[exits])
+    at = np.searchsorted(np.concatenate(which),
+                         np.arange(len(xs) + 1)).tolist()
+    jumps = np.concatenate(jumps).tolist()
     delta = g.max_interior_degree()
-    return [ExitJumpStats(from_samples(counts, seed) if counts else None,
-                          (delta ** d_x) * (t + d_x), len(counts),
-                          len(counts) / replicas)
-            for counts, seed, d_x in zip(samples, seeds, need)]
+    return [ExitJumpStats(from_samples(jumps[a:b], seed) if b > a else None,
+                          (delta ** d_x) * (t + d_x), b - a,
+                          (b - a) / replicas)
+            for a, b, seed, d_x in zip(at, at[1:], seeds, need)]
 
 
 def _can_exit(keys: np.ndarray, d: int, t: float) -> np.ndarray:

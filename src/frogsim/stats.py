@@ -33,11 +33,17 @@ def from_samples(values, seed: int, method: str = "mc") -> Estimate:
     n = len(values)
     check_replicas(n)
     mean = sum(values) / n
+    stderr = 0.0
     if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = 0.0
+        # int samples that repeat (jump and particle counts) read the same
+        # squares from a table of distinct values; floats hash too slowly
+        distinct = set(values) if type(values[0]) is int else values
+        if 2 * len(distinct) <= n:
+            table = {v: (v - mean) ** 2 for v in distinct}
+            squares = sum(map(table.__getitem__, values))
+        else:
+            squares = sum((v - mean) ** 2 for v in values)
+        stderr = math.sqrt(squares / (n - 1) / n)
     return Estimate(mean, stderr, n, seed, method)
 
 

@@ -326,13 +326,16 @@ def test_particle_budget_reaches_survival_experiments(tmp_path, args, capsys):
 
 
 def test_workers_beyond_per_cpu_bound_exit_2(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
     from frogsim import cli
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.mp, "Pool", no_pool)
+    # the CLI imports multiprocessing only where it starts a pool
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     cfgp = write_config(tmp_path)
     assert validate(parse_config(str(cfgp), ["workers=8"])) == []
     for workers in (9, 100_000):
@@ -357,13 +360,16 @@ def test_bad_graph_spec_exits_2_before_any_pool(tmp_path, monkeypatch, capsys,
                                                 bad, message):
     # each spec passes validate; a pool initializer that raised would
     # respawn its worker forever, so the graph must fail before a pool
+    import multiprocessing
+
     from frogsim import cli
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.mp, "Pool", no_pool)
+    # the CLI imports multiprocessing only where it starts a pool
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     cfgp = write_config(tmp_path)
     for workers in (1, 2):
         args = [*bad, f"workers={workers}"]
@@ -426,7 +432,9 @@ def test_public_names_cover_the_scripts():
 
 
 # np.unique's first call imports numpy.ma, which adds about 1 MB of peak
-# memory: the benchmarked phi and renormalization runs must not import it
+# memory, and multiprocessing, which only a pool of survival_sweep workers
+# uses, takes most of frogsim.cli's import time: the benchmarked phi and
+# renormalization runs must import neither
 NUMPY_MA_PROBE = """
 import sys
 from frogsim import FrogParams, GraphSpec, ball, build_graph
@@ -436,14 +444,16 @@ g = build_graph(GraphSpec("lattice_box", d=2, radius=20))
 phi_report(g, ball(g, g.origin, 3), FrogParams(1.0, 1.0), 200, 1)
 status = main(["run", "experiment=renormalization", "lambda=4", "replicas=1",
                "seed=1", "out=" + sys.argv[1]])
-print("status", status, "numpy.ma", "numpy.ma" in sys.modules)
+print("status", status, "numpy.ma", "numpy.ma" in sys.modules,
+      "multiprocessing", "multiprocessing" in sys.modules)
 """
 
 
 def test_phi_and_renormalization_never_import_numpy_ma(tmp_path):
     r = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE,
                         str(tmp_path / "out")], capture_output=True, text=True)
-    assert r.stdout.splitlines()[-1:] == ["status 0 numpy.ma False"], r.stderr
+    assert r.stdout.splitlines()[-1:] == [
+        "status 0 numpy.ma False multiprocessing False"], r.stderr
 
 
 # Each experiment on a tiny graph at lambda = 0 or t = 0: a run ends with

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ from frogsim import (FrogParams, GraphError, GraphSpec, Stream, ball,
                      russo_inequality_check, sharpness_constants,
                      spectral_radius_estimate, survival_probability,
                      sphere_activation_profile, tilde_critical_scan)
-from frogsim import estimators
+from frogsim import estimators, frogs
 from frogsim.estimators import SurvivalEstimate, replica_survival
 from frogsim.stats import from_binomial
 
@@ -196,6 +197,72 @@ def test_phi_estimators_golden(case, tree8, z2_box20):
     assert hexed(mean_exiters(g, S, params, 300, 73)) == want["mean_exiters"]
     prof = sphere_activation_profile(g, S, params, 200, Stream(74))
     assert {r: hexed(e) for r, e in prof.items()} == want["sphere"]
+
+
+# Recorded with float.hex before phi_report ran phi-hat's and phi-tilde's
+# replica fields through one closure pass: phi_report on the Z^2 box's
+# B(3) at 300 replicas; key (lambda, t, seed), value the (mean, stderr) of
+# phi_hat and of phi_tilde_hat.
+GOLDEN_PHI_REPORT = {
+    (1.0, 1.0, 41): (("0x1.15be2f289eab9p-3", "0x1.068f93dd39cedp-6"),
+                     ("0x1.2e7c0e3353444p-2", "0x1.0319557da2ae3p-5")),
+    (2.0, 1.5, 42): (("0x1.881ac90b4f708p+1", "0x1.549322f3e3edcp-3"),
+                     ("0x1.a34d9e9e6b8ffp+2", "0x1.7ca80ddb01a43p-2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PHI_REPORT))
+def test_phi_report_golden(case, z2_box20):
+    lam, t, seed = case
+    g = z2_box20
+    rep = phi_report(g, ball(g, g.origin, 3), FrogParams(lam, t), 300, seed)
+    assert (hexed(rep.phi_hat), hexed(rep.phi_tilde_hat)) \
+        == GOLDEN_PHI_REPORT[case]
+
+
+@pytest.mark.parametrize("lam,t", [(1.5, 1.0), (0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("name,radius", [("z2", 3), ("z2", 5), ("tree8", 2)])
+def test_phi_report_equals_public_estimators(monkeypatch, tree8, z2_box20,
+                                             name, radius, lam, t):
+    # phi_report runs phi-tilde's 70 replica fields and then phi-hat's
+    # through one closure pass; at 16 fields a call, the fifth call holds
+    # phi-tilde's last 6 fields and phi-hat's first 10
+    monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
+    blocks = []
+    stay_closure = frogs._stay_closure
+
+    def spy(g, S, start, params, fields):
+        blocks.append(len(fields))
+        return stay_closure(g, S, start, params, fields)
+
+    monkeypatch.setattr(frogs, "_stay_closure", spy)
+    g = {"tree8": tree8, "z2": z2_box20}[name]
+    S = ball(g, g.origin, radius)
+    params = FrogParams(lam, t)
+    rep = phi_report(g, S, params, 70, 9)
+    assert blocks == ([16] * 8 + [12] if lam and t else [])
+    for got, want in ((rep.phi_hat, phi_hat(g, S, params, 70, 9)),
+                      (rep.phi_tilde_hat, phi_tilde_hat(
+                          g, S, params, 70, Stream(9, "tilde").key))):
+        assert got == want and hexed(got) == hexed(want)
+
+
+def test_phi_report_memory_stays_below_held_closures(z2_box20):
+    # B(5)'s 2000 replica fields (1000 for each estimator) run through one
+    # closure pass that replays them a field at a time: about 0.77 MB under
+    # tracemalloc. Holding every field's closure at once, or an out-list
+    # for every revealed pair, took 1.1 MB and more
+    g = z2_box20
+    S, params = ball(g, g.origin, 5), FrogParams(1.0, 1.0)
+    phi_report(g, S, params, 20, 2)     # builds the caches a run keeps
+    tracemalloc.start()
+    try:
+        rep = phi_report(g, S, params, 1000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.phi_hat.replicas == rep.phi_tilde_hat.replicas == 1000
+    assert peak < 0.95e6
 
 
 def test_phi_tilde_default_conditional_replicas_golden(z2_box20):

@@ -217,7 +217,7 @@ def test_stay_closure_golden(name, z2_box20, tree8):
                  "tree8": (tree8, FrogParams(1.5, 1.0))}[name]
     S = ball(g, g.origin, 3)
     fields = [ParticleField(g, seed) for seed in (1, 2, 3)]
-    got = frogs._stay_closure(g, S, g.origin, params, fields)
+    got = list(frogs._stay_closure(g, S, g.origin, params, fields))
     assert len(got) == 3
     for (reached, exiters), fld, want in zip(got, fields,
                                             GOLDEN_STAY_CLOSURE[name]):
@@ -282,7 +282,7 @@ def test_stay_closure_equals_per_field_path(monkeypatch, z2_box20, tree8,
     params = FrogParams(lam, t)
     fields = [ParticleField(g, s) for s in range(300)]
     fields += [ParticleField(g, -7), ParticleField(g, 2**70 + 3)]
-    got = frogs._stay_closure(g, S, start, params, fields)
+    got = list(frogs._stay_closure(g, S, start, params, fields))
     assert len(got) == len(fields)
     for f, (closure, fld) in enumerate(zip(got, fields)):
         want = reference_stay_closure(g, S, start, params,
@@ -305,13 +305,14 @@ def test_stay_closure_splices_zero_density_and_outside_start(
     params = FrogParams(2.0, 1.5)
     for start in (g.origin, max(S) + 1):        # the second lies outside S
         assert start == g.origin or start not in S
-        got = frogs._stay_closure(g, S, start, params, fields)
+        got = list(frogs._stay_closure(g, S, start, params, fields))
         for f, (closure, fld) in enumerate(zip(got, fields)):
             want = reference_stay_closure(g, S, start, params, fld)
             check_closure(closure, want)
             if start == g.origin and f < 3:
                 check_restricted(g, S, params, fld, want)
-    got = frogs._stay_closure(g, S, g.origin, FrogParams(0.0, 1.0), fields)
+    got = list(frogs._stay_closure(g, S, g.origin, FrogParams(0.0, 1.0),
+                                   fields))
     assert got == [({g.origin}, 0)] * len(fields)
     assert restricted_activation(g, S, FrogParams(0.0, 1.0),
                                  fields[0]).stay_sets == {g.origin: ()}
@@ -320,9 +321,9 @@ def test_stay_closure_splices_zero_density_and_outside_start(
 def test_replica_closures_blocks(monkeypatch, tree8):
     S = ball(tree8, 0, 3)
     params = FrogParams(1.5, 1.0)
-    whole = list(frogs._replica_closures(tree8, S, params, 5, "phi", 70))
+    whole = list(frogs._replica_closures(tree8, S, params, [(5, "phi")], 70))
     monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
-    assert list(frogs._replica_closures(tree8, S, params, 5, "phi", 70)) \
+    assert list(frogs._replica_closures(tree8, S, params, [(5, "phi")], 70)) \
         == whole
     for r in (0, 33, 69):
         want = reference_stay_closure(tree8, S, 0, params, ParticleField(
@@ -344,8 +345,8 @@ def test_replica_keys_derived_a_block_at_a_time(monkeypatch, tree8):
     monkeypatch.setattr(frogs, "derive_keys", spy)
     monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
     S = ball(tree8, 0, 3)
-    list(frogs._replica_closures(tree8, S, FrogParams(1.5, 1.0), 5, "phi",
-                                 70))
+    list(frogs._replica_closures(tree8, S, FrogParams(1.5, 1.0),
+                                 [(5, "phi")], 70))
     assert derived == [("phi", 16)] * 4 + [("phi", 6)]
     derived.clear()
     replicas = _SCAN_FIELDS + 40
@@ -466,10 +467,10 @@ def test_stay_closure_equals_reference_on_random_graphs(
     with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
                            0 if batch else math.inf), \
             mock.patch.object(frogs, "_reach", recording_reach):
-        got = frogs._stay_closure(g, S, start, params, fields)
+        got = list(frogs._stay_closure(g, S, start, params, fields))
         with mock.patch.object(frogs, "_CLOSURE_FIELDS", 1):
-            replicas = list(frogs._replica_closures(g, S, params, seed, "phi",
-                                                    2))
+            replicas = list(frogs._replica_closures(g, S, params,
+                                                    [(seed, "phi")], 2))
         assert len(got) == len(fields) and len(replicas) == 2
         for closure, fld in zip(got, fields):
             want = reference_stay_closure(g, S, start, params, fld)
