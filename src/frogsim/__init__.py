@@ -20,8 +20,8 @@ from .walks import (HeatKernelRow, KilledWalkTable, LeakageBudgetError,
                     self_intersection_bound, self_intersection_profile,
                     truncated_green)
 from .frogs import (Cluster, EPSample, ExitJumpStats, FrogParams,
-                    ParticleField, RestrictedActivation, SpliceField,
-                    arrow_closure, ep_exploration_sample, exit_conditional_jumps,
+                    ParticleField, RestrictedActivation, arrow_closure,
+                    ep_exploration_sample, exit_conditional_jumps,
                     explore_cluster, good_vertices, restricted_activation,
                     sphere_activation_profile)
 from .estimators import (ClusterTail, CriticalBracket, GWOracle,

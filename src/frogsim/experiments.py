@@ -19,9 +19,9 @@ import numpy as np
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
 from .frogs import (_SCAN_FIELDS, FrogParams, ParticleField, _closure_scan,
-                    _reach, _read_arrows, _replica_fields, explore_cluster)
+                    _field_keys, _reach, _read_arrows, explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
-from .rng import Stream
+from .rng import Stream, derive_keys
 from .stats import Estimate, check_replicas, from_binomial, from_samples
 from .walks import check_horizon, discrete_walk, exit_probability_exact
 
@@ -310,7 +310,8 @@ def _all_arrows(g: Graph, B: set, field: ParticleField,
     as {x: the ascending vertices of B other than x that x's particles
     visit} for every particle-bearing x of B."""
     verts = sorted(B)
-    [arrows] = _read_arrows(g, verts, [field], params, _read_all)
+    [arrows] = _read_arrows(g, verts, _field_keys(field, verts), params,
+                            _read_all)
     return {verts[c]: [verts[y] for y in out] for c, out in arrows.items()}
 
 
@@ -373,12 +374,16 @@ def good_vertex_decay(g: Graph, center: int, a: int, density: float,
     params = FrogParams(density, float(a * a))
     need = math.ceil(len(B) / 4.0)   # a reach of integer size covers a quarter
     fails = {k: 0 for k in sizes}
-    # replica r's field has the seed Stream(seed, "decay", r).key
-    fields = _replica_fields(g, seed, "decay", replicas, _SCAN_FIELDS)
-    for first, _ in _read_arrows(g, verts, fields, params,
-                                 lambda _, has: _closure_scan(has, scan, need)):
-        for k in fails:
-            fails[k] += first >= k
+    # replica r's field has the key Stream(seed, "decay", r).key, derived
+    # a _read_arrows block at a time
+    for lo in range(0, replicas, _SCAN_FIELDS):
+        keys = derive_keys(seed, "decay",
+                           np.arange(lo, min(lo + _SCAN_FIELDS, replicas)))
+        for first, _ in _read_arrows(
+                g, verts, keys, params,
+                lambda _, has: _closure_scan(has, scan, need)):
+            for k in fails:
+                fails[k] += first >= k
     return {k: from_binomial(fails[k], replicas, seed) for k in sizes}
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,8 @@ class ParticleField:
     distinct ParticleFields with the same seed on the same graph replay the
     same randomness, which is what the schedule-invariance and coupling
     tests exercise. A caller that reads a vertex twice keeps what it needs.
+    The batched engines read a field as its key alone, the seed mod 2^64
+    (``_field_keys``).
     """
 
     __slots__ = ("graph", "seed")
@@ -73,40 +74,23 @@ class ParticleField:
         eta = self.count_at(x, params.lam)
         return eta, tuple(self.trajectory(x, i, params.t) for i in range(eta))
 
-    def seeds(self, xs) -> list[int]:
-        """The seeds (mod 2^64) that give the particles of the vertices xs:
-        this field's at every vertex. All that the reveal kernel asks of a
-        field."""
-        return [self.seed & _MASK] * len(xs)
+
+def _field_keys(field, verts) -> np.ndarray:
+    """One field's keys as the engines read them: a (1,) array of its seed
+    mod 2^64, or, for a field whose seed is a uint64 array of keys by
+    vertex id (a spliced field, one that answers from different keys on
+    different vertices), its keys at the vertices verts as a (1, len(verts))
+    row."""
+    if isinstance(field.seed, np.ndarray):
+        return field.seed[None, verts]
+    return np.array([field.seed & _MASK], dtype=np.uint64)
 
 
-class SpliceField:
-    """Field that answers from `field_in` on a vertex set and `field_out`
-    elsewhere: the tool for locality tests (re-sample everything outside a
-    window and check nothing changes)."""
-
-    def __init__(self, inside, field_in: ParticleField,
-                 field_out: ParticleField):
-        self.inside = set(inside)
-        self.field_in = field_in
-        self.field_out = field_out
-        self.graph = field_in.graph
-
-    def _at(self, x: int):
-        """The field that answers for vertex x."""
-        return self.field_in if x in self.inside else self.field_out
-
-    def seeds(self, xs) -> list[int]:
-        return [self._at(x).seeds([x])[0] for x in xs]
-
-    def count_at(self, x: int, lam: float) -> int:
-        return self._at(x).count_at(x, lam)
-
-    def trajectory(self, x: int, i: int, t: float):
-        return self._at(x).trajectory(x, i, t)
-
-    def particles(self, x: int, params: FrogParams):
-        return self._at(x).particles(x, params)
+def _pair_keys(keys: np.ndarray, fs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The keys of the pairs (field fs[p], column cs[p]) under keys: one key
+    a field, shape (fields,), or a row of keys a field, one a column, shape
+    (fields, columns)."""
+    return keys[fs] if keys.ndim == 1 else keys[fs, cs]
 
 
 @dataclass
@@ -246,39 +230,42 @@ _STAY_BATCH_WALKS = 24
 
 
 def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
-                  fields):
+                  keys: np.ndarray):
     """Reach set of `start` in S over stay-inside trajectories under each
-    of `fields`: an iterator of one (reached, exiters) per field, where
+    field of `keys`: an iterator of one (reached, exiters) per field, where
     exiters counts the particles at reached vertices whose walks visit a
     vertex off S. reached is ``_reach({start}, out)`` for out(x) the jumps
     of x's staying particles in (particle, step) order, so it iterates in
     the same order as a closure that reveals particles as it pops them.
 
-    The closures grow together, one generation at a time, as arrays. A
-    vertex is named by its column: its index in sorted S, or len(S) for a
-    start outside S. A byte mask over the (field, column) codes marks the
-    revealed pairs, and each wave is the unseen codes its predecessor's
-    staying walks land on. Each wave is one ``_reveal`` step reduced by
-    ``_stay_rule``, run when the call is made. Python runs per field only
-    in the seeds (one ``field.seeds`` call a field) and the replay, as the
-    iterator is read: a field's out-lists are slices of one landing list.
+    A vertex is named by its column: its index in sorted S, or len(S) for
+    `start`. keys is a uint64 array with one key a field, shape (fields,),
+    or a row of keys a field, one a column of sorted S followed by start,
+    shape (fields, len(S) + 1) (``_pair_keys``). The closures grow
+    together, one generation at a time, as arrays. A byte mask over the
+    (field, column) codes marks the revealed pairs, and each wave is the
+    unseen codes its predecessor's staying walks land on. Each wave is one
+    ``_reveal`` step reduced by ``_stay_rule``, run when the call is made.
+    Python runs per field only in the replay, as the iterator is read: a
+    field's out-lists are slices of one landing list, cut at one index of
+    every revealed pair's first landing.
     """
-    fields = list(fields)
-    if not fields:
+    if not len(keys):
         return iter(())
     verts = sorted(S)
     n, nc = len(verts), len(verts) + 1
-    wave = np.arange(len(fields), dtype=np.int64) * nc + (
+    wave = np.arange(len(keys), dtype=np.int64) * nc + (
         verts.index(start) if start in S else n)
     verts.append(start)                     # each column's vertex
     ext = np.array(verts, dtype=np.int64)
-    look, seeds = _columns(ext[:n]), _field_seeds(fields, verts)
-    seen = np.zeros(len(fields) * nc, dtype=bool)
+    look = _columns(ext[:n])
+    seen = np.zeros(len(keys) * nc, dtype=bool)
     seen[wave] = True
     parts = []                  # per wave: its codes and the wave's arrays
     while wave.size:
         fs, cs = np.divmod(wave, nc)
-        got = _reveal(g, ext, look, seeds(fs, cs), cs, params, _stay_rule)
+        got = _reveal(g, ext, look, _pair_keys(keys, fs, cs), cs, params,
+                      _stay_rule)
         parts.append((wave, *got))
         # the unseen codes the staying walks land on, each once, ascending
         nxt = np.repeat(wave - wave % nc, got[1]) + got[2]
@@ -290,24 +277,21 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
     del parts, seen             # the replay below sets the call's peak memory
     # every revealed pair is reached, so a field's exiters are its pairs'
     exiters = np.bincount(codes // nc, weights=exits,
-                          minlength=len(fields)).astype(np.int64)
+                          minlength=len(keys)).astype(np.int64)
     # the pairs field by field, field f's from at[f] to at[f + 1]: pair p's
-    # vertex is xs[p], and its lens[p] landings follow earlier pairs' in ys
+    # vertex is xs[p], and its landings are ys[ends[p]:ends[p + 1]]
     order = np.argsort(codes)
-    at = np.searchsorted(codes[order], np.arange(len(fields) + 1) * nc).tolist()
-    xs = list(map(verts.__getitem__, (codes[order] % nc).tolist()))
-    lands = lands[np.argsort(np.repeat(codes, lens), kind="stable")]
-    ys = list(map(verts.__getitem__, lands.tolist()))
-    lens = lens[order].tolist()
+    at = np.searchsorted(codes[order], np.arange(len(keys) + 1) * nc).tolist()
+    xs = ext[codes[order] % nc].tolist()
+    ys = ext[lands[np.argsort(np.repeat(codes, lens), kind="stable")]].tolist()
+    ends = list(itertools.accumulate(lens[order].tolist(), initial=0))
 
     def replay():
-        j = 0                               # field f's first landing in ys
         for a, b, exited in zip(at, at[1:], exiters.tolist()):
-            ends = list(itertools.accumulate(lens[a:b], initial=j))
-            j = ends[-1]
             # a field that revealed one pair reached its start alone
             yield ({start} if b - a == 1 else _reach({start}, dict(zip(
-                xs[a:b], map(ys.__getitem__, map(slice, ends, ends[1:])))
+                xs[a:b], map(ys.__getitem__, map(slice, ends[a:b],
+                                                 ends[a + 1:b + 1])))
             ).__getitem__)), exited
 
     return replay()
@@ -321,9 +305,9 @@ def _stay_closure(g: Graph, S: set[int], start: int, params: FrogParams,
 # phi-tilde's and phi-hat's fields through one pass, so at 2000 both of
 # phi_window_z2's 1000-replica estimates share one call a window
 # (bench/run.py --seconds 20 at seed 1, two runs each; 2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4): throughput and peak RSS were 15.1-15.2k /s,
-# 36.44-36.45 MB at 512 fields; 17.4k /s, 36.46-36.48 MB at 1000 (a call
-# an estimate); and 19.2-19.3k /s, 36.54 MB at 2000.
+# Python 3.11, numpy 2.4): throughput and peak RSS were 19.7-20.0k /s,
+# 36.44-36.45 MB at 1000 fields (a call an estimate), and 22.1-22.2k /s,
+# 36.50-36.52 MB at 2000. A larger value makes the same calls there.
 _CLOSURE_FIELDS = 2000
 
 
@@ -332,23 +316,21 @@ def _replica_closures(g: Graph, S: set[int], params: FrogParams, streams,
     """Yield the stay-inside closure from the origin (``_stay_closure``'s
     (reached, exiters)) of replica r = 0, 1, ..., replicas - 1 on the
     field keyed ``Stream(seed, label, r)``, for each (seed, label) of
-    streams in turn. The chained fields run ``_CLOSURE_FIELDS`` per call,
-    so one call may hold the fields of two streams."""
-    fields = itertools.chain.from_iterable(
-        _replica_fields(g, seed, label, replicas, _CLOSURE_FIELDS)
-        for seed, label in streams)
-    while block := list(itertools.islice(fields, _CLOSURE_FIELDS)):
-        yield from _stay_closure(g, S, g.origin, params, block)
-
-
-def _replica_fields(g: Graph, seed: int, label: str, replicas: int,
-                    block: int):
-    """Yield the ParticleField of replica r = 0, 1, ..., replicas - 1,
-    keyed ``Stream(seed, label, r)``, with the keys derived `block` at a
-    time, so the keys held stay bounded for any replica count."""
-    for lo in range(0, replicas, block):
-        yield from (ParticleField(g, key) for key in derive_keys(
-            seed, label, np.arange(lo, min(lo + block, replicas))).tolist())
+    streams in turn. The keys are derived ``_CLOSURE_FIELDS`` at a time,
+    so the keys held stay bounded for any replica count, and the chained
+    keys run ``_CLOSURE_FIELDS`` per call, so one call may hold the fields
+    of two streams."""
+    held = np.empty(0, dtype=np.uint64)     # keys derived and not yet run
+    for seed, label in streams:
+        for lo in range(0, replicas, _CLOSURE_FIELDS):
+            held = np.concatenate((held, derive_keys(seed, label, np.arange(
+                lo, min(lo + _CLOSURE_FIELDS, replicas)))))
+            if held.size >= _CLOSURE_FIELDS:
+                yield from _stay_closure(g, S, g.origin, params,
+                                         held[:_CLOSURE_FIELDS])
+                held = held[_CLOSURE_FIELDS:]
+    if held.size:
+        yield from _stay_closure(g, S, g.origin, params, held)
 
 
 def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
@@ -359,30 +341,6 @@ def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
     inside[list(S)] = True
     inside[-1] = True
     return inside
-
-
-def _field_seeds(fields, verts: list):
-    """The seeds (mod 2^64) that give the particles of the vertices verts
-    under fields, from one ``field.seeds(verts)`` call a field: a function
-    of index arrays (fs, cs) that gives each pair's seed, that of field
-    fields[fs[p]] at verts[cs[p]]. A field with one seed at every vertex
-    keeps one."""
-    first, mixed = [], {}
-    for f, row in enumerate(map(operator.methodcaller("seeds", verts), fields)):
-        first.append(row[0] if row else 0)
-        if row.count(first[-1]) != len(row):
-            mixed[f] = row
-    first = np.array(first, dtype=np.uint64)
-    is_mixed = np.zeros(len(fields), dtype=bool)
-    is_mixed[list(mixed)] = True
-
-    def seeds(fs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        got = first[fs]
-        for p in np.flatnonzero(is_mixed[fs]).tolist():
-            got[p] = mixed[int(fs[p])][int(cs[p])]
-        return got
-
-    return seeds
 
 
 # Most particle walks one lockstep pass of _reveal samples. A pass pays a
@@ -415,22 +373,22 @@ def _passes(walks: np.ndarray):
         first = last
 
 
-def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, seeds,
+def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, keys: np.ndarray,
             cs: np.ndarray, params: FrogParams, rule) -> list[np.ndarray]:
-    """The particles of the pairs (field seed seeds[p], vertex
-    verts[cs[p]]), read against a vertex set and reduced by rule
-    (``_arrow_rule`` or ``_stay_rule``): the rule's arrays for all the
-    pairs, pair by pair. look is the set's ``_columns`` and verts[0] its
-    least vertex (its sorted vertices come first in verts).
+    """The particles of the pairs (field key keys[p], vertex verts[cs[p]]),
+    read against a vertex set and reduced by rule (``_arrow_rule`` or
+    ``_stay_rule``): the rule's arrays for all the pairs, pair by pair.
+    look is the set's ``_columns`` and verts[0] its least vertex (its
+    sorted vertices come first in verts).
 
-    The seeds give every pair's particle count, and the walks run in
-    ``_walk_landings`` passes of at most ``_ARROW_WALKS`` walks; a pass of
-    fewer than ``_STAY_BATCH_WALKS`` walks reads them one at a time. A
-    field is asked for nothing but the seeds."""
+    The pairs' keys, one a pair (``_pair_keys``), are all the kernel reads
+    of a field: they give every pair's particle count, and the walks run
+    in ``_walk_landings`` passes of at most ``_ARROW_WALKS`` walks; a pass
+    of fewer than ``_STAY_BATCH_WALKS`` walks reads them one at a time."""
     xs = verts[cs]
-    counts = _vertex_counts(seeds, xs, params.lam)
+    counts = _vertex_counts(keys, xs, params.lam)
     got = [rule(verts.size, cs[lo:hi], *_walk_landings(
-               g, verts, look, seeds[lo:hi], xs[lo:hi], counts[lo:hi],
+               g, verts, look, keys[lo:hi], xs[lo:hi], counts[lo:hi],
                params.t)) for lo, hi in _passes(counts)]
     return got[0] if len(got) == 1 else list(map(np.concatenate, zip(*got)))
 
@@ -573,7 +531,8 @@ def _walk_labels(xs: np.ndarray, counts: np.ndarray):
 def restricted_activation(g: Graph, S, params: FrogParams,
                           field: ParticleField) -> RestrictedActivation:
     S = g.interior_set(S, containing=g.origin)
-    [(reached, exiters)] = _stay_closure(g, S, g.origin, params, [field])
+    [(reached, exiters)] = _stay_closure(g, S, g.origin, params, _field_keys(
+        field, [*sorted(S), g.origin]))
     harpoon = {x: (x in reached) for x in S}
     stay_sets = {}
     for x in sorted(reached):
@@ -595,13 +554,15 @@ def restricted_activation(g: Graph, S, params: FrogParams,
 _SCAN_FIELDS = 512
 
 
-def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
-    """Run one scan per field over the arrows of B, revealing a vertex's
-    particles only when a scan reads its arrows, and yield each scan's
-    return value in field order. B must avoid the truncation frontier,
-    where walks are absorbed.
+def _read_arrows(g: Graph, B, keys: np.ndarray, params: FrogParams, scan):
+    """Run one scan per field of `keys` over the arrows of B, revealing a
+    vertex's particles only when a scan reads its arrows, and yield each
+    scan's return value in field order. B must avoid the truncation
+    frontier, where walks are absorbed.
 
-    A vertex is named by its column, its index in sorted B. ``scan(i,
+    A vertex is named by its column, its index in sorted B. keys is a
+    uint64 array with one key a field, shape (fields,), or a row of keys a
+    field, one a column, shape (fields, |B|) (``_pair_keys``). ``scan(i,
     has)`` makes the scan of the i-th field, where has[c] says whether the
     field has particles at the vertex of column c: a generator that yields
     lists of particle-bearing columns it has not read yet and is sent
@@ -612,35 +573,29 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
     ``_closure_scan``, which yields one column at a time; block_open's
     ``experiments._read_all`` yields every particle-bearing column at once.
 
-    The scans of up to ``_SCAN_FIELDS`` fields run together. A block's
-    seeds come from one ``_field_seeds`` call, one ``field.seeds`` call a
-    field, and each wave reveals every suspended scan's list with one
-    ``_wave_arrows`` call: a ``_reveal`` step on the pairs' seeds (lockstep
-    passes, or single walks for a pass of fewer than ``_STAY_BATCH_WALKS``
-    walks) reduced by ``_arrow_rule``. So no particle is revealed that no
-    scan reads, and a field is asked for nothing but its seeds. A field in
-    flight keeps its seed (a seed a vertex if they differ across B) and
-    B's particle mask (one byte a vertex, from ``_vertex_counts`` calls of
-    at most 4 ``_ARROW_WALKS`` marks); each wave re-derives its own pairs'
-    counts.
+    The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
+    reveals every suspended scan's list with one ``_wave_arrows`` call: a
+    ``_reveal`` step on the pairs' keys (lockstep passes, or single walks
+    for a pass of fewer than ``_STAY_BATCH_WALKS`` walks) reduced by
+    ``_arrow_rule``. So no particle is revealed that no scan reads. A field
+    in flight keeps B's particle mask (one byte a vertex, from
+    ``_vertex_counts`` calls of at most 4 ``_ARROW_WALKS`` marks); each
+    wave re-derives its own pairs' counts.
     """
     verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
-    vlist, nb = verts.tolist(), verts.size
+    nb = verts.size
     look = _columns(verts)
-    fields = iter(fields)
-    done = 0                                  # fields of earlier blocks
-    while block := list(itertools.islice(fields, _SCAN_FIELDS)):
-        seeds = _field_seeds(block, vlist)
-        # the marks are derived at most 4 _ARROW_WALKS at a time
+    for done in range(0, len(keys), _SCAN_FIELDS):
+        block = keys[done:done + _SCAN_FIELDS]
+        # the marks are derived at most 4 _ARROW_WALKS at a time, a row a
+        # field broadcast against B's vertices
         has, step = [], max(1, 4 * _ARROW_WALKS // max(nb, 1))
         for lo in range(0, len(block), step):
-            k = min(step, len(block) - lo)
-            cs = np.tile(np.arange(nb), k)
-            marks = _vertex_counts(seeds(np.arange(lo, lo + k).repeat(nb), cs),
-                                   verts[cs], params.lam)
-            has += [row.tobytes() for row in marks.reshape(k, nb) != 0]
+            rows = block[lo:lo + step]
+            marks = _vertex_counts(rows if rows.ndim == 2 else rows[:, None],
+                                   verts, params.lam)
+            has += [row.tobytes() for row in marks != 0]
         scans = [scan(done + f, has[f]) for f in range(len(block))]
-        done += len(block)
         results = [None] * len(block)
         reads = {}                            # field -> the columns it reads
 
@@ -655,20 +610,21 @@ def _read_arrows(g: Graph, B, fields, params: FrogParams, scan):
         while reads:
             wave, reads = reads, {}
             pairs = [(f, c) for f, cols in wave.items() for c in cols]
-            arrows = iter(_wave_arrows(g, verts, look, seeds, pairs, params)
+            arrows = iter(_wave_arrows(g, verts, look, block, pairs, params)
                           if pairs else ())
             for f, cols in wave.items():
                 advance(f, list(itertools.islice(arrows, len(cols))))
         yield from results
 
 
-def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray, seeds,
-                 wave, params: FrogParams) -> list[list[int]]:
+def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray,
+                 keys: np.ndarray, wave, params: FrogParams) -> list[list[int]]:
     """The arrows, as ascending column lists, of every (field index,
-    column) pair of `wave`: one ``_reveal`` step reduced by
-    ``_arrow_rule``; seeds is the fields' ``_field_seeds``."""
+    column) pair of `wave`, field f keyed by keys[f] or, for a row a field,
+    keys[f, column] (``_pair_keys``): one ``_reveal`` step reduced by
+    ``_arrow_rule``."""
     fs, cs = np.array(wave, dtype=np.int64).reshape(-1, 2).T
-    lens, cols = _reveal(g, verts, look, seeds(fs, cs), cs, params,
+    lens, cols = _reveal(g, verts, look, _pair_keys(keys, fs, cs), cs, params,
                          _arrow_rule)
     ends = np.cumsum(lens)
     return list(map(cols.tolist().__getitem__,
@@ -689,9 +645,10 @@ def arrow_closure(g: Graph, B, start: int, params: FrogParams,
     if stop_size is not None and stop_size < 1:
         raise ValueError(f"stop_size must be >= 1, got {stop_size}")
     verts = sorted(B)
-    [(_, reached)] = _read_arrows(g, verts, [field], params, lambda _, has: (
-        _closure_scan(has, [verts.index(start)],
-                      math.inf if stop_size is None else stop_size)))
+    stop = math.inf if stop_size is None else stop_size
+    [(_, reached)] = _read_arrows(
+        g, verts, _field_keys(field, verts), params,
+        lambda _, has: _closure_scan(has, [verts.index(start)], stop))
     return set(itertools.compress(verts, reached))
 
 
@@ -707,8 +664,8 @@ def good_vertices(g: Graph, B, params: FrogParams, rng: Stream) -> set[int]:
     B = g.vertex_set(B)
     verts = sorted(B)
     need = math.ceil(len(B) / 4.0)   # a reach of integer size covers a quarter
-    fields = (ParticleField(g, rng.child("goodv", x).key) for x in verts)
-    reach = _read_arrows(g, verts, fields, params,
+    keys = derive_keys(rng.key, "goodv", np.array(verts, dtype=np.int64))
+    reach = _read_arrows(g, verts, keys, params,
                          lambda c, has: _closure_scan(has, [c], need))
     return {x for x, (first, _) in zip(verts, reach) if first == 0}
 
@@ -788,8 +745,10 @@ def ep_exploration_sample(g: Graph, S, params: FrogParams, rng: Stream,
             if any(g.boundary_mask[w] for w in window):
                 clipped += 1
                 window = {w for w in window if not g.boundary_mask[w]}
-            fld = ParticleField(g, rng.child("ep", gen, p_idx).key)
-            [(reached, _)] = _stay_closure(g, window, v, params, [fld])
+            key = rng.child("ep", gen, p_idx).key
+            fld = ParticleField(g, key)
+            [(reached, _)] = _stay_closure(
+                g, window, v, params, np.array([key], dtype=np.uint64))
             for x in reached:
                 for tr in fld.particles(x, params)[1]:
                     if not tr.visited <= window:

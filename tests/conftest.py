@@ -76,6 +76,69 @@ def bfs_oracle(neighbors, start, radius=None):
     return dist
 
 
+def key_row(field):
+    """The key (seed mod 2^64) that gives the particles of each vertex of
+    field's graph under field, as a uint64 array by vertex id."""
+    if isinstance(field.seed, np.ndarray):
+        return field.seed
+    return np.full(field.graph.vertex_count, field.seed & _MASK,
+                   dtype=np.uint64)
+
+
+def key_at(field, x):
+    """The key that gives the particles of vertex x under field."""
+    return int(key_row(field)[x])
+
+
+class SpliceField:
+    """Field that answers from `field_in` on a vertex set and `field_out`
+    elsewhere: the tool for locality tests (re-sample everything outside a
+    window and check nothing changes). The engines read it as its seed, a
+    uint64 array of each vertex's key by vertex id (frogs._field_keys, or
+    keys_of's rows); count_at, trajectory and particles answer from the
+    field of the vertex, for the per-particle oracles."""
+
+    def __init__(self, inside, field_in, field_out):
+        self.inside = set(inside)
+        self.field_in = field_in
+        self.field_out = field_out
+        self.graph = field_in.graph
+        mask = np.zeros(self.graph.vertex_count, dtype=bool)
+        mask[list(self.inside)] = True
+        self.seed = np.where(mask, key_row(field_in), key_row(field_out))
+
+    def _at(self, x: int):
+        """The field that answers for vertex x."""
+        return self.field_in if x in self.inside else self.field_out
+
+    def count_at(self, x: int, lam: float) -> int:
+        return self._at(x).count_at(x, lam)
+
+    def trajectory(self, x: int, i: int, t: float):
+        return self._at(x).trajectory(x, i, t)
+
+    def particles(self, x: int, params):
+        return self._at(x).particles(x, params)
+
+
+def keys_of(fields, verts):
+    """The engines' key array of `fields` over the columns' vertices verts:
+    one key a field, shape (fields,), when no field is spliced, and
+    otherwise a row of keys a field, one a column, shape (fields,
+    len(verts))."""
+    fields = list(fields)
+    if not any(isinstance(f, SpliceField) for f in fields):
+        return np.array([f.seed & _MASK for f in fields], dtype=np.uint64)
+    return np.array([key_row(f)[list(verts)] for f in fields],
+                    dtype=np.uint64).reshape(len(fields), len(verts))
+
+
+def stay_keys(fields, S, start):
+    """keys_of for frogs._stay_closure on the window S from start, whose
+    columns are sorted S and then start."""
+    return keys_of(fields, [*sorted(S), start])
+
+
 def read_all_arrows(g, B, fields, params):
     """The arrows of B under each of `fields`, as {x: the set of vertices
     of B other than x that x's particles visit} for every x of B, read
@@ -83,24 +146,24 @@ def read_all_arrows(g, B, fields, params):
     verts = sorted(B)
     return [{x: {verts[y] for y in got.get(c, ())}
              for c, x in enumerate(verts)}
-            for got in frogs._read_arrows(g, verts, fields, params,
-                                          _read_all)]
+            for got in frogs._read_arrows(g, verts, keys_of(fields, verts),
+                                          params, _read_all)]
 
 
 def spy_wave_arrows(monkeypatch):
     """Record every pair that frogs._wave_arrows reveals, by a lockstep
-    pass or one walk at a time, as (field seed mod 2^64, vertex, particle
-    count); returns the list the records are appended to."""
+    pass or one walk at a time, as (field key, vertex, particle count);
+    returns the list the records are appended to."""
     revealed = []
     wave_arrows = frogs._wave_arrows
 
-    def spy(g, verts, look, seeds, wave, params):
+    def spy(g, verts, look, keys, wave, params):
         for f, c in wave:
             x = int(verts[c])
-            [seed] = seeds(np.array([f]), np.array([c])).tolist()
-            revealed.append((seed, x, frogs.ParticleField(g, seed).count_at(
+            key = int(keys[f] if keys.ndim == 1 else keys[f, c])
+            revealed.append((key, x, frogs.ParticleField(g, key).count_at(
                 x, params.lam)))
-        return wave_arrows(g, verts, look, seeds, wave, params)
+        return wave_arrows(g, verts, look, keys, wave, params)
 
     monkeypatch.setattr(frogs, "_wave_arrows", spy)
     return revealed

@@ -1,10 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
-                     ParticleField, SpliceField, Stream,
+                     ParticleField, Stream,
                      abelian_invariance_check, annulus_blocking_probability,
                      ball, bernoulli_edge_coupling, build_graph,
                      edge_open_probability, escape_probability,
@@ -16,8 +19,8 @@ from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, block_open,
                                  good_vertex_decay)
 from frogsim.stats import Estimate
 
-from conftest import (read_all_arrows, reads_of, spy_trajectories,
-                      spy_wave_arrows)
+from conftest import (SpliceField, read_all_arrows, reads_of,
+                      spy_trajectories, spy_wave_arrows)
 
 
 def test_edge_open_probability_closed_form():
@@ -646,6 +649,43 @@ def test_block_open_replica_call_equals_site_calls(monkeypatch, a, extent):
             s: lazy_block_open(idx, net, s, lam, q1, q2) for s in sites}
         opened |= set(runs[0].values())
     assert opened == {False, True}
+
+
+@pytest.fixture(scope="module")
+def net_boxes():
+    """NetConfig(a, net_extent=1), its Z^2 box and the box's _CoordIndex
+    for an a, built once."""
+    built = {}
+
+    def get(a):
+        if a not in built:
+            net = NetConfig(a=a, net_extent=1)
+            g = build_graph(GraphSpec("lattice_box", d=2,
+                                      radius=net.box_radius))
+            built[a] = net, g, _CoordIndex(g)
+        return built[a]
+
+    return get
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.sampled_from([3, 4, 5]), lam=st.integers(0, 600),
+       seed=st.integers(0, 2**16))
+def test_block_open_equals_lazy_reference_on_z2(net_boxes, batch, a, lam,
+                                                seed):
+    # lambda on a grid of 0.01 over [0, 6]; every wave read in lockstep
+    # passes, or one walk at a time
+    lam = lam / 100
+    net, g, idx = net_boxes(a)
+    sites = net.net_sites()
+    p1 = ParticleField(g, Stream(seed, "phase1").key)
+    p2 = ParticleField(g, Stream(seed, "phase2").key)
+    with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
+                           0 if batch else math.inf):
+        got = block_open(g, idx, net, sites, lam, p1, p2)
+    assert got == {s: lazy_block_open(idx, net, s, lam, p1, p2)
+                   for s in sites}
 
 
 def test_block_open_replica_call_equals_site_calls_on_splice(monkeypatch):

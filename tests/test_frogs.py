@@ -5,24 +5,25 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frogsim import (ExitJumpStats, FrogParams, GraphError, GraphSpec,
-                     ParticleField, SpliceField, Stream, arrow_closure, ball,
+                     ParticleField, Stream, arrow_closure, ball,
                      build_graph, distance_to_complement,
                      ep_exploration_sample, exit_conditional_jumps,
                      explore_cluster, from_samples, good_set_G_A,
                      good_vertices, restricted_activation,
                      sphere_activation_profile)
-from frogsim import frogs, walks
-from frogsim.experiments import (_SCAN_FIELDS, good_vertex_decay,
+from frogsim import experiments, frogs, walks
+from frogsim.experiments import (_SCAN_FIELDS, _read_all, good_vertex_decay,
                                  renormalization_experiment)
 from frogsim.frogs import _reach
 from frogsim.rng import derive_keys
 from frogsim.walks import lockstep_walks, walk_batch, walk_positions
 
-from conftest import read_all_arrows, spy_trajectories, spy_wave_arrows
+from conftest import (SpliceField, key_at, keys_of, read_all_arrows,
+                      spy_trajectories, spy_wave_arrows, stay_keys)
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -217,7 +218,8 @@ def test_stay_closure_golden(name, z2_box20, tree8):
                  "tree8": (tree8, FrogParams(1.5, 1.0))}[name]
     S = ball(g, g.origin, 3)
     fields = [ParticleField(g, seed) for seed in (1, 2, 3)]
-    got = list(frogs._stay_closure(g, S, g.origin, params, fields))
+    got = list(frogs._stay_closure(g, S, g.origin, params,
+                                   stay_keys(fields, S, g.origin)))
     assert len(got) == 3
     for (reached, exiters), fld, want in zip(got, fields,
                                             GOLDEN_STAY_CLOSURE[name]):
@@ -282,7 +284,8 @@ def test_stay_closure_equals_per_field_path(monkeypatch, z2_box20, tree8,
     params = FrogParams(lam, t)
     fields = [ParticleField(g, s) for s in range(300)]
     fields += [ParticleField(g, -7), ParticleField(g, 2**70 + 3)]
-    got = list(frogs._stay_closure(g, S, start, params, fields))
+    got = list(frogs._stay_closure(g, S, start, params,
+                                   stay_keys(fields, S, start)))
     assert len(got) == len(fields)
     for f, (closure, fld) in enumerate(zip(got, fields)):
         want = reference_stay_closure(g, S, start, params,
@@ -305,14 +308,15 @@ def test_stay_closure_splices_zero_density_and_outside_start(
     params = FrogParams(2.0, 1.5)
     for start in (g.origin, max(S) + 1):        # the second lies outside S
         assert start == g.origin or start not in S
-        got = list(frogs._stay_closure(g, S, start, params, fields))
+        got = list(frogs._stay_closure(g, S, start, params,
+                                       stay_keys(fields, S, start)))
         for f, (closure, fld) in enumerate(zip(got, fields)):
             want = reference_stay_closure(g, S, start, params, fld)
             check_closure(closure, want)
             if start == g.origin and f < 3:
                 check_restricted(g, S, params, fld, want)
     got = list(frogs._stay_closure(g, S, g.origin, FrogParams(0.0, 1.0),
-                                   fields))
+                                   stay_keys(fields, S, g.origin)))
     assert got == [({g.origin}, 0)] * len(fields)
     assert restricted_activation(g, S, FrogParams(0.0, 1.0),
                                  fields[0]).stay_sets == {g.origin: ()}
@@ -342,7 +346,9 @@ def test_replica_keys_derived_a_block_at_a_time(monkeypatch, tree8):
             derived.append((labels[0], keys.size))
         return keys
 
+    # the closures derive their keys in frogs, the decay in experiments
     monkeypatch.setattr(frogs, "derive_keys", spy)
+    monkeypatch.setattr(experiments, "derive_keys", spy)
     monkeypatch.setattr(frogs, "_CLOSURE_FIELDS", 16)
     S = ball(tree8, 0, 3)
     list(frogs._replica_closures(tree8, S, FrogParams(1.5, 1.0),
@@ -467,7 +473,8 @@ def test_stay_closure_equals_reference_on_random_graphs(
     with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
                            0 if batch else math.inf), \
             mock.patch.object(frogs, "_reach", recording_reach):
-        got = list(frogs._stay_closure(g, S, start, params, fields))
+        got = list(frogs._stay_closure(g, S, start, params,
+                                       stay_keys(fields, S, start)))
         with mock.patch.object(frogs, "_CLOSURE_FIELDS", 1):
             replicas = list(frogs._replica_closures(g, S, params,
                                                     [(seed, "phi")], 2))
@@ -592,8 +599,7 @@ def test_read_arrows_matches_particles(monkeypatch, cap):
     nb = verts.size
     wave = [(f, c) for f in range(len(fields)) for c in range(nb)]
     cols = frogs._wave_arrows(g, verts, frogs._columns(verts),
-                              frogs._field_seeds(fields, verts.tolist()), wave,
-                              params)
+                              keys_of(fields, verts.tolist()), wave, params)
     for f, (_, pick) in enumerate(cases):
         assert {x: {int(verts[y]) for y in out} for x, out in zip(
             verts.tolist(), cols[f * nb:(f + 1) * nb])} \
@@ -609,7 +615,7 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
     look, nb = frogs._columns(verts), verts.size
     p = {s: ParticleField(g, s) for s in range(1, 6)}
     fields = [p[1], p[2], SpliceField(ball(g, 40, 3), p[3], p[4]), p[5]]
-    seeds = frogs._field_seeds(fields, verts.tolist())
+    keys = keys_of(fields, verts.tolist())
     every = [(f, c) for f in range(len(fields)) for c in range(nb)]
     some = [(f, c) for f, c in every if c % 7 == 0]
     runs = {}
@@ -620,8 +626,8 @@ def test_wave_arrows_pass_size_does_not_change_arrows(monkeypatch):
         for cap in (1, 37, 80, 2048, 10**6):
             monkeypatch.setattr(frogs, "_ARROW_WALKS", cap)
             runs[lam, cap] = (
-                frogs._wave_arrows(g, verts, look, seeds, every, params),
-                frogs._wave_arrows(g, verts, look, seeds, some, params))
+                frogs._wave_arrows(g, verts, look, keys, every, params),
+                frogs._wave_arrows(g, verts, look, keys, some, params))
         full, part = runs[lam, 2048]
         assert len(full) == len(every) and len(part) == len(some)
         assert part == [full[f * nb + c] for f, c in some]
@@ -663,8 +669,7 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
             monkeypatch.setattr(frogs, "_STAY_BATCH_WALKS", rule)
             flds = fields()
             runs.append(frogs._wave_arrows(
-                g, verts, look, frogs._field_seeds(flds, verts.tolist()),
-                wave, params))
+                g, verts, look, keys_of(flds, verts.tolist()), wave, params))
             # only the small-wave path reads single trajectories
             assert bool(read) == (rule == math.inf and lam > 0)
         assert runs[0] == runs[1]
@@ -680,8 +685,7 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
         flds = fields()
         walks = sum(flds[f].count_at(int(verts[c]), params.lam)
                     for f, c in wave[:size])
-        frogs._wave_arrows(g, verts, look,
-                           frogs._field_seeds(flds, verts.tolist()),
+        frogs._wave_arrows(g, verts, look, keys_of(flds, verts.tolist()),
                            wave[:size], params)
         assert len(read) == (walks if walks < frogs._STAY_BATCH_WALKS else 0)
 
@@ -799,7 +803,8 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
 
     monkeypatch.setattr(frogs, "_walk_landings", spy)
     spied = spy_wave_arrows(monkeypatch)
-    got = list(frogs._read_arrows(g, B, iter(fields), params, scan))
+    got = list(frogs._read_arrows(g, B, keys_of(fields, verts), params,
+                                  scan))
     revealed = [(seed, x) for seed, x, _ in spied]
     assert sorted(seen) == [0, 1, 2, 3]
     for arrows, pick in zip(got, picks):
@@ -808,11 +813,12 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
             == {x: ref[x] for x in B if pick(x).count_at(x, params.lam)}
         assert all(out == sorted(out) for out in arrows.values())
     # each pair with particles revealed once, the others never
-    want = {(fld.seeds([x])[0], x) for fld in fields for x in verts
+    want = {(key_at(fld, x), x) for fld in fields for x in verts
             if fld.count_at(x, params.lam)}
     assert len(revealed) == len(set(revealed)) and set(revealed) == want
     spied.clear()
-    empty = frogs._read_arrows(g, B, fields, FrogParams(0.0, 9.0), scan)
+    empty = frogs._read_arrows(g, B, keys_of(fields, verts),
+                               FrogParams(0.0, 9.0), scan)
     assert list(empty) == [{}] * 4
     assert spied == []
 
@@ -870,19 +876,24 @@ def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
     g, B = z2_box20, ball(z2_box20, 0, 3)
     params = FrogParams(0.5, 6.0)
     rng = Stream(61, 2)
+    core = ball(g, 0, 1)
     if splice:
-        # each candidate's field answers from another seed off ball(0, 1).
-        # The reveal kernel builds a ParticleField from a pair's seed, the
-        # candidate key in the core and key ^ 1 off it; the splice of a
-        # candidate key reads the core from that key's plain field
-        plain, core = frogs.ParticleField, ball(g, 0, 1)
-        keys = {rng.child("goodv", x).key for x in B}
-        monkeypatch.setattr(frogs, "ParticleField", lambda g, key: SpliceField(
-            core, plain(g, key), plain(g, key ^ 1)) if key in keys
-            else plain(g, key))
+        # each candidate's field answers from another key off ball(0, 1):
+        # the candidate keys reach the engine as rows, the candidate key on
+        # the core's columns and key ^ 1 off them
+        read_arrows = frogs._read_arrows
+
+        def spliced(g, B, keys, params, scan):
+            inside = np.isin(sorted(B), sorted(core))[None, :]
+            rows = np.where(inside, keys[:, None], keys[:, None] ^ np.uint64(1))
+            return read_arrows(g, B, rows, params, scan)
+
+        monkeypatch.setattr(frogs, "_read_arrows", spliced)
     want, reads = set(), set()
     for x in sorted(B):
-        fld = frogs.ParticleField(g, rng.child("goodv", x).key)
+        key = rng.child("goodv", x).key
+        fld = SpliceField(core, ParticleField(g, key), ParticleField(
+            g, key ^ 1)) if splice else ParticleField(g, key)
         arrows = reference_arrows(B, lambda _: fld, params)
         if len(frogs._reach({x}, arrows.__getitem__)) >= len(B) / 4:
             want.add(x)
@@ -890,7 +901,7 @@ def test_good_vertices_equal_per_candidate_reach(monkeypatch, z2_box20,
         _, _, popped = reference_closure(
             arrows, lambda v: fld.count_at(v, params.lam) > 0, [x],
             math.ceil(len(B) / 4))
-        reads |= {(fld.seeds([v])[0], v) for v in popped}
+        reads |= {(key_at(fld, v), v) for v in popped}
     assert 0 < len(want) < len(B)
     spied = spy_wave_arrows(monkeypatch)
     assert good_vertices(g, B, params, rng) == want
@@ -913,7 +924,8 @@ def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
     fields = [ParticleField(g, s) for s in range(10)]
     spied = spy_wave_arrows(monkeypatch)
     got = list(frogs._read_arrows(
-        g, verts, fields, params, lambda _, has: frogs._closure_scan(
+        g, verts, keys_of(fields, verts), params,
+        lambda _, has: frogs._closure_scan(
             has, [column[v] for v in starts], stop)))
     firsts, want_reads = set(), set()
     for fld, (first, mask) in zip(fields, got):
@@ -923,7 +935,7 @@ def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
         assert first == want_first and len(mask) == len(verts)
         assert {verts[c] for c, m in enumerate(mask) if m} == reach
         firsts.add(first)
-        want_reads |= {(fld.seeds([v])[0], v) for v in reads}
+        want_reads |= {(key_at(fld, v), v) for v in reads}
     revealed = [(seed, v) for seed, v, _ in spied]
     assert len(revealed) == len(set(revealed)) and set(revealed) == want_reads
     if stop == 42 or not starts:                 # |B| = 41
@@ -969,7 +981,7 @@ def test_arrow_driver_equals_reference_on_random_graphs(
                              **caps):
         got = read_all_arrows(g, B, fields, params)
         scans = list(frogs._read_arrows(
-            g, verts, fields, params,
+            g, verts, keys_of(fields, verts), params,
             lambda _, has: frogs._closure_scan(has, starts, stop)))
     assert len(got) == len(scans) == len(fields)
     for arrows, (first, mask), pick in zip(got, scans, picks):
@@ -980,6 +992,62 @@ def test_arrow_driver_equals_reference_on_random_graphs(
             [verts[c] for c in starts], stop)
         assert first == want_first
         assert {verts[c] for c, m in enumerate(mask) if m} == reach
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
+       graph_seed=st.integers(0, 7), lam=st.integers(0, 400),
+       t=st.integers(0, 7000), radius=st.integers(1, 3),
+       outside=st.booleans(), seed=st.integers(0, 2**16))
+def test_spliced_key_rows_on_random_graphs(random_graphs, batch, kind,
+                                           graph_seed, lam, t, radius,
+                                           outside, seed):
+    # fields whose keys change across the window's columns reach both
+    # engines as 2-D key rows; a plain field's key, as one key a field or
+    # the same key in every column, gives the same closures and arrows
+    lam, t = lam / 100, t / 100      # on grids of 0.01
+    g = random_graphs(kind, graph_seed)
+    S = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
+    assume(len(S) >= 2)
+    verts = sorted(S)
+    rest = sorted(set(range(g.vertex_count)) - S)
+    start = rest[seed % len(rest)] if outside and rest else g.origin
+    params = FrogParams(lam, t)
+    p = [ParticleField(g, seed + k) for k in range(4)]
+    # every other window vertex (and a random half of the rest) in inner,
+    # every third from the second in core
+    inner = set(verts[::2]) | set(random.Random(seed).sample(rest,
+                                                             len(rest) // 2))
+    core = set(verts[1::3])
+    spliced = [SpliceField(inner, p[0], p[1]),
+               SpliceField(core, p[2], SpliceField(inner, p[3], p[0]))]
+    cols = [*verts, start]
+    rows = keys_of(spliced, cols)
+    assert rows.shape == (2, len(cols))
+    assert all(len(set(row[:-1].tolist())) > 1 for row in rows)
+    flat = keys_of(p[1:3], cols)
+    assert flat.shape == (2,)
+
+    def closures(keys):
+        return [(added(reached), exiters) for reached, exiters in
+                frogs._stay_closure(g, S, start, params, keys)]
+
+    def arrows(keys):
+        return list(frogs._read_arrows(g, verts, keys, params, _read_all))
+
+    with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
+                           0 if batch else math.inf), \
+            mock.patch.object(frogs, "_reach", recording_reach):
+        got = list(frogs._stay_closure(g, S, start, params, rows))
+        for closure, fld in zip(got, spliced):
+            check_closure(closure, reference_stay_closure(g, S, start, params,
+                                                          fld))
+        assert closures(flat) == closures(flat[:, None].repeat(len(cols), 1))
+        assert arrows(flat) == arrows(flat[:, None].repeat(len(verts), 1))
+        got = read_all_arrows(g, S, spliced, params)
+    assert got == [reference_arrows(S, lambda x, f=fld: f, params)
+                   for fld in spliced]
 
 
 def test_arrow_closure_rejects_stop_size_below_one(z2_box20):
