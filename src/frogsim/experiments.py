@@ -18,8 +18,9 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, GraphSpec, ball, build_graph,
                      spectral_radius_estimate, stationary_control_constant)
-from .frogs import (_SCAN_FIELDS, FrogParams, ParticleField, _closure_scan,
-                    _field_keys, _reach, _read_arrows, explore_cluster)
+from .frogs import (_SCAN_FIELDS, FrogParams, ParticleField, _arrow_bits,
+                    _closure_scan, _field_keys, _reach, _read_arrows,
+                    explore_cluster)
 from .estimators import nonamenable_t_bound, survival_probability
 from .rng import Stream, derive_keys
 from .stats import Estimate, check_replicas, from_binomial, from_samples
@@ -286,67 +287,74 @@ def block_open(g: Graph, idx: _CoordIndex, net: NetConfig, sites, lam: float,
     particle wave, and the second wave seeded on that conquered set covers
     all eight neighboring balls through the ball-plus-targets window.
 
-    Each wave's particles are revealed by one ``frogs._read_arrows`` wave:
-    the first over the union of the small balls, the second over the union
-    of the sites' windows. A site reads those landings restricted to its
-    own ball or window, which equal a read of that set alone. Every window
+    Both waves read their arrows as bitmasks over the columns of the union
+    of the sites' windows, in one ``frogs._arrow_bits`` call: the first
+    wave reveals the particles of the small balls, the second those of
+    the whole union. A site masks them to its own ball or window
+    (``_site_open``), which equals a read of that set alone. Every window
     must avoid the truncation frontier (GraphError otherwise)."""
     half = FrogParams(lam / 2.0, net.lifespan)
     r = net.a // 3
-    balls = {s: idx.ball(s, r) for s in sites}
-    bhats = {s: set().union(*(idx.ball((s[0] + ox * net.a, s[1] + oy * net.a),
-                                       r) for ox, oy in _NET_NEIGHBORS))
-             for s in sites}
-    inner = set().union(*balls.values())
-    first = _all_arrows(g, inner, phase1, half)
-    second = _all_arrows(g, inner.union(*bhats.values()), phase2, half)
-    return {s: _site_open(B, bhats[s], first, second)
-            for s, B in balls.items()}
+
+    def around(s):
+        return [(s[0] + ox * net.a, s[1] + oy * net.a)
+                for ox, oy in _NET_NEIGHBORS]
+
+    balls = {p: idx.ball(p, r) for s in sites for p in [s, *around(s)]}
+    union = set().union(*balls.values())
+    inner = set().union(*(balls[s] for s in sites))
+    verts, (first, second) = _arrow_bits(
+        g, union, [(phase1, inner), (phase2, union)], half)
+    column = {v: c for c, v in enumerate(verts)}
+    bits = {p: sum(1 << column[v] for v in B) for p, B in balls.items()}
+    opened = {}
+    for s in sites:
+        bhat = 0
+        for p in around(s):
+            bhat |= bits[p]
+        opened[s] = _site_open(bits[s], bhat, first, second)
+    return opened
 
 
-def _all_arrows(g: Graph, B: set, field: ParticleField,
-                params: FrogParams) -> dict:
-    """The arrows of B under field from one ``frogs._read_arrows`` pass,
-    as {x: the ascending vertices of B other than x that x's particles
-    visit} for every particle-bearing x of B."""
-    verts = sorted(B)
-    [arrows] = _read_arrows(g, verts, _field_keys(field, verts), params,
-                            _read_all)
-    return {verts[c]: [verts[y] for y in out] for c, out in arrows.items()}
+def _bit_reach(reached: int, out, within: int, target: int) -> int:
+    """The closure of the column bitmask `reached` inside the bitmask
+    `within` along out[c], the bitmask of columns that column c points to:
+    it adds out[c] & within for each column c it holds, lowest first, and
+    returns as soon as it holds every column of target."""
+    todo = reached
+    while todo and target & ~reached:
+        low = todo & -todo
+        todo ^= low
+        new = out[low.bit_length() - 1] & within & ~reached
+        reached |= new
+        todo |= new
+    return reached
 
 
-def _read_all(_, has):
-    """A ``frogs._read_arrows`` scan that reads every particle-bearing
-    vertex in one wave and returns their arrows by column."""
-    cols = [c for c, h in enumerate(has) if h]
-    return dict(zip(cols, (yield cols)))
-
-
-def _site_open(B: set, bhat: set, first: dict, second: dict) -> bool:
+def _site_open(B: int, bhat: int, first, second) -> bool:
     """block_open for one site with small ball B and neighboring balls
-    bhat, given the ascending arrows of each wave over supersets of B and
-    of B | bhat."""
-    # a set filled in ascending order iterates as the one a pass over B
-    # alone builds, so the reach sets and goods list match it
-    inner = {x: {y for y in first.get(x, ()) if y in B} for x in B}
-    quota = len(B) / 4.0
-    goods = []
-    for x in sorted(B):
-        reached = _reach({x}, inner.__getitem__)
-        if len(reached) >= quota:
-            goods.append((len(reached), x, reached))
-    if not goods:
-        return False
-    goods.sort(key=lambda item: (-item[0], item[1]))
+    bhat, as column bitmasks, given each wave's arrows by column as
+    bitmasks over columns that hold B and bhat (first[c] and second[c], 0
+    for a column without particles): some vertex x of B is good, its reach
+    in B under the first wave covers a quarter of B, and the second wave's
+    closure of that reach inside B | bhat covers bhat.
+
+    The answer is a boolean that no visit order changes, so every reach
+    is a bitmask closure (``_bit_reach``); the goods' reaches are tried
+    largest first."""
+    quota = B.bit_count() / 4.0
+    goods, rest = set(), B
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        reached = _bit_reach(x, first, B, B)
+        if reached.bit_count() >= quota:
+            goods.add(reached)
     window = B | bhat
-
-    def out(x):
-        # the second wave wakes window vertices only
-        return (y for y in second.get(x, ()) if y in window)
-
-    # bhat lies inside the window, so every target visited is reached
-    return any(bhat.issubset(_reach(set(reached), out, bhat.issubset))
-               for _, _, reached in goods)
+    for reached in sorted(goods, key=int.bit_count, reverse=True):
+        if not bhat & ~_bit_reach(reached, second, window, bhat):
+            return True
+    return False
 
 
 def good_vertex_decay(g: Graph, center: int, a: int, density: float,

@@ -347,132 +347,187 @@ def _inside_mask(g: Graph, S: set[int]) -> np.ndarray:
 # fixed numpy cost per block of jumps and per pick step (at t = 64, 1-8
 # blocks and about 100 pick steps; see walks._BLOCK_HORIZON), so small
 # passes cost more a walk: 15 us a walk at 52 walks, 4.2 us at 992.
-# Large ones raise peak memory. It bounds each of block_open's two waves
-# (one pass each per replica on renorm_z2: about 340 walks over the small
-# balls and 950 over the sites' windows), the closure waves of
-# good_vertices and, at high densities, a decay wave; phi_window_z2's
-# stay-inside waves hold under 1 024 walks.
-# The value was chosen on renorm_z2 when full decay passes dominated its
-# walks (bench/run.py, 10 s runs at seeds 23-25; 2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4): 2.31-2.86 /s with 38.76-38.90 MB peak RSS at
-# 1024, 3.13-3.26 /s with 38.79-38.93 MB at 2048 and 3.17-3.48 /s with
-# 39.11-39.40 MB at 3072.
+# Large ones raise peak memory. No wave of renorm_z2 reaches it: the
+# largest, block_open's second (the particles of the sites' windows),
+# holds 934-1001 walks a replica and the decay's 478-571 (seeds 1-3); nor
+# does a phi_window_z2 stay-inside wave (under 1 024 walks). Since arrow
+# passes reduce into a mask, 2048, 3072 and 4096 make the same passes on
+# renorm_z2 (bench/run.py --seconds 20 at seed 7, two runs each; 2-vCPU
+# x86-64 host, Python 3.11, numpy 2.4): 26.08-26.87 /s with
+# 37.83-37.86 MB peak RSS at 2048, 25.65-25.92 /s with 37.90-37.91 MB at
+# 3072 and 25.74-26.04 /s with 37.84-37.89 MB at 4096. It was chosen
+# when full decay passes dominated renorm_z2's walks (10 s runs at seeds
+# 23-25): 2.31-2.86 /s at 1024, 3.13-3.26 /s at 2048 and 3.17-3.48 /s,
+# with 0.3-0.5 MB more peak RSS, at 3072.
 _ARROW_WALKS = 2048
+# Most bytes of one arrow pass's mask (_arrow_mask), a byte per (pair,
+# column of the set) and one more a pair: a pass holds at most
+# _MASK_BYTES // (columns + 1) pairs, so an arrow wave's memory does not
+# grow with |B|^2, and a pair whose row alone is larger runs alone.
+# renorm_z2's largest mask is about 0.2 MB (426 pairs over 481 columns).
+# test_read_arrows_memory_does_not_grow_with_B_squared (|B| = 3281, about
+# 1 280 pairs) peaked at 1.30 MB at 256 KiB and 512 KiB, as with the
+# sorted landing codes before the mask, at 1.45 MB at 1 MiB and at
+# 2.52 MB at 2 MiB (its bound is 2.10 MB).
+_MASK_BYTES = 1 << 19
 
 
-def _passes(walks: np.ndarray):
+def _passes(walks: np.ndarray, width: int):
     """Split consecutive pairs with walks[i] walks each into passes of at
-    most ``_ARROW_WALKS`` walks (a pair with more runs alone): yield each
-    pass as its (first, last) index range."""
+    most ``_ARROW_WALKS`` walks and of at most ``_MASK_BYTES`` of arrow
+    mask, width bytes a pair (0 for a pass that holds no mask): a pair
+    past either cap runs alone. Yield each pass as its (first, last) index
+    range."""
     ends = np.cumsum(walks)
+    pairs = max(1, _MASK_BYTES // width) if width else ends.size
     first = 0
     while first < ends.size:
         cap = (int(ends[first - 1]) if first else 0) + _ARROW_WALKS
-        last = max(first + 1, int(np.searchsorted(ends, cap, "right")))
+        last = max(first + 1, min(first + pairs,
+                                  int(np.searchsorted(ends, cap, "right"))))
         yield first, last
         first = last
 
 
 def _reveal(g: Graph, verts: np.ndarray, look: np.ndarray, keys: np.ndarray,
-            cs: np.ndarray, params: FrogParams, rule) -> list[np.ndarray]:
+            cs: np.ndarray, params: FrogParams, rule,
+            width: int = 0) -> list[np.ndarray]:
     """The particles of the pairs (field key keys[p], vertex verts[cs[p]]),
-    read against a vertex set and reduced by rule (``_arrow_rule`` or
-    ``_stay_rule``): the rule's arrays for all the pairs, pair by pair.
-    look is the set's ``_columns`` and verts[0] its least vertex (its
-    sorted vertices come first in verts).
+    read against a vertex set and reduced by rule (``_arrow_rule``,
+    ``_bits_rule`` or ``_stay_rule``): the rule's arrays for all the
+    pairs, pair by pair. look is the set's ``_columns`` and verts[0] its
+    least vertex (its sorted vertices come first in verts). width is the
+    bytes a pair of the rule's arrow mask (verts.size + 1 for an arrow
+    rule, 0 for the stay rule, which holds none).
 
     The pairs' keys, one a pair (``_pair_keys``), are all the kernel reads
     of a field: they give every pair's particle count, and the walks run
-    in ``_walk_landings`` passes of at most ``_ARROW_WALKS`` walks; a pass
-    of fewer than ``_STAY_BATCH_WALKS`` walks reads them one at a time."""
+    in ``_walk_landings`` passes of at most ``_ARROW_WALKS`` walks and
+    ``_MASK_BYTES`` of mask (``_passes``); a pass of fewer than
+    ``_STAY_BATCH_WALKS`` walks reads them one at a time. The rule reduces
+    each pass before the next one is walked."""
     xs = verts[cs]
     counts = _vertex_counts(keys, xs, params.lam)
-    got = [rule(verts.size, cs[lo:hi], *_walk_landings(
-               g, verts, look, keys[lo:hi], xs[lo:hi], counts[lo:hi],
-               params.t)) for lo, hi in _passes(counts)]
+    got = [rule(verts, look, cs[lo:hi], *_walk_landings(
+               g, keys[lo:hi], xs[lo:hi], counts[lo:hi], params.t))
+           for lo, hi in _passes(counts, width)]
     return got[0] if len(got) == 1 else list(map(np.concatenate, zip(*got)))
 
 
-def _walk_landings(g: Graph, verts: np.ndarray, look: np.ndarray,
-                   seeds: np.ndarray, xs: np.ndarray, counts: np.ndarray,
-                   t: float):
+def _walk_landings(g: Graph, seeds: np.ndarray, xs: np.ndarray,
+                   counts: np.ndarray, t: float):
     """The particle walks of the pairs (field seed seeds[p], vertex xs[p],
-    counts[p] particles) up to time t, read against a vertex set (look is
-    its ``_columns``, verts[0] its least vertex). Returns arrays of each
-    walk's pair; whether the walk visits a vertex off the set, its start
-    included (the -1 of an ended walk is no visit); and its landings in
-    the set as (walk, column), each walk's in step order.
+    counts[p] particles) up to time t, as each walk's pair and an iterable
+    of (rows, pos) blocks of their jumps in the form of
+    ``lockstep_walks``: pos[j, i] is where walk rows[i] landed on the
+    block's jump j, or -1 once it has ended. The walks are walked as the
+    blocks are read.
 
     Fewer than ``_STAY_BATCH_WALKS`` walks are read one at a time through
-    ``ParticleField(g, seed).trajectory``, the others in one
-    ``lockstep_walks`` pass on their counter-based keys: either gives a
-    walk the same jumps. The pass keeps each block's walks and positions,
-    block by block and walk by walk within a block, and finds the columns
-    of all of them with one lookup at its end: below
-    ``walks._BLOCK_HORIZON`` a block holds one jump, and a lookup a block
-    doubled the pass's own work (0.07 against 0.04 ms for 73 walks at
-    t = 1). Only ``_stay_rule`` needs the landings in (walk, step) order,
-    which a stable sort by walk gives; ``_arrow_rule`` sorts its codes
-    anyway."""
+    ``ParticleField(g, seed).trajectory``, into one block of every walk
+    (padded with -1), the others in one ``lockstep_walks`` pass on their
+    counter-based keys: either gives a walk the same jumps."""
     pair, index, starts = _walk_labels(xs, counts)
+    if pair.size >= _STAY_BATCH_WALKS:
+        keys = derive_keys(seeds[pair], "traj", starts, index)
+        return pair, lockstep_walks(g, starts, t, keys)
+    jumps = [ParticleField(g, seed).trajectory(x, i, t).jumps
+             for seed, x, i in zip(seeds[pair].tolist(), starts.tolist(),
+                                   index.tolist())]
+    pos = np.full((max(map(len, jumps), default=0), pair.size), -1,
+                  dtype=g.indices.dtype)
+    for w, walk in enumerate(jumps):
+        pos[:len(walk), w] = walk
+    return pair, [(np.arange(pair.size), pos)]
+
+
+def _arrow_mask(verts: np.ndarray, look: np.ndarray, cs: np.ndarray, pair,
+                blocks) -> np.ndarray:
+    """The arrows of the pairs on the columns cs (-1 for a vertex off the
+    set) among the nb = verts.size columns of a set (look its ``_columns``),
+    from their walks (``_walk_landings``' pair and blocks), as a byte mask
+    of shape (pairs, nb + 1): row p marks the columns pair p's walks land
+    on, its own dropped, and its last entry is False.
+
+    Each block is reduced into the mask as it comes: a landing's code is
+    its walk's pair p times (nb + 1) plus its column, and a landing off
+    the set, or the -1 of an ended walk, reads column nb, cleared at the
+    end. Codes fit in int32: a pass of several pairs holds at most
+    ``_MASK_BYTES`` of mask."""
+    nb, width = verts.size, verts.size + 1
+    v0 = int(verts[0]) if nb else 0
+    # look shifted by one place, with column nb for ids off the set: ids
+    # below verts[0] (and -1) clip to its first entry, ids past the span
+    # to its last
+    lookup = np.concatenate(([nb], look)).astype(np.int32)
+    lookup[lookup < 0] = nb
+    mask = np.zeros((cs.size, width), dtype=bool)
+    flat = mask.reshape(-1)
+    base = (pair * width).astype(np.int32)
+    for rows, pos in blocks:
+        codes = lookup.take(pos - (v0 - 1), mode="clip")
+        codes += base[rows]
+        flat[codes] = True
+    mask[:, nb] = False
+    own = np.flatnonzero(cs >= 0)
+    mask[own, cs[own]] = False
+    return mask
+
+
+def _arrow_rule(verts: np.ndarray, look: np.ndarray, cs: np.ndarray, pair,
+                blocks):
+    """The arrows of the pairs on the columns cs (``_arrow_mask``) as
+    lists: each pair's number of arrows, and the arrows pair by pair, each
+    pair's the ascending distinct columns its walks land on, its own
+    dropped."""
+    mask = _arrow_mask(verts, look, cs, pair, blocks)
+    return (np.count_nonzero(mask, axis=1),
+            np.flatnonzero(mask) % mask.shape[1])
+
+
+def _bits_rule(verts: np.ndarray, look: np.ndarray, cs: np.ndarray, pair,
+               blocks):
+    """The arrows of the pairs on the columns cs (``_arrow_mask``) as
+    bitmask rows: row p packs pair p's mask row, column c in bit c % 8 of
+    byte c // 8."""
+    return (np.packbits(_arrow_mask(verts, look, cs, pair, blocks), axis=1,
+                        bitorder="little"),)
+
+
+def _stay_rule(verts: np.ndarray, look: np.ndarray, cs: np.ndarray, pair,
+               blocks):
+    """The stay-inside reading of the walks of the pairs on the columns cs
+    (``_walk_landings``' pair and blocks) against a set (look its
+    ``_columns``, columns among nb = verts.size), as three arrays: each
+    pair's number of exiting particles, those whose walks visit a vertex
+    off the set, their start included (the -1 of an ended walk is no
+    visit); each pair's number of distinct columns its staying walks land
+    on; and those columns, pair by pair in (walk, step) first-occurrence
+    order.
+
+    The blocks' walks and positions are kept block by block and walk by
+    walk within a block, and their columns found with one lookup at the
+    end: below ``walks._BLOCK_HORIZON`` a block holds one jump, and a
+    lookup a block doubled the pass's own work (0.07 against 0.04 ms for
+    73 walks at t = 1). A stable sort by walk then puts the landings in
+    (walk, step) order."""
     # walk ids as int32 (a pass holds a few thousand walks): on renorm_z2
     # int64 ids raised peak RSS by 0.4 MB
-    if pair.size < _STAY_BATCH_WALKS:
-        walk, where = [], []
-        for w, (seed, x, i) in enumerate(zip(
-                seeds[pair].tolist(), starts.tolist(), index.tolist())):
-            jumps = ParticleField(g, seed).trajectory(x, i, t).jumps
-            walk += [w] * len(jumps)
-            where += jumps
-        walk = np.array(walk, dtype=np.int32)
-        where = np.array(where, dtype=np.int64)
-    else:
-        keys = derive_keys(seeds[pair], "traj", starts, index)
-        walk, where = [np.empty(0, np.int32)], [g.indices[:0]]
-        for rows, pos in lockstep_walks(g, starts, t, keys):
-            walk.append(rows.astype(np.int32).repeat(len(pos)))
-            where.append(pos.T.ravel())
-        walk, where = np.concatenate(walk), np.concatenate(where)
+    walk, where = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for rows, pos in blocks:
+        walk.append(rows.astype(np.int32).repeat(len(pos)))
+        where.append(pos.T.ravel())
+    walk, where = np.concatenate(walk), np.concatenate(where)
     col = _column_of(verts, look, where)
     land = col >= 0
-    out = _column_of(verts, look, starts) < 0
+    out = _column_of(verts, look, verts[cs][pair]) < 0
     # a step out: a position, not an ended walk's -1, with no column
     out[walk[np.greater(where >= 0, land)]] = True
-    return pair, out, walk[land], col[land]
-
-
-def _arrow_rule(nb: int, cs: np.ndarray, pair, out, walk, col):
-    """The arrows of the pairs on the columns cs (-1 for a vertex off the
-    set), from their walks' landings (``_walk_landings``' arrays) among nb
-    columns: each pair's number of arrows, and the arrows pair by pair,
-    each pair's the ascending distinct columns its walks land on, its own
-    dropped."""
-    base = pair * nb                 # codes are int32 while every one fits
-    if cs.size * nb < 2**31:
-        base = base.astype(np.int32)
-    codes = base[walk] + col
-    codes.sort()
-    codes = codes[_run_starts(codes)]
-    # then each pair's own column, at most one code a pair
-    own = (np.arange(cs.size) * nb + cs)[cs >= 0]
-    at = np.searchsorted(codes, own)
-    inside = at < codes.size
-    at, own = at[inside], own[inside]
-    codes = np.delete(codes, at[codes[at] == own])
-    return (np.diff(np.searchsorted(codes, np.arange(cs.size + 1) * nb)),
-            codes % nb)
-
-
-def _stay_rule(nb: int, cs: np.ndarray, pair, out, walk, col):
-    """The stay-inside reading of the pairs' walks (``_walk_landings``'
-    arrays, columns among nb), as three arrays: each pair's number of
-    exiting particles, those whose walks visit a vertex off the set; each
-    pair's number of distinct columns its staying walks land on; and those
-    columns, pair by pair in (walk, step) first-occurrence order."""
+    walk, col = walk[land], col[land]
     keep = np.flatnonzero(~out[walk])
     keep = keep[np.argsort(walk[keep], kind="stable")]  # by walk, then step
     lp, col = pair[walk[keep]], col[keep]
-    codes = lp * nb + col
+    codes = lp * verts.size + col
     first = np.argsort(codes, kind="stable")
     first = np.sort(first[_run_starts(codes[first])])
     return (np.bincount(pair[out], minlength=cs.size),
@@ -570,8 +625,7 @@ def _read_arrows(g: Graph, B, keys: np.ndarray, params: FrogParams, scan):
     vertices of B other than itself that its particles visit within their
     lifespan. A scan keeps the arrows it has read; a vertex with no
     particles points nowhere. The arrow closures are one scan,
-    ``_closure_scan``, which yields one column at a time; block_open's
-    ``experiments._read_all`` yields every particle-bearing column at once.
+    ``_closure_scan``, which yields one column at a time.
 
     The scans of up to ``_SCAN_FIELDS`` fields run together, and each wave
     reveals every suspended scan's list with one ``_wave_arrows`` call: a
@@ -625,10 +679,41 @@ def _wave_arrows(g: Graph, verts: np.ndarray, look: np.ndarray,
     ``_arrow_rule``."""
     fs, cs = np.array(wave, dtype=np.int64).reshape(-1, 2).T
     lens, cols = _reveal(g, verts, look, _pair_keys(keys, fs, cs), cs, params,
-                         _arrow_rule)
+                         _arrow_rule, verts.size + 1)
     ends = np.cumsum(lens)
     return list(map(cols.tolist().__getitem__,
                     map(slice, (ends - lens).tolist(), ends.tolist())))
+
+
+def _arrow_bits(g: Graph, B, waves, params: FrogParams):
+    """The arrows of a set B under each wave of `waves`, (field, sources)
+    pairs, as bitmasks: B's vertices, sorted, and a list a wave, by column
+    (an index in them), that holds at each vertex of sources (a subset of
+    B) with particles the bitmask of the columns of B other than its own
+    that its particles visit within their lifespan (bit y for column y),
+    and 0 at every other column. B must avoid the truncation frontier,
+    where walks are absorbed (GraphError otherwise). Each wave reveals
+    its sources with particles in one ``_reveal`` step reduced by
+    ``_bits_rule``."""
+    verts = np.array(sorted(g.interior_set(B)), dtype=np.int64)
+    look = _columns(verts)
+    out = []
+    for field, sources in waves:
+        cs = _column_of(verts, look, np.array(sorted(sources), np.int64))
+        if (cs < 0).any():
+            raise ValueError("sources must lie in B")
+        keys = _field_keys(field, verts)
+        keys = _pair_keys(keys, np.zeros_like(cs), cs)
+        has = _vertex_counts(keys, verts[cs], params.lam) != 0
+        cs, keys = cs[has], keys[has]
+        bits = [0] * verts.size
+        if cs.size:
+            [rows] = _reveal(g, verts, look, keys, cs, params, _bits_rule,
+                             verts.size + 1)
+            for c, row in zip(cs.tolist(), rows):
+                bits[c] = int.from_bytes(row.tobytes(), "little")
+        out.append(bits)
+    return verts.tolist(), out
 
 
 def arrow_closure(g: Graph, B, start: int, params: FrogParams,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frogsim import GraphSpec, build_graph, frogs
-from frogsim.experiments import _read_all
 from frogsim.rng import _MASK
 
 
@@ -139,15 +138,22 @@ def stay_keys(fields, S, start):
     return keys_of(fields, [*sorted(S), start])
 
 
+def read_all(_, has):
+    """A frogs._read_arrows scan that reads every particle-bearing column
+    in one wave and returns their arrows by column."""
+    cols = [c for c, h in enumerate(has) if h]
+    return dict(zip(cols, (yield cols)))
+
+
 def read_all_arrows(g, B, fields, params):
     """The arrows of B under each of `fields`, as {x: the set of vertices
     of B other than x that x's particles visit} for every x of B, read
-    through frogs._read_arrows with block_open's read-everything scan."""
+    through frogs._read_arrows with the read-everything scan read_all."""
     verts = sorted(B)
     return [{x: {verts[y] for y in got.get(c, ())}
              for c, x in enumerate(verts)}
             for got in frogs._read_arrows(g, verts, keys_of(fields, verts),
-                                          params, _read_all)]
+                                          params, read_all)]
 
 
 def spy_wave_arrows(monkeypatch):

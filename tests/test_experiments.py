@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -15,8 +17,8 @@ from frogsim import (FrogParams, GraphError, GraphSpec, NetConfig,
                      renormalization_experiment, write_report)
 from frogsim import frogs
 from frogsim.estimators import replica_survival
-from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, block_open,
-                                 good_vertex_decay)
+from frogsim.experiments import (_NET_NEIGHBORS, _CoordIndex, _site_open,
+                                 block_open, good_vertex_decay)
 from frogsim.stats import Estimate
 
 from conftest import (SpliceField, read_all_arrows, reads_of,
@@ -712,6 +714,122 @@ def test_block_open_replica_call_equals_site_calls_on_splice(monkeypatch):
         s: lazy_block_open(idx, net, s, 2.0, q1, q2) for s in sites}
     # the lazy second wave reads particles on both sides of the splice
     assert reads_of(read, q[2]) > 0 and reads_of(read, q[3]) > 0
+
+
+def reference_site_open(B, bhat, first, second):
+    """block_open's decision for one site as sets and frogs._reach, from
+    each wave's arrows as {x: the ascending vertices x points to} over
+    supersets of B and of B | bhat: the reference for the bitmask
+    decision."""
+    inner = {x: {y for y in first.get(x, ()) if y in B} for x in B}
+    goods = []
+    for x in sorted(B):
+        reached = frogs._reach({x}, inner.__getitem__)
+        if len(reached) >= len(B) / 4.0:
+            goods.append((len(reached), x, reached))
+    goods.sort(key=lambda item: (-item[0], item[1]))
+    window = B | bhat
+
+    def out(x):
+        return (y for y in second.get(x, ()) if y in window)
+
+    return any(bhat.issubset(frogs._reach(set(reached), out, bhat.issubset))
+               for _, _, reached in goods)
+
+
+def bitmask_site_open(B, bhat, first, second):
+    """_site_open on the same arguments, each vertex its own column."""
+    def bits(vs):
+        return sum(1 << v for v in set(vs))
+
+    width = 1 + max([*B, *bhat, *first, *second,
+                     *(y for arrows in (first, second)
+                       for ys in arrows.values() for y in ys)])
+    return _site_open(bits(B), bits(bhat),
+                      [bits(first.get(c, ())) for c in range(width)],
+                      [bits(second.get(c, ())) for c in range(width)])
+
+
+SITE_CASES = [
+    # no good vertex: every reach in B is its start alone, under a quarter
+    (set(range(8)), {20, 21}, {}, {x: [20, 21] for x in range(8)}, False),
+    # empty arrow lists: singletons are good in a ball of 4, and none wakes
+    # bhat
+    ({0, 1, 2, 3}, {10}, {x: [] for x in range(4)},
+     {x: [] for x in (0, 1, 2, 3, 10)}, False),
+    # the first good vertex (the largest reach, {0, 1}) misses bhat, and a
+    # later one, 3, conquers it
+    ({0, 1, 2, 3}, {10, 11}, {0: [1], 1: [0]},
+     {0: [2], 3: [10], 10: [11]}, True),
+    # a reach inside a failed closure ({2} in {0, 1, 2}) fails as well,
+    # and a later one conquers bhat
+    ({0, 1, 2, 3}, {10, 11}, {0: [1], 1: [0]},
+     {0: [2], 3: [10, 11]}, True),
+    # bhat vertices with no particles: 5 is reached directly, 6 only
+    # through 5, which points nowhere
+    ({0, 1}, {5, 6}, {}, {0: [5, 6]}, True),
+    ({0, 1}, {5, 6}, {}, {0: [5], 1: [5]}, False),
+    ({0, 1}, {5, 6}, {}, {0: [5], 5: [6]}, True),
+    # arrows off the window do not carry the closure
+    ({0, 1}, {5}, {}, {0: [9], 9: [5]}, False),
+    # first-wave arrows off B do not count toward the quarter
+    (set(range(8)), {9}, {0: [1, 20, 21, 22]}, {0: [9]}, True),
+    (set(range(8)), {9}, {0: [20, 21, 22]}, {0: [9]}, False),
+]
+
+
+@pytest.mark.parametrize("B,bhat,first,second,opened", SITE_CASES)
+def test_site_open_hand_built(B, bhat, first, second, opened):
+    assert reference_site_open(B, bhat, first, second) == opened
+    assert bitmask_site_open(B, bhat, first, second) == opened
+
+
+def test_site_open_equals_set_reference_on_random_arrows():
+    # random balls and arrows over a few more vertices than B | bhat, some
+    # vertices without particles (no entry) and some with empty lists
+    opened = set()
+    for seed in range(400):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 24)
+        universe = list(range(n + rnd.randint(0, 6)))
+        B = set(rnd.sample(universe[:n], rnd.randint(1, n)))
+        bhat = set(rnd.sample(universe, rnd.randint(1, len(universe)))) - B
+        if not bhat:
+            continue
+        density = rnd.choice((0.05, 0.15, 0.4))
+
+        def arrows(xs):
+            return {x: sorted(y for y in universe if y != x
+                              and rnd.random() < density)
+                    for x in xs if rnd.random() < 0.8}
+
+        first, second = arrows(B), arrows(universe)
+        want = reference_site_open(B, bhat, first, second)
+        assert bitmask_site_open(B, bhat, first, second) == want, seed
+        opened.add(want)
+    assert opened == {False, True}
+
+
+def test_block_open_replica_memory():
+    # one replica of renorm_z2's block_open (lambda = 4, a = 8,
+    # net_extent = 2, seed 1), after a warm call that fills the ball cache:
+    # a tracemalloc peak of 1.21-1.30 MB while both waves' arrows were
+    # lists, and 0.93-0.94 MB with bitmask arrows and the pass's byte mask
+    net = NetConfig(a=8, net_extent=2)
+    g = build_graph(GraphSpec("lattice_box", d=2, radius=net.box_radius))
+    idx = _CoordIndex(g)
+    sites = net.net_sites()
+    p1 = ParticleField(g, Stream(1, "phase1", 0).key)
+    p2 = ParticleField(g, Stream(1, "phase2", 0).key)
+    want = block_open(g, idx, net, sites, 4.0, p1, p2)
+    tracemalloc.start()
+    try:
+        got = block_open(g, idx, net, sites, 4.0, p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and all(got.values())
+    assert peak < 1.1e6
 
 
 @pytest.mark.parametrize("box_radius", [25, 26])

@@ -16,14 +16,15 @@ from frogsim import (ExitJumpStats, FrogParams, GraphError, GraphSpec,
                      good_vertices, restricted_activation,
                      sphere_activation_profile)
 from frogsim import experiments, frogs, walks
-from frogsim.experiments import (_SCAN_FIELDS, _read_all, good_vertex_decay,
+from frogsim.experiments import (_SCAN_FIELDS, good_vertex_decay,
                                  renormalization_experiment)
 from frogsim.frogs import _reach
 from frogsim.rng import derive_keys
 from frogsim.walks import lockstep_walks, walk_batch, walk_positions
 
-from conftest import (SpliceField, key_at, keys_of, read_all_arrows,
-                      spy_trajectories, spy_wave_arrows, stay_keys)
+from conftest import (SpliceField, key_at, keys_of, read_all,
+                      read_all_arrows, spy_trajectories, spy_wave_arrows,
+                      stay_keys)
 
 
 def make_out_tree(tmp_path, degree=3, depth=5):
@@ -690,15 +691,17 @@ def test_small_waves_read_the_arrows_of_a_pass(monkeypatch):
         assert len(read) == (walks if walks < frogs._STAY_BATCH_WALKS else 0)
 
 
-def arrow_codes(g, verts, xs, seeds, counts, t):
-    """The arrows rule over the lockstep kernel, for the pairs (field seed
-    seeds[p], vertex xs[p], counts[p] particles) against the sorted vertex
-    array verts, as the ascending codes p |verts| + each arrow's column."""
+def arrow_codes(g, verts, xs, seeds, counts, t, batch=True):
+    """The arrows rule's mask reduction over one pass of the pairs (field
+    seed seeds[p], vertex xs[p], counts[p] particles) against the sorted
+    vertex array verts, walked in lockstep (or, unless batch, one walk at
+    a time), as the ascending codes p |verts| + each arrow's column."""
     look = frogs._columns(verts)
-    with mock.patch.object(frogs, "_STAY_BATCH_WALKS", 0):    # a pass
+    with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
+                           0 if batch else math.inf):
         lens, cols = frogs._arrow_rule(
-            verts.size, frogs._column_of(verts, look, xs),
-            *frogs._walk_landings(g, verts, look, seeds, xs, counts, t))
+            verts, look, frogs._column_of(verts, look, xs),
+            *frogs._walk_landings(g, seeds, xs, counts, t))
     return (np.repeat(np.arange(xs.size), lens) * verts.size + cols).tolist()
 
 
@@ -764,6 +767,61 @@ def test_pair_jumps_at_long_horizon_match_single_walks(monkeypatch, draws):
     assert got == sorted(ref)
 
 
+@pytest.mark.parametrize("batch", [True, False])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["undirected", "digraph", "loops"]),
+       graph_seed=st.integers(0, 7), lam=st.integers(0, 400),
+       t=st.integers(0, 7000), radius=st.integers(0, 3),
+       budget=st.integers(1, 3), splice=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_arrow_mask_equals_pair_jumps_on_random_graphs(
+        random_graphs, batch, kind, graph_seed, lam, t, radius, budget,
+        splice, seed):
+    # the mask reduction against pair_jumps_reference: one pass over pairs
+    # on and off B (arrow_codes), and _wave_arrows under a mask budget of a
+    # few bytes, so every pass holds one pair, also one whose row alone
+    # is larger, on one key a field or spliced rows of keys
+    lam, t = lam / 100, t / 100          # on grids of 0.01
+    g = random_graphs(kind, graph_seed)
+    B = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
+    verts = np.array(sorted(B), dtype=np.int64)
+    nb = verts.size
+    rnd = random.Random(seed)
+    xs = np.array(rnd.sample(range(g.vertex_count), min(6, g.vertex_count)),
+                  dtype=np.int64)
+    seeds = derive_keys(seed, "pj", count=xs.size)
+    counts = np.array([rnd.randint(0, 4) for _ in xs.tolist()])
+    assert arrow_codes(g, verts, xs, seeds, counts, t, batch) \
+        == pair_jumps_reference(g, B, xs.tolist(), seeds.tolist(),
+                                counts.tolist(), t)
+    p = [ParticleField(g, seed + k) for k in range(3)]
+    fields = [p[0], SpliceField(rnd.sample(range(g.vertex_count),
+                                           g.vertex_count // 2), p[1], p[2])
+              if splice else p[1]]
+    keys = keys_of(fields, verts.tolist())
+    assert keys.ndim == (2 if splice else 1)
+    wave = [(f, c) for f in range(2) for c in range(nb)]
+    rnd.shuffle(wave)
+    passes = []
+    walk_landings = frogs._walk_landings
+
+    def spy(g, seeds, xs, counts, t):
+        passes.append(counts.size)
+        return walk_landings(g, seeds, xs, counts, t)
+
+    with mock.patch.multiple(frogs, _STAY_BATCH_WALKS=0 if batch
+                             else math.inf, _MASK_BYTES=budget,
+                             _walk_landings=spy):
+        got = frogs._wave_arrows(g, verts, frogs._columns(verts), keys, wave,
+                                 FrogParams(lam, t))
+    assert passes == [1] * len(wave) and budget < 2 * (nb + 1)
+    wxs = [int(verts[c]) for _, c in wave]
+    want = pair_jumps_reference(
+        g, B, wxs, [key_at(fields[f], x) for (f, _), x in zip(wave, wxs)],
+        [fields[f].count_at(x, lam) for (f, _), x in zip(wave, wxs)], t)
+    assert [p * nb + c for p, cols in enumerate(got) for c in cols] == want
+
+
 
 @pytest.mark.parametrize("fields_cap,walks_cap", [(1, 2048), (3, 5), (512, 1)])
 def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
@@ -797,9 +855,9 @@ def test_read_arrows_reveals_each_read_pair_once(monkeypatch, fields_cap,
 
     walk_landings = frogs._walk_landings
 
-    def spy(g, verts, look, seeds, xs, counts, t):
+    def spy(g, seeds, xs, counts, t):
         assert counts.sum() <= walks_cap or counts.size == 1
-        return walk_landings(g, verts, look, seeds, xs, counts, t)
+        return walk_landings(g, seeds, xs, counts, t)
 
     monkeypatch.setattr(frogs, "_walk_landings", spy)
     spied = spy_wave_arrows(monkeypatch)
@@ -953,7 +1011,7 @@ def test_closure_scan_finds_the_first_covering_start(monkeypatch, z2_box20,
 def test_arrow_driver_equals_reference_on_random_graphs(
         random_graphs, batch, kind, graph_seed, lam, t, radius, splice,
         one_walk, seed, stop):
-    # _read_arrows with block_open's read-everything scan and with the
+    # _read_arrows with the read-everything scan and with the
     # closure scan, against arrows and reaches read one particle at a time
     g = random_graphs(kind, graph_seed)
     B = {v for v in ball(g, g.origin, radius) if not g.boundary_mask[v]}
@@ -1034,7 +1092,7 @@ def test_spliced_key_rows_on_random_graphs(random_graphs, batch, kind,
                 frogs._stay_closure(g, S, start, params, keys)]
 
     def arrows(keys):
-        return list(frogs._read_arrows(g, verts, keys, params, _read_all))
+        return list(frogs._read_arrows(g, verts, keys, params, read_all))
 
     with mock.patch.object(frogs, "_STAY_BATCH_WALKS",
                            0 if batch else math.inf), \
@@ -1063,6 +1121,8 @@ def test_arrow_closure_rejects_stop_size_below_one(z2_box20):
     lambda g, B: good_vertices(g, B, FrogParams(1.0, 4.0), Stream(3)),
     lambda g, B: arrow_closure(g, B, 0, FrogParams(1.0, 4.0),
                                ParticleField(g, 3)),
+    lambda g, B: frogs._arrow_bits(g, B, [(ParticleField(g, 3), B)],
+                                   FrogParams(1.0, 4.0)),
 ])
 def test_arrow_readers_reject_the_truncation_frontier(call):
     # the radius-10 box's frontier is the sphere of radius 10
@@ -1070,6 +1130,14 @@ def test_arrow_readers_reject_the_truncation_frontier(call):
     with pytest.raises(GraphError, match="must avoid the truncation frontier"):
         call(g, ball(g, 0, 12))
     call(g, ball(g, 0, 9))
+
+
+def test_arrow_bits_rejects_sources_off_the_set(z2_box20):
+    B = ball(z2_box20, 0, 3)
+    with pytest.raises(ValueError, match="sources must lie in B"):
+        frogs._arrow_bits(z2_box20, B, [(ParticleField(z2_box20, 3),
+                                         ball(z2_box20, 0, 4))],
+                          FrogParams(1.0, 4.0))
 
 
 def test_read_arrows_memory_does_not_grow_with_B_squared():
